@@ -20,9 +20,10 @@ import numpy as np
 from . import __version__
 from . import data_families as df
 from . import spinors as sp
-from .evolve_dm import DIAGNOSTIC_COLUMNS, DMState, StepConfig, simulate_dm
-from .evolve_limits import GaugeSource, PauliState, SPState, simulate_pauli, simulate_sp
-from .fourier import make_lattice, write_fld
+from .evolve_dm import (DMState, StepConfig, checked_diagnostics, coulomb_gauge, dm_strang_step, integrate,
+                        n_steps_for, simulate_dm)
+from .evolve_limits import DMPauliState, SPState, dm_pauli_step, pauli_diagnostics, sp_diagnostics, sp_step
+from .fourier import Lattice, make_lattice, write_fld
 from .presets import get_preset
 from .studies import ExperimentConfig, dyadic_sweep, nonrel_convergence_study, seminonrel_study
 
@@ -90,95 +91,94 @@ def _write_csv(path: Path, header, rows):
 # -- run commands -------------------------------------------------------------
 
 
-def cmd_run_dm(cfg: dict, out_dir: Path, seed: int, dealias: bool) -> int:
+class _SampleWriter:
+    """observe() of the run commands: each sample writes ``<stem>_<i>.fld``
+    and appends its diagnostics row to diagnostics.csv, so no run keeps its
+    samples in memory."""
+
+    def __init__(self, out_dir: Path, stem: str, lat: Lattice, snapshot, diagnose):
+        self.out_dir, self.stem, self.lat = out_dir, stem, lat
+        self.snapshot, self.diagnose = snapshot, diagnose
+        self.csv_path = out_dir / "diagnostics.csv"
+        self.snapshots = []
+        self.write_seconds = 0.0
+
+    def __call__(self, state):
+        row = self.diagnose(state)
+        t0 = time.time()
+        path = self.out_dir / f"{self.stem}_{len(self.snapshots):04d}.fld"
+        write_fld(path, self.lat, self.snapshot(state), state.t)
+        lines = [",".join(row)] if not self.snapshots else []
+        lines.append(",".join(repr(float(v)) for v in row.values()))
+        with open(self.csv_path, "w" if not self.snapshots else "a") as fh:
+            fh.write("\n".join(lines) + "\n")
+        self.snapshots.append(path)
+        self.write_seconds += time.time() - t0
+
+
+def _run_times(cfg: dict) -> tuple:
+    T = float(_need(cfg, "T"))
+    dt = float(_need(cfg, "dt"))
+    return T, dt, int(cfg.get("sample_every", 1))
+
+
+def _dm_init(cfg: dict) -> DMState:
     n, period = _validate_grid(cfg)
     eps = float(_need(cfg, "eps"))
     if not (eps > 0):
         raise ConfigError(f"config error at eps: must be positive, got {eps}")
-    T = float(_need(cfg, "T"))
-    dt = float(_need(cfg, "dt"))
     data = _need(cfg, "data")
     lat = make_lattice(n, period)
-    t0 = time.time()
     psi0 = df.spinor_data(lat, _need(data, "family", "data.family"), eps, data.get("params"))
     a0, a1 = df.gauge_data(lat, cfg.get("gauge", "zero"), data.get("params"))
-    init = DMState(lat, 0.0, psi0, a0, a1, eps)
-    step_cfg = StepConfig(dt=dt, sample_every=int(cfg.get("sample_every", 1)), dealias=dealias)
-    traj = simulate_dm(init, T, step_cfg)
-    t1 = time.time()
-    outputs = []
-    for i, (t, psi) in enumerate(zip(traj.times, traj.psis)):
-        p = out_dir / f"psi_{i:04d}.fld"
-        write_fld(p, lat, psi, t)
-        outputs.append(p)
-    p = out_dir / "A_final.fld"
-    write_fld(p, lat, traj.As[-1], traj.times[-1])
-    outputs.append(p)
-    diag_path = out_dir / "diagnostics.csv"
-    rows = list(zip(*[traj.diagnostics[c] for c in DIAGNOSTIC_COLUMNS]))
-    _write_csv(diag_path, DIAGNOSTIC_COLUMNS, [tuple(float(x) for x in r) for r in rows])
-    outputs.append(diag_path)
-    outputs.append(write_manifest(out_dir, cfg, seed, {"simulate": t1 - t0, "write": time.time() - t1}, outputs))
-    print(f"run-dm: {len(traj.times)} samples -> {out_dir}")
+    return DMState(lat, 0.0, psi0, a0, a1, eps)
+
+
+def _finish(command: str, out_dir: Path, cfg: dict, seed: int, t0: float, writer: _SampleWriter,
+            extra: tuple = ()) -> int:
+    outputs = [*writer.snapshots, *extra, writer.csv_path]
+    total = time.time() - t0
+    stages = {"simulate": total - writer.write_seconds, "write": writer.write_seconds}
+    outputs.append(write_manifest(out_dir, cfg, seed, stages, outputs))
+    print(f"{command}: {len(writer.snapshots)} samples -> {out_dir}")
     return 0
 
 
+def cmd_run_dm(cfg: dict, out_dir: Path, seed: int, dealias: bool) -> int:
+    T, dt, every = _run_times(cfg)
+    t0 = time.time()
+    init = _dm_init(cfg)
+    step_cfg = StepConfig(dt=dt, dealias=dealias)
+    writer = _SampleWriter(out_dir, "psi", init.lat, lambda s: s.psi,
+                           lambda s: checked_diagnostics(s, step_cfg))
+    final = integrate(coulomb_gauge(init), lambda s: dm_strang_step(s, step_cfg), n_steps_for(T, dt), every, writer)
+    a_path = out_dir / "A_final.fld"
+    write_fld(a_path, init.lat, final.A, final.t)
+    return _finish("run-dm", out_dir, cfg, seed, t0, writer, (a_path,))
+
+
 def cmd_run_sp(cfg: dict, out_dir: Path, seed: int) -> int:
+    T, dt, every = _run_times(cfg)
     n, period = _validate_grid(cfg)
-    T = float(_need(cfg, "T"))
-    dt = float(_need(cfg, "dt"))
     data = _need(cfg, "data")
     lat = make_lattice(n, period)
     t0 = time.time()
     v0p, v0m = df.limit_data(lat, _need(data, "family", "data.family"), data.get("params"))
-    traj = simulate_sp(SPState(lat, 0.0, v0p, v0m), T, dt, sample_every=int(cfg.get("sample_every", 1)))
-    t1 = time.time()
-    outputs = []
-    for i, (t, vp) in enumerate(zip(traj.times, traj.v_plus)):
-        p = out_dir / f"vplus_{i:04d}.fld"
-        write_fld(p, lat, vp, t)
-        outputs.append(p)
-    diag_path = out_dir / "diagnostics.csv"
-    cols = list(traj.diagnostics)
-    rows = list(zip(*[traj.diagnostics[c] for c in cols]))
-    _write_csv(diag_path, cols, [tuple(float(x) for x in r) for r in rows])
-    outputs.append(diag_path)
-    outputs.append(write_manifest(out_dir, cfg, seed, {"simulate": t1 - t0, "write": time.time() - t1}, outputs))
-    print(f"run-sp: {len(traj.times)} samples -> {out_dir}")
-    return 0
+    writer = _SampleWriter(out_dir, "vplus", lat, lambda s: s.v_plus, sp_diagnostics)
+    integrate(SPState(lat, 0.0, v0p, v0m), lambda s: sp_step(s, dt), n_steps_for(T, dt), every, writer)
+    return _finish("run-sp", out_dir, cfg, seed, t0, writer)
 
 
 def cmd_run_pauli(cfg: dict, out_dir: Path, seed: int) -> int:
-    """Couples a DM run (for the gauge fields) with the Pauli evolution."""
-    n, period = _validate_grid(cfg)
-    eps = float(_need(cfg, "eps"))
-    T = float(_need(cfg, "T"))
-    dt = float(_need(cfg, "dt"))
-    data = _need(cfg, "data")
-    lat = make_lattice(n, period)
+    """Advances the Pauli spinor in lockstep with a DM run, in its fields."""
+    T, dt, every = _run_times(cfg)
     t0 = time.time()
-    psi0 = df.spinor_data(lat, _need(data, "family", "data.family"), eps, data.get("params"))
-    a0, a1 = df.gauge_data(lat, cfg.get("gauge", "zero"), data.get("params"))
-    init = DMState(lat, 0.0, psi0, a0, a1, eps)
-    traj = simulate_dm(init, T, StepConfig(dt=dt, sample_every=int(cfg.get("sample_every", 1)), store_gauge=True))
-    gauge = GaugeSource.from_trajectory(traj)
-    chi0 = sp.upper(psi0)
-    pauli = simulate_pauli(PauliState(lat, 0.0, chi0, eps), gauge, T, dt,
-                           sample_every=int(cfg.get("sample_every", 1)))
-    t1 = time.time()
-    outputs = []
-    for i, (t, chi) in enumerate(zip(pauli.times, pauli.chis)):
-        p = out_dir / f"chi_{i:04d}.fld"
-        write_fld(p, lat, chi, t)
-        outputs.append(p)
-    diag_path = out_dir / "diagnostics.csv"
-    cols = list(pauli.diagnostics)
-    rows = list(zip(*[pauli.diagnostics[c] for c in cols]))
-    _write_csv(diag_path, cols, [tuple(float(x) for x in r) for r in rows])
-    outputs.append(diag_path)
-    outputs.append(write_manifest(out_dir, cfg, seed, {"simulate": t1 - t0, "write": time.time() - t1}, outputs))
-    print(f"run-pauli: {len(pauli.times)} samples -> {out_dir}")
-    return 0
+    init = _dm_init(cfg)
+    step_cfg = StepConfig(dt=dt)
+    writer = _SampleWriter(out_dir, "chi", init.lat, lambda s: s.pauli.chi, lambda s: pauli_diagnostics(s.pauli))
+    integrate(DMPauliState.start(init, sp.upper(init.psi), step_cfg), lambda s: dm_pauli_step(s, step_cfg),
+              n_steps_for(T, dt), every, writer)
+    return _finish("run-pauli", out_dir, cfg, seed, t0, writer)
 
 
 def _experiment_config(cfg: dict, seed: int) -> ExperimentConfig:
@@ -410,16 +410,13 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config path or preset:<name>")
+    for name in ("run-dm", "run-sp", "run-pauli", "converge", "seminonrel", "probe-dyadic"):
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="JSON config path or preset:<name>")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--dealias", action="store_true")
-        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; runs are sequential per cell")
-
-    for name in ("run-dm", "run-sp", "run-pauli", "converge", "seminonrel", "probe-dyadic"):
-        add_common(sub.add_parser(name))
+        if name == "run-dm":
+            p.add_argument("--dealias", action="store_true", help="2/3-rule dealiasing of the charge and current")
     check_p = sub.add_parser("check")
     check_p.add_argument("suite")
     check_p.add_argument("--seed", type=int, default=0)

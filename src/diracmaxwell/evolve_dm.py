@@ -11,9 +11,10 @@ Source freezing happens at the step midpoint (the current is evaluated after
 the half kick and a half free flight), which makes a (dt, -dt) round trip
 exact; see the tests.
 
-A single run advances sequentially (steps are pure state-to-state maps);
-distinct runs share no mutable state and the results are independent of
-thread scheduling for a fixed configuration.
+Every run, of this system or of the limit systems, is driven by integrate():
+it applies a pure state-to-state step, samples on one schedule and guards
+against non-finite spinors.  Distinct runs share no mutable state and the
+results are independent of thread scheduling for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spinors as sp
-from .fourier import Lattice, curl, divergence, gradient, l2_norm, lambda_eps, leray_project, poisson_solve, sobolev_norm
+from .fourier import Lattice, curl, gradient, l2_norm, lambda_eps, leray_project, poisson_solve, sobolev_norm
 
 
 @dataclass
@@ -40,6 +41,9 @@ class DMState:
     def copy(self) -> "DMState":
         return DMState(self.lat, self.t, self.psi.copy(), self.A.copy(), self.eps_dtA.copy(), self.eps)
 
+    def spinors(self) -> tuple:
+        return (self.psi,)
+
 
 @dataclass
 class StepConfig:
@@ -47,7 +51,6 @@ class StepConfig:
     dealias: bool = False
     sample_every: int = 1
     h1_ceiling: float = 1e6
-    store_gauge: bool = False
 
     def __post_init__(self):
         if self.dt == 0:
@@ -148,8 +151,6 @@ def dm_strang_step(state: DMState, cfg: StepConfig) -> DMState:
     A_new, W_new = wave_step(lat, state.A, state.eps_dtA, J, dt, eps)
     A0_new = derived_A0(lat, psi_b, cfg.dealias)
     psi_new = potential_kick(lat, psi_b, A0_new, A_new, dt / 2.0, eps)
-    if not np.all(np.isfinite(psi_new)):
-        raise FloatingPointError(f"non-finite spinor after step at t = {state.t}")
     return DMState(lat, state.t + dt, psi_new, A_new, W_new, eps)
 
 
@@ -164,21 +165,12 @@ class Trajectory:
     As: list = field(default_factory=list)
     Ws: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
-    # optional dense gauge record (every step) for driving the Pauli solver
-    gauge_times: list = field(default_factory=list)
-    gauge_A0: list = field(default_factory=list)
-    gauge_A: list = field(default_factory=list)
 
     def record(self, state: DMState):
         self.times.append(state.t)
         self.psis.append(state.psi.copy())
         self.As.append(state.A.copy())
         self.Ws.append(state.eps_dtA.copy())
-
-    def record_gauge(self, state: DMState):
-        self.gauge_times.append(state.t)
-        self.gauge_A0.append(derived_A0(self.lat, state.psi))
-        self.gauge_A.append(state.A.copy())
 
 
 DIAGNOSTIC_COLUMNS = ("t", "charge", "h1_psi", "h1dot_A", "eps_l2_dtA", "h1_pi_minus_psi")
@@ -196,47 +188,79 @@ def _diagnose(state: DMState) -> dict:
     }
 
 
+def checked_diagnostics(state: DMState, cfg: StepConfig) -> dict:
+    """_diagnose, with the blow-up guard: h1_psi above cfg.h1_ceiling raises
+    FloatingPointError (steps counted from t = 0)."""
+    row = _diagnose(state)
+    if row["h1_psi"] > cfg.h1_ceiling:
+        raise FloatingPointError(
+            f"H1 blow-up guard tripped at step {round(state.t / cfg.dt)}, t = {state.t}: "
+            f"h1_psi = {row['h1_psi']:.3e} > {cfg.h1_ceiling:.3e}"
+        )
+    return row
+
+
 def n_steps_for(T: float, dt: float) -> int:
+    if not (T > 0 and dt > 0):
+        raise ValueError(f"T and dt must be positive, got T = {T}, dt = {dt}")
     steps = int(round(T / dt))
     if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
     return steps
 
 
+def sample_steps(n_steps: int, sample_every: int) -> list:
+    """The steps at which integrate() samples: 0, every sample_every-th, the last."""
+    if sample_every < 1:
+        raise ValueError("sample_every must be >= 1")
+    return [*range(0, n_steps, sample_every), n_steps]
+
+
+def integrate(state, step, n_steps: int, sample_every: int, observe):
+    """Apply ``step`` n_steps times and call ``observe`` on the state at each
+    of sample_steps(n_steps, sample_every); returns the final state.
+
+    Works for every solver state with a time ``t`` and a ``spinors()`` tuple.
+    A non-finite value in any spinor array of a new state raises
+    FloatingPointError; that error, and any raised inside a step, names the
+    step and the time it started from.
+    """
+    samples = set(sample_steps(n_steps, sample_every))
+    observe(state)
+    for k in range(1, n_steps + 1):
+        try:
+            new = step(state)
+            if not all(np.all(np.isfinite(a)) for a in new.spinors()):
+                raise FloatingPointError("non-finite spinor")
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{exc} in step {k}, from t = {state.t}") from None
+        state = new
+        if k in samples:
+            observe(state)
+    return state
+
+
+def coulomb_gauge(init: DMState) -> DMState:
+    """Copy of a DM state with A and eps*dt(A) Leray-projected; every DM run
+    starts from it."""
+    out = init.copy()
+    out.A = leray_project(init.lat, init.A)
+    out.eps_dtA = leray_project(init.lat, init.eps_dtA)
+    return out
+
+
 def simulate_dm(init: DMState, T: float, cfg: StepConfig) -> Trajectory:
     """Advance to time T, sampling states and scalar diagnostics."""
-    if not (T > 0):
-        raise ValueError(f"T must be positive, got {T}")
-    lat = init.lat
-    init = init.copy()
-    init.A = leray_project(lat, init.A)
-    init.eps_dtA = leray_project(lat, init.eps_dtA)
-    steps = n_steps_for(T, cfg.dt)
-    traj = Trajectory(lat, init.eps)
-    diag_rows = []
-    state = init
+    traj = Trajectory(init.lat, init.eps)
+    rows = []
 
-    def sample(s):
-        traj.record(s)
-        diag_rows.append(_diagnose(s))
+    def observe(state):
+        traj.record(state)
+        rows.append(checked_diagnostics(state, cfg))
 
-    sample(state)
-    if cfg.store_gauge:
-        traj.record_gauge(state)
-    for k in range(steps):
-        try:
-            state = dm_strang_step(state, cfg)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"{exc} (step {k + 1})") from None
-        if cfg.store_gauge:
-            traj.record_gauge(state)
-        if (k + 1) % cfg.sample_every == 0 or k + 1 == steps:
-            sample(state)
-            if diag_rows[-1]["h1_psi"] > cfg.h1_ceiling:
-                raise FloatingPointError(
-                    f"H1 blow-up guard tripped at t = {state.t} (step {k + 1})"
-                )
-    traj.diagnostics = {c: np.array([row[c] for row in diag_rows]) for c in DIAGNOSTIC_COLUMNS}
+    integrate(coulomb_gauge(init), lambda s: dm_strang_step(s, cfg), n_steps_for(T, cfg.dt),
+              cfg.sample_every, observe)
+    traj.diagnostics = {c: np.array([row[c] for row in rows]) for c in DIAGNOSTIC_COLUMNS}
     return traj
 
 
@@ -285,7 +309,6 @@ def picard_solve(init: DMState, T: float, m_max: int, cfg: StepConfig) -> Picard
 
     psi_prev = [zero_psi] * (steps + 1)
     A_prev = [zero_A] * (steps + 1)
-    psi_prev2 = None
     cauchy = []
     for m in range(m_max + 1):
         # potentials of the previous iterate
@@ -315,7 +338,6 @@ def picard_solve(init: DMState, T: float, m_max: int, cfg: StepConfig) -> Picard
             sobolev_norm(lat, pn - pp, 1.0) for pn, pp in zip(psi_next, psi_prev)
         )
         cauchy.append(diff)
-        psi_prev2 = psi_prev
         psi_prev, A_prev = psi_next, A_next
 
     failed = False

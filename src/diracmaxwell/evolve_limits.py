@@ -4,17 +4,19 @@ with the Dirac-Maxwell evolver.
 
 The Schrodinger-Poisson pair carries the electron branch (+Delta/2) and the
 negative-mass positron branch (-Delta/2) coupled through one Coulomb
-potential.  The Pauli spinor is driven by externally supplied gauge fields,
-typically read off a Dirac-Maxwell run.
+potential.  The Pauli spinor is advanced in lockstep with a Dirac-Maxwell
+run (``DMPauliState``, ``dm_pauli_step``) and driven by that run's fields.
+Runs of either system are driven by ``evolve_dm.integrate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import spinors as sp
+from .evolve_dm import DMState, StepConfig, coulomb_gauge, derived_A0, dm_strang_step
 from .fourier import Lattice, curl, divergence, l2_norm, poisson_solve, sobolev_norm
 
 
@@ -27,6 +29,9 @@ class SPState:
 
     def copy(self):
         return SPState(self.lat, self.t, self.v_plus.copy(), self.v_minus.copy())
+
+    def spinors(self) -> tuple:
+        return (self.v_plus, self.v_minus)
 
 
 def sp_potential(lat: Lattice, v_plus: np.ndarray, v_minus: np.ndarray) -> np.ndarray:
@@ -54,47 +59,15 @@ def sp_step(state: SPState, dt: float) -> SPState:
     return SPState(lat, state.t + dt, half * vp, half * vm)
 
 
-@dataclass
-class SPTrajectory:
-    lat: Lattice
-    times: list = field(default_factory=list)
-    v_plus: list = field(default_factory=list)
-    v_minus: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
-
-
-def simulate_sp(init: SPState, T: float, dt: float, sample_every: int = 1) -> SPTrajectory:
-    from .evolve_dm import n_steps_for
-
-    steps = n_steps_for(T, dt)
-    lat = init.lat
-    traj = SPTrajectory(lat)
-    rows = []
-
-    def sample(s):
-        traj.times.append(s.t)
-        traj.v_plus.append(s.v_plus.copy())
-        traj.v_minus.append(s.v_minus.copy())
-        rows.append(
-            {
-                "t": s.t,
-                "mass_plus": l2_norm(lat, s.v_plus) ** 2,
-                "mass_minus": l2_norm(lat, s.v_minus) ** 2,
-                "h1_plus": sobolev_norm(lat, s.v_plus, 1.0),
-                "h1_minus": sobolev_norm(lat, s.v_minus, 1.0),
-            }
-        )
-
-    state = init.copy()
-    sample(state)
-    for k in range(steps):
-        state = sp_step(state, dt)
-        if not np.all(np.isfinite(state.v_plus)):
-            raise FloatingPointError(f"non-finite SP state at step {k + 1}")
-        if (k + 1) % sample_every == 0 or k + 1 == steps:
-            sample(state)
-    traj.diagnostics = {c: np.array([r[c] for r in rows]) for c in rows[0]}
-    return traj
+def sp_diagnostics(state: SPState) -> dict:
+    lat = state.lat
+    return {
+        "t": state.t,
+        "mass_plus": l2_norm(lat, state.v_plus) ** 2,
+        "mass_minus": l2_norm(lat, state.v_minus) ** 2,
+        "h1_plus": sobolev_norm(lat, state.v_plus, 1.0),
+        "h1_minus": sobolev_norm(lat, state.v_minus, 1.0),
+    }
 
 
 # -- Pauli ----------------------------------------------------------------------
@@ -109,6 +82,9 @@ class PauliState:
 
     def copy(self):
         return PauliState(self.lat, self.t, self.chi.copy(), self.eps)
+
+    def spinors(self) -> tuple:
+        return (self.chi,)
 
 
 def _kick_matrix_apply(A0, B, A_sq, eps, dt, chi):
@@ -174,68 +150,38 @@ def pauli_step(state: PauliState, A0: np.ndarray, A: np.ndarray, dt: float,
     return PauliState(lat, state.t + dt, chi, eps)
 
 
+def pauli_diagnostics(state: PauliState) -> dict:
+    lat = state.lat
+    return {"t": state.t, "mass": l2_norm(lat, state.chi) ** 2, "h1": sobolev_norm(lat, state.chi, 1.0)}
+
+
 @dataclass
-class PauliTrajectory:
-    lat: Lattice
-    times: list = field(default_factory=list)
-    chis: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
+class DMPauliState:
+    """A DM state and the Pauli spinor driven by its fields, advanced in
+    lockstep.  A0 is derived_A0 of dm.psi, carried over so that each step
+    derives the potential once."""
 
-
-class GaugeSource:
-    """Per-step gauge fields (t_i, A0_i, A_i) read from a DM trajectory;
-    provides midpoint values by linear interpolation."""
-
-    def __init__(self, times, A0_list, A_list):
-        self.times = np.asarray(times, dtype=float)
-        if len(self.times) < 2:
-            raise ValueError("gauge source needs at least two samples")
-        self.A0_list = A0_list
-        self.A_list = A_list
-        self.spacing = float(np.max(np.diff(self.times)))
+    dm: DMState
+    pauli: PauliState
+    A0: np.ndarray
 
     @classmethod
-    def from_trajectory(cls, traj):
-        if not traj.gauge_times:
-            raise ValueError("DM trajectory was run without store_gauge")
-        return cls(traj.gauge_times, traj.gauge_A0, traj.gauge_A)
+    def start(cls, init: DMState, chi0: np.ndarray, cfg: StepConfig) -> "DMPauliState":
+        dm = coulomb_gauge(init)
+        return cls(dm, PauliState(dm.lat, dm.t, chi0.copy(), dm.eps), derived_A0(dm.lat, dm.psi, cfg.dealias))
 
-    def at(self, t: float):
-        ts = self.times
-        if t < ts[0] - 1e-12 or t > ts[-1] + 1e-12:
-            raise ValueError(f"time {t} outside gauge record [{ts[0]}, {ts[-1]}]")
-        i = int(np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2))
-        w = (t - ts[i]) / (ts[i + 1] - ts[i])
-        A0 = (1.0 - w) * self.A0_list[i] + w * self.A0_list[i + 1]
-        A = (1.0 - w) * self.A_list[i] + w * self.A_list[i + 1]
-        return A0, A
+    @property
+    def t(self) -> float:
+        return self.dm.t
+
+    def spinors(self) -> tuple:
+        return (self.dm.psi, self.pauli.chi)
 
 
-def simulate_pauli(init: PauliState, gauge: GaugeSource, T: float, dt: float,
-                   sample_every: int = 1) -> PauliTrajectory:
-    """Evolve the Pauli spinor in the time-dependent fields of a DM run."""
-    from .evolve_dm import n_steps_for
-
-    steps = n_steps_for(T, dt)
-    if gauge.spacing > dt * (1.0 + 1e-9):
-        raise ValueError(
-            f"gauge record spacing {gauge.spacing} is sparser than dt = {dt}"
-        )
-    lat = init.lat
-    traj = PauliTrajectory(lat)
-    rows = []
-
-    def sample(s):
-        traj.times.append(s.t)
-        traj.chis.append(s.chi.copy())
-        rows.append({"t": s.t, "mass": l2_norm(lat, s.chi) ** 2, "h1": sobolev_norm(lat, s.chi, 1.0)})
-
-    state = init.copy()
-    sample(state)
-    for k in range(steps):
-        A0_mid, A_mid = gauge.at(state.t + dt / 2.0)
-        state = pauli_step(state, A0_mid, A_mid, dt)
-        if (k + 1) % sample_every == 0 or k + 1 == steps:
-            sample(state)
-    traj.diagnostics = {c: np.array([r[c] for r in rows]) for c in rows[0]}
-    return traj
+def dm_pauli_step(state: DMPauliState, cfg: StepConfig) -> DMPauliState:
+    """One DM step, and one Pauli step in the endpoint averages of A0 and A
+    (the midpoint values of their linear interpolation)."""
+    dm = dm_strang_step(state.dm, cfg)
+    A0 = derived_A0(dm.lat, dm.psi, cfg.dealias)
+    pauli = pauli_step(state.pauli, 0.5 * (state.A0 + A0), 0.5 * (state.dm.A + dm.A), cfg.dt)
+    return DMPauliState(dm, pauli, A0)

@@ -158,11 +158,6 @@ def apply_symbol(lat: Lattice, f: np.ndarray, m: Symbol | np.ndarray) -> np.ndar
     return lat.ifft(mult * lat.fft(f))
 
 
-def apply_symbol_real(lat: Lattice, f: np.ndarray, m: Symbol | np.ndarray) -> np.ndarray:
-    """apply_symbol for real fields under real-output-preserving symbols."""
-    return apply_symbol(lat, f, m).real
-
-
 def dealias(lat: Lattice, f: np.ndarray) -> np.ndarray:
     """Band-limit f to the 2/3 block (mandatory for exact identity checks)."""
     out = lat.ifft(lat.dealias_mask() * lat.fft(f))

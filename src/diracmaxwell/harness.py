@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import spinors as sp
-from .evolve_dm import Trajectory, compute_EB, derived_A0
+from .evolve_dm import Trajectory, _dx, compute_EB, derived_A0
 from .fourier import (
     Lattice,
     divergence,
@@ -25,11 +25,6 @@ from .fourier import (
     riesz_transform,
     sobolev_norm,
 )
-
-
-def _dx(lat: Lattice, f: np.ndarray, axis: int) -> np.ndarray:
-    k = (lat.kx, lat.ky, lat.kz)[axis]
-    return lat.ifft(1j * k * lat.fft(f))
 
 
 # -- null bilinear forms --------------------------------------------------------

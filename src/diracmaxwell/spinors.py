@@ -41,11 +41,6 @@ for _j, _k, _l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     LEVI_CIVITA[_j, _l, _k] = -1.0
 
 
-def dirac_matrices():
-    """The constant matrix set (gamma0, gamma, alpha, sigma, S)."""
-    return GAMMA0, GAMMA, ALPHA, SIGMA, SPIN
-
-
 def mat(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Apply a constant component matrix at every grid point."""
     return np.einsum("ab,b...->a...", m, psi)

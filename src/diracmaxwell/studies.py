@@ -17,9 +17,11 @@ import numpy as np
 
 from . import data_families as df
 from . import spinors as sp
-from .evolve_dm import DMState, StepConfig, derived_A0, simulate_dm
-from .evolve_limits import GaugeSource, PauliState, SPState, simulate_pauli, simulate_sp
-from .fourier import Lattice, bump_profile, curl, littlewood_paley, lp_norm, make_lattice, sobolev_norm
+from .evolve_dm import (DMState, StepConfig, coulomb_gauge, derived_A0, dm_strang_step, integrate, n_steps_for,
+                        sample_steps)
+from .evolve_limits import DMPauliState, SPState, dm_pauli_step, sp_step
+from .fourier import (Lattice, bump_profile, curl, littlewood_paley, lp_norm, make_lattice, poisson_solve,
+                      sobolev_norm)
 
 # -- configuration ---------------------------------------------------------------
 
@@ -32,7 +34,7 @@ class ExperimentConfig:
     T: float
     dt_ref: float                 # dt at eps_ref; scaled per the schedule
     eps_ref: float = 0.4
-    dt_schedule: str = "eps_squared"   # "fixed" | "eps_linear" | "eps_squared"
+    dt_schedule: str = "eps_linear"    # "fixed" | "eps_linear" | "eps_squared"
     family: str = "upper_projected"
     params: dict = field(default_factory=dict)
     gauge: str = "zero"
@@ -110,18 +112,62 @@ class RateReport:
 # -- nonrelativistic limit study ----------------------------------------------------
 
 
-def _dm_run(cfg: ExperimentConfig, eps: float, store_gauge: bool = False):
-    lat = cfg.lattice()
-    psi0 = df.spinor_data(lat, cfg.family, eps, cfg.params)
-    a0, a1 = df.gauge_data(lat, cfg.gauge, cfg.params)
-    init = DMState(lat, 0.0, psi0, a0, a1, eps)
+def _dm_schedule(cfg: ExperimentConfig, eps: float):
+    """dt, step count and sampling stride of the DM run at eps: T is split
+    into whole steps, and samples fall on the eps-independent grid of
+    multiples of dt_ref * sample_every."""
     dt = cfg.dt_for(eps)
     steps = int(round(cfg.T / dt))
     dt = cfg.T / steps
-    # sample on the eps-independent grid of multiples of dt_ref * sample_every
-    sample_every = max(1, int(round(cfg.dt_ref * cfg.sample_every / dt)))
-    step_cfg = StepConfig(dt=dt, sample_every=sample_every, store_gauge=store_gauge)
-    return lat, simulate_dm(init, cfg.T, step_cfg), dt
+    return dt, steps, max(1, int(round(cfg.dt_ref * cfg.sample_every / dt)))
+
+
+def _integrate_dm(cfg: ExperimentConfig, lat: Lattice, eps: float, observe, with_pauli: bool = False):
+    """Run DM at eps over [0, T], calling observe at the study's sample
+    times; with_pauli advances the Pauli spinor of the upper component in
+    lockstep (the modulation is the identity at t = 0)."""
+    dt, steps, every = _dm_schedule(cfg, eps)
+    step_cfg = StepConfig(dt=dt)
+    psi0 = df.spinor_data(lat, cfg.family, eps, cfg.params)
+    a0, a1 = df.gauge_data(lat, cfg.gauge, cfg.params)
+    init = coulomb_gauge(DMState(lat, 0.0, psi0, a0, a1, eps))
+    if with_pauli:
+        integrate(DMPauliState.start(init, sp.upper(init.psi), step_cfg),
+                  lambda s: dm_pauli_step(s, step_cfg), steps, every, observe)
+    else:
+        integrate(init, lambda s: dm_strang_step(s, step_cfg), steps, every, observe)
+
+
+def _integrate_sp(cfg: ExperimentConfig, lat: Lattice, sample_every: int, observe):
+    """Run the limit system at dt_ref over [0, T] from the study's limit data."""
+    v0p, v0m = df.limit_data(lat, cfg.family, cfg.params)
+    integrate(SPState(lat, 0.0, v0p, v0m), lambda s: sp_step(s, cfg.dt_ref),
+              n_steps_for(cfg.T, cfg.dt_ref), sample_every, observe)
+
+
+def _check_sample_grid(cfg: ExperimentConfig):
+    """Every eps must sample DM at the SP sample times: multiples of
+    dt_ref * sample_every, and T."""
+    want = cfg.dt_ref * np.array(sample_steps(n_steps_for(cfg.T, cfg.dt_ref), cfg.sample_every))
+    for eps in cfg.eps_list:
+        dt, steps, every = _dm_schedule(cfg, eps)
+        got = dt * np.array(sample_steps(steps, every))
+        if got.shape != want.shape or np.max(np.abs(got - want)) > 1e-6 * cfg.dt_ref:
+            raise ValueError(
+                f"DM samples at eps = {eps} (every {every} steps of dt = {dt:.6g}) miss the study "
+                f"grid of multiples of dt_ref * sample_every = {cfg.dt_ref * cfg.sample_every:.6g}"
+            )
+
+
+def _rate_report(cfg: ExperimentConfig, study: str, per_eps: list, t_start: float) -> RateReport:
+    """Rates fitted over the eps list to the per-eps error dicts."""
+    errors = {k: [e[k] for e in per_eps] for k in per_eps[0]}
+    rates, resids = {}, {}
+    for k in errors:
+        rates[k], resids[k] = fit_rate(cfg.eps_list, errors[k])
+    meta = {"study": study, "family": cfg.family, "n": cfg.n, "T": cfg.T, "dt_schedule": cfg.dt_schedule,
+            "wall_seconds": round(_time.time() - t_start, 3)}
+    return RateReport(list(cfg.eps_list), errors, rates, resids, meta)
 
 
 def modulated_limit_spinor(v_plus: np.ndarray, v_minus: np.ndarray, t: float, eps: float) -> np.ndarray:
@@ -131,110 +177,78 @@ def modulated_limit_spinor(v_plus: np.ndarray, v_minus: np.ndarray, t: float, ep
     ) * sp.embed_lower(v_minus)
 
 
+def _nonrel_errors(cfg: ExperimentConfig, lat: Lattice, eps: float, limit: list) -> dict:
+    """sup over the samples of the DM run at eps against the limit samples
+    (v+, v-, charge, potential) taken at the same times."""
+    errs = {"h1_spinor": 0.0, "h1dot_A0": 0.0, "lp1_charge": 0.0, "lp2_charge": 0.0, "lp3_charge": 0.0}
+    samples = iter(limit)
+
+    def observe(state):
+        vp, vm, n_lim, u = next(samples)
+        psi = state.psi
+        ref = modulated_limit_spinor(vp, vm, state.t, eps)
+        errs["h1_spinor"] = max(errs["h1_spinor"], sobolev_norm(lat, psi - ref, 1.0))
+        A0 = derived_A0(lat, psi)
+        errs["h1dot_A0"] = max(errs["h1dot_A0"], sobolev_norm(lat, A0 - u, 1.0, homogeneous=True))
+        rho = sp.charge_density(psi)
+        for p in (1, 2, 3):
+            errs[f"lp{p}_charge"] = max(errs[f"lp{p}_charge"], lp_norm(lat, rho - n_lim, float(p)))
+
+    _integrate_dm(cfg, lat, eps, observe)
+    return errs
+
+
 def nonrel_convergence_study(cfg: ExperimentConfig) -> RateReport:
     """Errors of the coupled run against the limit system, per eps:
     sup_t of the H1 spinor error, the Hdot1 potential error and the L^p
-    (p = 1, 2, 3) charge errors; rates fitted over the eps list."""
-    t_start = _time.time()
-    lat = cfg.lattice()
-    v0p, v0m = df.limit_data(lat, cfg.family, cfg.params)
-    norms = ["h1_spinor", "h1dot_A0", "lp1_charge", "lp2_charge", "lp3_charge"]
-    errors = {k: [] for k in norms}
-    for eps in cfg.eps_list:
-        _, traj, dt = _dm_run(cfg, eps)
-        sp_traj = simulate_sp(
-            SPState(lat, 0.0, v0p.copy(), v0m.copy()),
-            cfg.T,
-            cfg.dt_ref,
-            sample_every=1,
-        )
-        sp_times = np.asarray(sp_traj.times)
-        errs = {k: 0.0 for k in norms}
-        for t, psi in zip(traj.times, traj.psis):
-            i = int(np.argmin(np.abs(sp_times - t)))
-            if abs(sp_times[i] - t) > 1e-6 * cfg.dt_ref:
-                raise RuntimeError("sample alignment failure between DM and SP runs")
-            vp, vm = sp_traj.v_plus[i], sp_traj.v_minus[i]
-            ref = modulated_limit_spinor(vp, vm, t, eps)
-            errs["h1_spinor"] = max(errs["h1_spinor"], sobolev_norm(lat, psi - ref, 1.0))
-            rho = sp.charge_density(psi)
-            n_lim = sp.charge_density(vp) + sp.charge_density(vm)
-            A0 = derived_A0(lat, psi)
-            from .fourier import poisson_solve
+    (p = 1, 2, 3) charge errors; rates fitted over the eps list.
 
-            u = poisson_solve(lat, n_lim)
-            errs["h1dot_A0"] = max(
-                errs["h1dot_A0"], sobolev_norm(lat, A0 - u, 1.0, homogeneous=True)
-            )
-            for p in (1, 2, 3):
-                errs[f"lp{p}_charge"] = max(
-                    errs[f"lp{p}_charge"], lp_norm(lat, rho - n_lim, float(p))
-                )
-        for k in norms:
-            errs_k = errs[k]
-            errors[k].append(errs_k)
-    rates, resids = {}, {}
-    for k in norms:
-        rates[k], resids[k] = fit_rate(cfg.eps_list, errors[k])
-    report = RateReport(list(cfg.eps_list), errors, rates, resids)
-    report.rates["h1_spinor_rate"] = rates["h1_spinor"]
-    report.meta = {
-        "study": "nonrel_convergence",
-        "family": cfg.family,
-        "n": cfg.n,
-        "T": cfg.T,
-        "dt_schedule": cfg.dt_schedule,
-        "wall_seconds": round(_time.time() - t_start, 3),
-    }
+    The limit system is run once; DM sample j of every eps is compared with
+    its sample j."""
+    t_start = _time.time()
+    _check_sample_grid(cfg)
+    lat = cfg.lattice()
+    limit = []
+
+    def keep(state):
+        n_lim = sp.charge_density(state.v_plus) + sp.charge_density(state.v_minus)
+        limit.append((state.v_plus, state.v_minus, n_lim, poisson_solve(lat, n_lim)))
+
+    _integrate_sp(cfg, lat, cfg.sample_every, keep)
+    per_eps = [_nonrel_errors(cfg, lat, eps, limit) for eps in cfg.eps_list]
+    report = _rate_report(cfg, "nonrel_convergence", per_eps, t_start)
+    report.rates["h1_spinor_rate"] = report.rates["h1_spinor"]
     return report
 
 
 # -- semi-nonrelativistic (Pauli) study ----------------------------------------------
 
 
+def _pauli_errors(cfg: ExperimentConfig, lat: Lattice, eps: float) -> dict:
+    """sup over the samples of the DM run at eps, with Pauli in lockstep."""
+    errs = {"h1_pauli_spinor": 0.0, "l1_current_defect": 0.0}
+
+    def observe(state):
+        t, psi, A, chi_P = state.t, state.dm.psi, state.dm.A, state.pauli.chi
+        chi = sp.upper(np.exp(1j * t / eps**2) * psi)
+        errs["h1_pauli_spinor"] = max(errs["h1_pauli_spinor"], sobolev_norm(lat, chi - chi_P, 1.0))
+        J = sp.current_density(psi, eps)
+        J_P = sp.pauli_current(lat, chi_P, A, eps)
+        spin_curl = 0.5 * curl(lat, sp.spin_density(chi_P))
+        errs["l1_current_defect"] = max(errs["l1_current_defect"], lp_norm(lat, J - J_P - spin_curl, 1.0))
+
+    _integrate_dm(cfg, lat, eps, observe, with_pauli=True)
+    return errs
+
+
 def seminonrel_study(cfg: ExperimentConfig) -> RateReport:
     """Pauli comparison per eps: sup_t H1 of chi^eps - chi_P (expected
     O(eps^2)) and sup_t L1 of the current defect J - J_P - spin curl
-    (expected O(eps)), with the Pauli spinor driven by the DM gauge fields."""
+    (expected O(eps)), with the Pauli spinor advanced in lockstep with the
+    DM run and driven by its fields."""
     t_start = _time.time()
-    norms = ["h1_pauli_spinor", "l1_current_defect"]
-    errors = {k: [] for k in norms}
-    for eps in cfg.eps_list:
-        lat, traj, dt = _dm_run(cfg, eps, store_gauge=True)
-        gauge = GaugeSource.from_trajectory(traj)
-        chi0 = sp.upper(traj.psis[0])  # modulation is the identity at t = 0
-        sample_every = max(1, int(round(cfg.dt_ref * cfg.sample_every / dt)))
-        pauli = simulate_pauli(PauliState(lat, 0.0, chi0.copy(), eps), gauge, cfg.T, dt,
-                               sample_every=sample_every)
-        p_times = np.asarray(pauli.times)
-        e_spinor = 0.0
-        e_current = 0.0
-        for t, psi, A in zip(traj.times, traj.psis, traj.As):
-            i = int(np.argmin(np.abs(p_times - t)))
-            if abs(p_times[i] - t) > 1e-9:
-                raise RuntimeError("sample alignment failure between DM and Pauli runs")
-            chi_P = pauli.chis[i]
-            chi = sp.upper(np.exp(1j * t / eps**2) * psi)
-            e_spinor = max(e_spinor, sobolev_norm(lat, chi - chi_P, 1.0))
-            J = sp.current_density(psi, eps)
-            J_P = sp.pauli_current(lat, chi_P, A, eps)
-            spin_curl = 0.5 * curl(lat, sp.spin_density(chi_P))
-            e_current = max(e_current, lp_norm(lat, J - J_P - spin_curl, 1.0))
-        errors["h1_pauli_spinor"].append(e_spinor)
-        errors["l1_current_defect"].append(e_current)
-    rates, resids = {}, {}
-    for k in norms:
-        rates[k], resids[k] = fit_rate(cfg.eps_list, errors[k])
-    report = RateReport(list(cfg.eps_list), errors, rates, resids)
-    report.meta = {
-        "study": "seminonrel",
-        "family": cfg.family,
-        "n": cfg.n,
-        "T": cfg.T,
-        "dt_schedule": cfg.dt_schedule,
-        "wall_seconds": round(_time.time() - t_start, 3),
-    }
-    return report
+    lat = cfg.lattice()
+    return _rate_report(cfg, "seminonrel", [_pauli_errors(cfg, lat, eps) for eps in cfg.eps_list], t_start)
 
 
 # -- weak-* current pairing ------------------------------------------------------------
@@ -259,32 +273,52 @@ def test_bump(lat: Lattice, T: float, t_support=(0.2, 0.8)):
     return g, b
 
 
-def current_weak_pairing(lat: Lattice, times, currents, g_of_t, b_of_x) -> np.ndarray:
-    """Trapezoid-in-time, grid-in-space quadrature of integral J_k G dt dx."""
+def _space_pairing(lat: Lattice, J: np.ndarray, b_of_x: np.ndarray) -> list:
+    """Grid quadrature of integral J_k b dx, k = 1..3."""
+    return [float(np.sum(J[k] * b_of_x)) * lat.cell_volume for k in range(3)]
+
+
+def _time_pairing(times, space_pairings, g_of_t) -> np.ndarray:
+    """Trapezoid quadrature in time of g(t) times the per-sample space pairings."""
     times = np.asarray(times, dtype=float)
     weights = g_of_t(times)
-    vals = np.array(
-        [[float(np.sum(J[k] * b_of_x)) * lat.cell_volume for k in range(3)] for J in currents]
-    )
+    vals = np.array(space_pairings)
     return np.array(
         [float(np.trapezoid(weights * vals[:, k], times)) for k in range(3)]
     )
 
 
+def current_weak_pairing(lat: Lattice, times, currents, g_of_t, b_of_x) -> np.ndarray:
+    """Trapezoid-in-time, grid-in-space quadrature of integral J_k G dt dx."""
+    return _time_pairing(times, [_space_pairing(lat, J, b_of_x) for J in currents], g_of_t)
+
+
+def _dm_pairing(cfg: ExperimentConfig, lat: Lattice, eps: float, g, b) -> np.ndarray:
+    times, vals = [], []
+
+    def pair(s):
+        times.append(s.t)
+        vals.append(_space_pairing(lat, sp.current_density(s.psi, eps), b))
+
+    _integrate_dm(cfg, lat, eps, pair)
+    return _time_pairing(times, vals, g)
+
+
 def weak_pairing_study(cfg: ExperimentConfig) -> dict:
-    """Pairing <J^eps, G> against <J^0, G> along the eps list."""
+    """Pairing <J^eps, G> against <J^0, G> along the eps list; the space
+    pairings are taken as each sample is reached."""
     lat = cfg.lattice()
-    v0p, v0m = df.limit_data(lat, cfg.family, cfg.params)
     g, b = test_bump(lat, cfg.T)
-    sp_traj = simulate_sp(SPState(lat, 0.0, v0p.copy(), v0m.copy()), cfg.T, cfg.dt_ref, sample_every=1)
-    J0 = [sp.limit_current(lat, vp, vm) for vp, vm in zip(sp_traj.v_plus, sp_traj.v_minus)]
-    pairing_limit = current_weak_pairing(lat, sp_traj.times, J0, g, b)
-    defects = []
-    for eps in cfg.eps_list:
-        _, traj, _ = _dm_run(cfg, eps)
-        J_eps = [sp.current_density(p, eps) for p in traj.psis]
-        pairing = current_weak_pairing(lat, traj.times, J_eps, g, b)
-        defects.append(float(np.linalg.norm(pairing - pairing_limit)))
+    times, vals = [], []
+
+    def pair_limit(s):
+        times.append(s.t)
+        vals.append(_space_pairing(lat, sp.limit_current(lat, s.v_plus, s.v_minus), b))
+
+    _integrate_sp(cfg, lat, 1, pair_limit)
+    pairing_limit = _time_pairing(times, vals, g)
+    defects = [float(np.linalg.norm(_dm_pairing(cfg, lat, eps, g, b) - pairing_limit))
+               for eps in cfg.eps_list]
     return {
         "eps_list": list(cfg.eps_list),
         "defects": defects,

@@ -122,6 +122,41 @@ class TestConverge:
         assert isinstance(report["rates"]["h1_spinor_rate"], float)
 
 
+    def test_misaligned_sample_grid_exits_with_message(self, tmp_path, capsys):
+        cfg = {
+            "grid": {"n": 8, "period": 6.283185307179586},
+            "eps_list": [0.4, 0.3, 0.2],
+            "T": 0.1,
+            "dt_ref": 0.01,
+            "dt_schedule": "eps_squared",
+            "data": {"family": "upper_projected", "params": {"amplitude": 0.5}},
+            "sample_every": 1,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run_cli(["converge", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "study grid" in capsys.readouterr().err
+
+
+class TestOptions:
+    def test_threads_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run-dm", "--config", "preset:stationary", "--out", str(tmp_path), "--threads", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["run-sp", "run-pauli", "converge", "seminonrel", "probe-dyadic"])
+    def test_dealias_rejected_where_ignored(self, command, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--config", "preset:stationary", "--out", str(tmp_path), "--dealias"])
+        assert exc.value.code == 2
+
+    def test_dealias_accepted_by_run_dm(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(["run-dm", "--config", "preset:stationary", "--out", str(out), "--dealias"]) == 0
+        assert (out / "diagnostics.csv").exists()
+
+
 class TestProbe:
     def test_single_cell_csv(self, tmp_path):
         cfg = {

@@ -20,6 +20,14 @@ def plane_wave(lat, kvec):
     return np.exp(1j * (kvec[0] * X1 + kvec[1] * X2 + kvec[2] * X3)) + np.zeros((lat.n,) * 3)
 
 
+def run_sp(state, T, dt, sample_every=1):
+    """Final SP state and the diagnostics rows of the samples."""
+    rows = []
+    final = dm.integrate(state, lambda s: lim.sp_step(s, dt), dm.n_steps_for(T, dt), sample_every,
+                         lambda s: rows.append(lim.sp_diagnostics(s)))
+    return final, rows
+
+
 def random_two_spinor(lat, seed):
     rng = np.random.default_rng(seed)
     shape = (2, lat.n, lat.n, lat.n)
@@ -58,16 +66,16 @@ class TestSPStep:
     def test_constant_data_is_stationary(self, lat):
         v = np.zeros((2, lat.n, lat.n, lat.n), dtype=complex)
         v[0] = 0.8
-        traj = lim.simulate_sp(lim.SPState(lat, 0.0, v, np.zeros_like(v)), 0.2, 0.02)
-        assert np.abs(traj.v_plus[-1] - v).max() < 1e-12
+        final, _ = run_sp(lim.SPState(lat, 0.0, v, np.zeros_like(v)), 0.2, 0.02)
+        assert np.abs(final.v_plus - v).max() < 1e-12
 
 
 class TestSimulateSP:
     def test_plane_wave_exact_for_all_time(self, lat):
         v = np.zeros((2, lat.n, lat.n, lat.n), dtype=complex)
         v[0] = plane_wave(lat, (1, 0, 0))
-        traj = lim.simulate_sp(lim.SPState(lat, 0.0, v, np.zeros_like(v)), 1.0, 0.01, sample_every=100)
-        assert np.abs(traj.v_plus[-1] - np.exp(-1j * 0.5) * v).max() < 1e-11
+        final, _ = run_sp(lim.SPState(lat, 0.0, v, np.zeros_like(v)), 1.0, 0.01, sample_every=100)
+        assert np.abs(final.v_plus - np.exp(-1j * 0.5) * v).max() < 1e-11
 
     def test_self_convergence_order_two(self, lat):
         vp = v_plus_profile(lat, 0.7)
@@ -75,18 +83,19 @@ class TestSimulateSP:
 
         def run(dt):
             st = lim.SPState(lat, 0.0, vp.copy(), vm.copy())
-            return lim.simulate_sp(st, 0.5, dt, sample_every=int(round(0.5 / dt)))
+            return run_sp(st, 0.5, dt, sample_every=int(round(0.5 / dt)))[0]
 
-        e1 = fc.sobolev_norm(lat, run(0.02).v_plus[-1] - run(0.01).v_plus[-1], 1.0)
-        e2 = fc.sobolev_norm(lat, run(0.01).v_plus[-1] - run(0.005).v_plus[-1], 1.0)
+        e1 = fc.sobolev_norm(lat, run(0.02).v_plus - run(0.01).v_plus, 1.0)
+        e2 = fc.sobolev_norm(lat, run(0.01).v_plus - run(0.005).v_plus, 1.0)
         assert e1 / e2 == pytest.approx(4.0, rel=0.3)
 
     def test_mass_conservation_over_unit_time(self, lat):
         vp = v_plus_profile(lat, 0.7)
         vm = v_minus_profile(lat, 0.4)
-        traj = lim.simulate_sp(lim.SPState(lat, 0.0, vp, vm), 1.0, 0.01, sample_every=10)
+        _, rows = run_sp(lim.SPState(lat, 0.0, vp, vm), 1.0, 0.01, sample_every=10)
         for col in ("mass_plus", "mass_minus"):
-            drift = np.abs(traj.diagnostics[col] - traj.diagnostics[col][0]).max()
+            masses = np.array([r[col] for r in rows])
+            drift = np.abs(masses - masses[0]).max()
             assert drift < 1e-8
 
 
@@ -144,12 +153,25 @@ class TestPauliStep:
 
 
 class TestSimulatePauli:
-    def _gauge_from_dm(self, lat, eps, T, dt, family_amp=0.5, gauge_amp=0.2):
+    """The Pauli spinor advanced in lockstep with a DM run, in its fields."""
+
+    def _dm_init(self, lat, eps, family_amp=0.5, gauge_amp=0.2):
         psi0 = sp.pi_eps(lat, sp.embed_upper(v_plus_profile(lat, family_amp)), eps, +1)
         a0 = gauge_profile(lat, gauge_amp) if gauge_amp else np.zeros((3, lat.n, lat.n, lat.n))
-        init = dm.DMState(lat, 0.0, psi0, a0, np.zeros((3, lat.n, lat.n, lat.n)), eps)
-        traj = dm.simulate_dm(init, T, dm.StepConfig(dt=dt, sample_every=max(1, int(round(T / dt)) // 4), store_gauge=True))
-        return traj
+        return dm.DMState(lat, 0.0, psi0, a0, np.zeros((3, lat.n, lat.n, lat.n)), eps)
+
+    def _lockstep(self, init, chi0, T, dt, sample_every=1):
+        """Final Pauli spinor and the sampled Pauli masses."""
+        cfg = dm.StepConfig(dt=dt)
+        masses = []
+        final = dm.integrate(
+            lim.DMPauliState.start(init, chi0, cfg),
+            lambda s: lim.dm_pauli_step(s, cfg),
+            dm.n_steps_for(T, dt),
+            sample_every,
+            lambda s: masses.append(lim.pauli_diagnostics(s.pauli)["mass"]),
+        )
+        return final.pauli.chi, np.array(masses)
 
     def test_zero_potentials_free_schrodinger(self, lat):
         # DM run with zero data: gauge fields identically zero
@@ -157,52 +179,68 @@ class TestSimulatePauli:
         init = dm.DMState(
             lat, 0.0, np.zeros((4, n, n, n), dtype=complex), np.zeros((3, n, n, n)), np.zeros((3, n, n, n)), 0.5
         )
-        traj = dm.simulate_dm(init, 0.1, dm.StepConfig(dt=0.01, store_gauge=True))
-        gauge = lim.GaugeSource.from_trajectory(traj)
         chi0 = np.zeros((2, n, n, n), dtype=complex)
         chi0[0] = plane_wave(lat, (1, 0, 0))
-        out = lim.simulate_pauli(lim.PauliState(lat, 0.0, chi0, 0.5), gauge, 0.1, 0.01)
-        assert np.abs(out.chis[-1] - np.exp(-1j * 0.05) * chi0).max() < 1e-11
+        chi, _ = self._lockstep(init, chi0, 0.1, 0.01)
+        assert np.abs(chi - np.exp(-1j * 0.05) * chi0).max() < 1e-11
 
     def test_stationary_dm_gives_free_kinetic_phases(self, lat):
         n = lat.n
         psi0 = np.zeros((4, n, n, n), dtype=complex)
         psi0[0] = 1.0
         init = dm.DMState(lat, 0.0, psi0, np.zeros((3, n, n, n)), np.zeros((3, n, n, n)), 0.5)
-        traj = dm.simulate_dm(init, 0.1, dm.StepConfig(dt=0.01, store_gauge=True))
-        gauge = lim.GaugeSource.from_trajectory(traj)
         chi0 = np.zeros((2, n, n, n), dtype=complex)
         chi0[1] = plane_wave(lat, (0, 2, 0))
-        out = lim.simulate_pauli(lim.PauliState(lat, 0.0, chi0, 0.5), gauge, 0.1, 0.01)
-        assert np.abs(out.chis[-1] - np.exp(-2j * 0.1) * chi0).max() < 1e-11
+        chi, _ = self._lockstep(init, chi0, 0.1, 0.01)
+        assert np.abs(chi - np.exp(-2j * 0.1) * chi0).max() < 1e-11
 
     def test_self_convergence_order_two(self, lat):
         eps, T = 0.4, 0.1
-        traj = self._gauge_from_dm(lat, eps, T, 1.25e-3)
-        gauge = lim.GaugeSource.from_trajectory(traj)
-        chi0 = sp.upper(traj.psis[0])
+        init = self._dm_init(lat, eps)
+        chi0 = sp.upper(init.psi)
 
         def run(dt):
-            st = lim.PauliState(lat, 0.0, chi0.copy(), eps)
-            return lim.simulate_pauli(st, gauge, T, dt, sample_every=int(round(T / dt)))
+            return self._lockstep(init, chi0, T, dt, sample_every=int(round(T / dt)))[0]
 
-        e1 = fc.sobolev_norm(lat, run(0.01).chis[-1] - run(0.005).chis[-1], 1.0)
-        e2 = fc.sobolev_norm(lat, run(0.005).chis[-1] - run(0.0025).chis[-1], 1.0)
+        e1 = fc.sobolev_norm(lat, run(0.01) - run(0.005), 1.0)
+        e2 = fc.sobolev_norm(lat, run(0.005) - run(0.0025), 1.0)
         assert e1 / e2 == pytest.approx(4.0, rel=0.35)
 
     def test_mass_conserved(self, lat):
         eps, T = 0.4, 0.1
-        traj = self._gauge_from_dm(lat, eps, T, 2e-3)
-        gauge = lim.GaugeSource.from_trajectory(traj)
-        chi0 = sp.upper(traj.psis[0])
-        out = lim.simulate_pauli(lim.PauliState(lat, 0.0, chi0, eps), gauge, T, 2e-3, sample_every=10)
-        drift = np.abs(out.diagnostics["mass"] - out.diagnostics["mass"][0]).max()
+        init = self._dm_init(lat, eps)
+        _, masses = self._lockstep(init, sp.upper(init.psi), T, 2e-3, sample_every=10)
+        drift = np.abs(masses - masses[0]).max()
         assert drift < 1e-8
 
-    def test_sparse_gauge_record_rejected(self, lat):
-        eps, T = 0.4, 0.1
-        traj = self._gauge_from_dm(lat, eps, T, 0.02)
-        gauge = lim.GaugeSource.from_trajectory(traj)
-        chi0 = sp.upper(traj.psis[0])
-        with pytest.raises(ValueError):
-            lim.simulate_pauli(lim.PauliState(lat, 0.0, chi0, eps), gauge, T, 0.01)
+    def test_non_finite_spinor_names_the_step(self, lat):
+        # zero DM data keeps the fields zero, so only the guard can stop the run
+        n = lat.n
+        init = dm.DMState(
+            lat, 0.0, np.zeros((4, n, n, n), dtype=complex), np.zeros((3, n, n, n)), np.zeros((3, n, n, n)), 0.5
+        )
+        chi0 = np.zeros((2, n, n, n), dtype=complex)
+        chi0[0] = plane_wave(lat, (1, 0, 0))
+        chi0[1, 0, 0, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite spinor in step 1"):
+            self._lockstep(init, chi0, 0.1, 0.01)
+
+
+class TestNonFiniteGuard:
+    def test_sp_nan_only_in_v_minus_raises(self, lat, monkeypatch):
+        # a NaN in v_minus spreads to v_plus through the shared potential one
+        # step later, so the step is patched to corrupt v_minus alone in the
+        # last step
+        real_step = lim.sp_step
+
+        def corrupting_step(state, dt):
+            out = real_step(state, dt)
+            if out.t > 2.5 * dt:
+                out.v_minus[0, 0, 0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(lim, "sp_step", corrupting_step)
+        v = np.zeros((2, lat.n, lat.n, lat.n), dtype=complex)
+        v[0] = plane_wave(lat, (1, 0, 0))
+        with pytest.raises(FloatingPointError, match="step 3"):
+            run_sp(lim.SPState(lat, 0.0, v, v.copy()), 0.03, 0.01)

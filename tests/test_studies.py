@@ -36,6 +36,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(dt_schedule="cubic")
 
+    def test_default_schedule_matches_cli(self):
+        cfg = st.ExperimentConfig(n=8, period=TWO_PI, eps_list=[0.4, 0.2, 0.1], T=0.1, dt_ref=2e-3)
+        assert cfg.dt_schedule == "eps_linear"
+
+    def test_misaligned_sample_grid_rejected_before_stepping(self, monkeypatch):
+        # eps = 0.3 takes 18 steps of 1/180 and samples every 2nd: t = k/90,
+        # which misses the study grid of multiples of dt_ref = 0.01
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("stepped before the grid check")
+
+        monkeypatch.setattr(st, "integrate", no_stepping)
+        cfg = small_cfg(dt_schedule="eps_squared", eps_list=[0.4, 0.3, 0.2], dt_ref=0.01, T=0.1, sample_every=1)
+        with pytest.raises(ValueError, match="eps = 0.3"):
+            st.nonrel_convergence_study(cfg)
+
     def test_dt_for_schedules(self):
         cfg = small_cfg(dt_schedule="eps_squared")
         assert cfg.dt_for(0.4) == pytest.approx(2e-3)
