@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import spinors as sp
-from .fourier import Lattice, gradient, leray_project
+from .fourier import Lattice, leray_project
 
 
 def v_plus_profile(lat: Lattice, amplitude: float = 0.5) -> np.ndarray:
@@ -55,12 +55,8 @@ def gauge_profile(lat: Lattice, amplitude: float = 0.1) -> np.ndarray:
 
 
 def sigma_grad(lat: Lattice, v: np.ndarray) -> np.ndarray:
-    """sigma^j d_j v for a 2-spinor."""
-    grads = np.stack([gradient(lat, v[a]) for a in range(2)])  # (2,3,n,n,n)
-    out = np.zeros_like(v)
-    for j in range(3):
-        out += sp.mat(sp.SIGMA[j], grads[:, j])
-    return out
+    """sigma^j d_j v for a 2-spinor: per mode i (k.sigma) v."""
+    return lat.ifft(1j * sp.sigma_dot((lat.kx, lat.ky, lat.kz), lat.fft(v)))
 
 
 def spinor_data(lat: Lattice, family: str, eps: float, params: dict | None = None) -> np.ndarray:

@@ -11,6 +11,13 @@ Source freezing happens at the step midpoint (the current is evaluated after
 the half kick and a half free flight), which makes a (dt, -dt) round trip
 exact; see the tests.
 
+One transform of the kicked spinor feeds both free half-steps, and the real
+fields (charge, current, A, eps*dt(A)) use real transforms: a step moves 4
+complex components forward and 8 back, 11 real forward and 8 back, with
+per-mode multipliers from the bounded cache fourier.mode_multipliers.  Not
+done: scipy.fft (its import costs ~0.3 s and 27 MB per process) and merging
+consecutive half kicks (the step would depend on the sample times).
+
 Every run, of this system or of the limit systems, is driven by integrate():
 it applies a pure state-to-state step, samples on one schedule and guards
 against non-finite spinors.  Distinct runs share no mutable state and the
@@ -24,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spinors as sp
-from .fourier import Lattice, curl, gradient, l2_norm, lambda_eps, leray_project, poisson_solve, sobolev_norm
+from .fourier import (Lattice, curl, gradient, l2_norm, lambda_eps, leray_hat, leray_project, mode_multipliers,
+                      poisson_solve, sobolev_norm)
 
 
 @dataclass
@@ -72,17 +80,16 @@ def derived_A0(lat: Lattice, psi: np.ndarray, dealias_flag: bool = False) -> np.
 # -- elementary flows ----------------------------------------------------------
 
 
+def free_flow_hat(lat: Lattice, psihat: np.ndarray, dt: float, eps: float) -> np.ndarray:
+    """Exact free flow of a spinor spectrum: exp(-i dt Q / eps^2) per mode,
+    cos(theta) - i sin(theta)/lam Q with theta = dt lam / eps^2."""
+    cos, sin_over_lam = mode_multipliers(lat, eps, dt).dirac
+    return cos * psihat - 1j * sin_over_lam * sp._q_hat_apply(lat, psihat, eps)
+
+
 def free_dirac_step(lat: Lattice, psi: np.ndarray, dt: float, eps: float) -> np.ndarray:
     """Exact free flow: exp(-i dt lam/eps^2) Pi_+ + exp(+i dt lam/eps^2) Pi_-."""
-    if not (eps > 0):
-        raise ValueError(f"eps must be positive, got {eps}")
-    psihat = lat.fft(psi)
-    lam = np.sqrt(1.0 + eps**2 * lat.k_sq)
-    qpsi = sp._q_hat_apply(lat, psihat, eps)
-    plus = 0.5 * (psihat + qpsi / lam)
-    minus = psihat - plus
-    phase = np.exp(-1j * dt / eps**2 * lam)
-    return lat.ifft(phase * plus + np.conj(phase) * minus)
+    return lat.ifft(free_flow_hat(lat, lat.fft(psi), dt, eps))
 
 
 def potential_kick(lat: Lattice, psi: np.ndarray, A0: np.ndarray, A: np.ndarray, dt: float, eps: float) -> np.ndarray:
@@ -94,43 +101,28 @@ def potential_kick(lat: Lattice, psi: np.ndarray, A0: np.ndarray, A: np.ndarray,
     mag = np.sqrt(np.sum(A**2, axis=0))
     theta = dt * mag
     sin_over_mag = dt * np.sinc(theta / np.pi)  # sin(dt m)/m with the m -> 0 limit dt
-    alpha_psi = (
-        A[0] * sp.mat(sp.ALPHA[0], psi)
-        + A[1] * sp.mat(sp.ALPHA[1], psi)
-        + A[2] * sp.mat(sp.ALPHA[2], psi)
-    )
-    return np.exp(1j * dt * A0) * (np.cos(theta) * psi + 1j * sin_over_mag * alpha_psi)
+    phase = np.exp(1j * dt * A0)
+    return (phase * np.cos(theta)) * psi + (1j * sin_over_mag * phase) * sp.alpha_dot(A, psi)
 
 
 def wave_oscillator(lat: Lattice, fhat: np.ndarray, ghat: np.ndarray, srchat: np.ndarray, dt: float, eps: float):
     """Exact per-mode advance of eps^2 u'' + |k|^2 u = source (frozen).
 
-    State is (u, w) with w = eps * dt(u); returns the advanced pair in
-    Fourier space.  Modes with |k| = 0 get the exact polynomial drift.
+    State is (u, w) with w = eps * dt(u), given and returned in Fourier space
+    (full or real-transform spectra).  Modes with |k| = 0 get the exact
+    polynomial drift.
     """
-    omega = lat.k_abs / eps
-    c = np.cos(omega * dt)
-    s = np.sin(omega * dt)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s_over = np.where(lat.zero_modes, dt / eps, s / np.where(lat.zero_modes, 1.0, omega))
-        part = np.where(lat.zero_modes, 0.0, srchat / np.where(lat.zero_modes, 1.0, eps**2 * omega**2))
-    u_new = part + (fhat - part) * c + (ghat / eps) * s_over
-    w_new = -eps * omega * (fhat - part) * s + ghat * c
-    zm = lat.zero_modes
-    if np.any(zm):
-        # eps^2 u'' = source: quadratic drift in t
-        u_new = np.where(zm, fhat + ghat / eps * dt + srchat / eps**2 * dt**2 / 2.0, u_new)
-        w_new = np.where(zm, ghat + srchat / eps * dt, w_new)
-    return u_new, w_new
+    m = fhat.shape[-1]
+    c, s, a, b = (x[..., :m] for x in mode_multipliers(lat, eps, dt).wave)
+    return c * fhat + s * ghat + a * srchat, b * fhat + c * ghat + s * srchat
 
 
 def wave_step(lat: Lattice, A: np.ndarray, eps_dtA: np.ndarray, J: np.ndarray, dt: float, eps: float):
-    """Exact step of eps^2 dtt(A) - Delta A = eps P J with J frozen."""
-    Ahat = lat.fft(A)
-    What = lat.fft(eps_dtA)
-    Shat = eps * lat.fft(J)
-    A_new, W_new = wave_oscillator(lat, Ahat, What, Shat, dt, eps)
-    return lat.ifft(A_new).real, lat.ifft(W_new).real
+    """Exact step of eps^2 dtt(A) - Delta A = eps P J with J frozen; the Leray
+    projection P of the current is applied here."""
+    Shat = eps * leray_hat(lat, lat.rfft(J))
+    A_new, W_new = wave_oscillator(lat, lat.rfft(A), lat.rfft(eps_dtA), Shat, dt, eps)
+    return lat.irfft(A_new), lat.irfft(W_new)
 
 
 # -- coupled stepping ----------------------------------------------------------
@@ -140,14 +132,13 @@ def dm_strang_step(state: DMState, cfg: StepConfig) -> DMState:
     lat, eps, dt = state.lat, state.eps, cfg.dt
     A0 = derived_A0(lat, state.psi, cfg.dealias)
     psi_a = potential_kick(lat, state.psi, A0, state.A, dt / 2.0, eps)
-    psi_mid = free_dirac_step(lat, psi_a, dt / 2.0, eps)
-    J = sp.current_density(psi_mid, eps)
+    psihat_mid = free_flow_hat(lat, lat.fft(psi_a), dt / 2.0, eps)
+    J = sp.current_density(lat.ifft(psihat_mid), eps)
     if cfg.dealias:
         from .fourier import dealias
 
         J = dealias(lat, J)
-    J = leray_project(lat, J)
-    psi_b = free_dirac_step(lat, psi_mid, dt / 2.0, eps)
+    psi_b = lat.ifft(free_flow_hat(lat, psihat_mid, dt / 2.0, eps))
     A_new, W_new = wave_step(lat, state.A, state.eps_dtA, J, dt, eps)
     A0_new = derived_A0(lat, psi_b, cfg.dealias)
     psi_new = potential_kick(lat, psi_b, A0_new, A_new, dt / 2.0, eps)
@@ -302,37 +293,23 @@ def picard_solve(init: DMState, T: float, m_max: int, cfg: StepConfig) -> Picard
     lat, eps, dt = init.lat, init.eps, cfg.dt
     steps = n_steps_for(T, cfg.dt)
     times = np.arange(steps + 1) * dt
-    zero_psi = np.zeros_like(init.psi)
-    zero_A = np.zeros_like(init.A)
     a0 = leray_project(lat, init.A)
     a1 = leray_project(lat, init.eps_dtA)
 
-    psi_prev = [zero_psi] * (steps + 1)
-    A_prev = [zero_A] * (steps + 1)
+    psi_prev = [np.zeros_like(init.psi)] * (steps + 1)
+    A_prev = [np.zeros_like(init.A)] * (steps + 1)
     cauchy = []
     for m in range(m_max + 1):
         # potentials of the previous iterate
         A0_prev = [derived_A0(lat, p, cfg.dealias) for p in psi_prev]
-        forcing = []
-        for p, a, a0_field in zip(psi_prev, A_prev, A0_prev):
-            V = -(
-                a[0] * sp.mat(sp.ALPHA[0], p)
-                + a[1] * sp.mat(sp.ALPHA[1], p)
-                + a[2] * sp.mat(sp.ALPHA[2], p)
-            ) - a0_field * p
-            forcing.append(V)
+        forcing = [-sp.alpha_dot(a, p) - a0_field * p for p, a, a0_field in zip(psi_prev, A_prev, A0_prev)]
         psi_next = _duhamel_dirac(lat, init.psi, forcing, dt, eps)
 
-        A_next = [a0.copy()]
-        W = a1.copy()
-        A_cur = a0.copy()
+        J_prev = [sp.current_density(p, eps) for p in psi_prev]
+        A_next, A_cur, W = [a0], a0, a1
         for k in range(steps):
-            J_mid = 0.5 * (
-                sp.current_density(psi_prev[k], eps) + sp.current_density(psi_prev[k + 1], eps)
-            )
-            J_mid = leray_project(lat, J_mid)
-            A_cur, W = wave_step(lat, A_cur, W, J_mid, dt, eps)
-            A_next.append(A_cur.copy())
+            A_cur, W = wave_step(lat, A_cur, W, 0.5 * (J_prev[k] + J_prev[k + 1]), dt, eps)
+            A_next.append(A_cur)
 
         diff = max(
             sobolev_norm(lat, pn - pp, 1.0) for pn, pp in zip(psi_next, psi_prev)
@@ -359,13 +336,8 @@ def free_dirac_trajectory(lat: Lattice, psi0: np.ndarray, times: np.ndarray, eps
     """Free flow samples psi(t) and the exact dt(psi)(t) = -i Q psi / eps^2."""
     psis, dtpsis = [], []
     psihat0 = lat.fft(psi0)
-    lam = np.sqrt(1.0 + eps**2 * lat.k_sq)
-    q0 = sp._q_hat_apply(lat, psihat0, eps)
-    plus0 = 0.5 * (psihat0 + q0 / lam)
-    minus0 = psihat0 - plus0
     for t in times:
-        phase = np.exp(-1j * t / eps**2 * lam)
-        ph = phase * plus0 + np.conj(phase) * minus0
+        ph = free_flow_hat(lat, psihat0, float(t), eps)
         psis.append(lat.ifft(ph))
         qh = sp._q_hat_apply(lat, ph, eps)
         dtpsis.append(lat.ifft(-1j / eps**2 * qh))
@@ -384,24 +356,13 @@ def build_U(lat: Lattice, psi_series: list, dt: float, eps: float, dtpsi_series:
     if len(psi_series) < 2:
         raise ValueError("need at least two samples of psi")
     if dtpsi_series is None:
-        dtpsi_series = []
-        for k in range(len(psi_series)):
-            if k == 0:
-                d = (psi_series[1] - psi_series[0]) / dt
-            elif k == len(psi_series) - 1:
-                d = (psi_series[-1] - psi_series[-2]) / dt
-            else:
-                d = (psi_series[k + 1] - psi_series[k - 1]) / (2.0 * dt)
-            dtpsi_series.append(d)
+        # centered differences, one-sided at the ends
+        dtpsi_series = list(np.gradient(np.asarray(psi_series), dt, axis=0))
 
     def source_hat(k):
         psihat = lat.fft(psi_series[k])
         dpsihat = lat.fft(dtpsi_series[k])
-        grad_part = 1j * (
-            lat.kx * sp.mat(sp.ALPHA[0], psihat)
-            + lat.ky * sp.mat(sp.ALPHA[1], psihat)
-            + lat.kz * sp.mat(sp.ALPHA[2], psihat)
-        )
+        grad_part = 1j * sp.alpha_dot((lat.kx, lat.ky, lat.kz), psihat)
         return -1j * (eps * dpsihat + grad_part)
 
     Uhat = np.zeros_like(lat.fft(psi_series[0]))
@@ -428,12 +389,7 @@ def build_U(lat: Lattice, psi_series: list, dt: float, eps: float, dtpsi_series:
 
 def reconstruct_from_U(lat: Lattice, U: np.ndarray, dtU: np.ndarray, eps: float) -> np.ndarray:
     """i (eps dt - alpha.grad) U; equals psi when U solves its wave equation."""
-    Uhat = lat.fft(U)
-    grad_part = 1j * (
-        lat.kx * sp.mat(sp.ALPHA[0], Uhat)
-        + lat.ky * sp.mat(sp.ALPHA[1], Uhat)
-        + lat.kz * sp.mat(sp.ALPHA[2], Uhat)
-    )
+    grad_part = 1j * sp.alpha_dot((lat.kx, lat.ky, lat.kz), lat.fft(U))
     return 1j * (eps * dtU - lat.ifft(grad_part))
 
 
@@ -448,20 +404,11 @@ def remainder_R(state: DMState, psi_plus: np.ndarray, psi_minus: np.ndarray) -> 
     lat, eps = state.lat, state.eps
     A0 = derived_A0(lat, state.psi)
     E, B = compute_EB(lat, A0, state.A, state.eps_dtA)
-    grad_psi_dot_A = (
-        state.A[0] * _dx(lat, state.psi, 0)
-        + state.A[1] * _dx(lat, state.psi, 1)
-        + state.A[2] * _dx(lat, state.psi, 2)
-    )
+    grad_psi_dot_A = np.sum(state.A * gradient(lat, state.psi), axis=1)
     term = 2j * grad_psi_dot_A
-    term += 1j * (E[0] * sp.mat(sp.ALPHA[0], state.psi) + E[1] * sp.mat(sp.ALPHA[1], state.psi) + E[2] * sp.mat(sp.ALPHA[2], state.psi))
-    term -= B[0] * sp.mat(sp.SPIN[0], state.psi) + B[1] * sp.mat(sp.SPIN[1], state.psi) + B[2] * sp.mat(sp.SPIN[2], state.psi)
+    term += 1j * sp.alpha_dot(E, state.psi)
+    term -= sp.spin_dot(B, state.psi)
     lamR = eps * term
     lamR += eps**2 * np.sum(state.A**2, axis=0) * state.psi
     lamR -= commutator_A0_lambda(lat, A0, psi_plus - psi_minus, eps)
     return lambda_eps(lat, lamR, eps, -1)
-
-
-def _dx(lat: Lattice, f: np.ndarray, axis: int) -> np.ndarray:
-    k = (lat.kx, lat.ky, lat.kz)[axis]
-    return lat.ifft(1j * k * lat.fft(f))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import spinors as sp
 from .evolve_dm import DMState, StepConfig, coulomb_gauge, derived_A0, dm_strang_step
-from .fourier import Lattice, curl, divergence, l2_norm, poisson_solve, sobolev_norm
+from .fourier import Lattice, curl, divergence, gradient, l2_norm, poisson_solve, sobolev_norm
 
 
 @dataclass
@@ -97,12 +97,7 @@ def _kick_matrix_apply(A0, B, A_sq, eps, dt, chi):
     mag = np.sqrt(np.sum(b**2, axis=0))
     theta = dt * mag
     sin_over = dt * np.sinc(theta / np.pi)
-    b_sigma_chi = (
-        b[0] * sp.mat(sp.SIGMA[0], chi)
-        + b[1] * sp.mat(sp.SIGMA[1], chi)
-        + b[2] * sp.mat(sp.SIGMA[2], chi)
-    )
-    return np.exp(-1j * dt * a) * (np.cos(theta) * chi - 1j * sin_over * b_sigma_chi)
+    return np.exp(-1j * dt * a) * (np.cos(theta) * chi - 1j * sin_over * sp.sigma_dot(b, chi))
 
 
 def _advect_apply(lat: Lattice, A: np.ndarray, eps: float, dt: float, chi: np.ndarray,
@@ -111,16 +106,17 @@ def _advect_apply(lat: Lattice, A: np.ndarray, eps: float, dt: float, chi: np.nd
     divergence-free A), via the Taylor series of the anti-Hermitian generator.
 
     Converges to roundoff in a handful of terms since dt*|M| << 1 at the
-    resolutions used here; unitarity error is at the truncation level.
+    resolutions used here; unitarity error is at the truncation level.  A
+    non-finite chi raises FloatingPointError before any term is taken.
     """
-    from .fourier import gradient
-
+    scale = float(np.max(np.abs(chi)))
+    if not np.isfinite(scale):
+        raise FloatingPointError("non-finite Pauli spinor entering the mixed-term exponential")
+    scale += 1e-300
     term = chi
     out = chi.copy()
-    scale = float(np.max(np.abs(chi))) + 1e-300
     for k in range(1, max_terms + 1):
-        grad = np.stack([gradient(lat, term[a]) for a in range(2)])  # (2,3,n,n,n)
-        m_term = 1j * eps * np.sum(A[None] * grad, axis=1)
+        m_term = 1j * eps * np.sum(A * gradient(lat, term), axis=1)
         term = (-1j * dt / k) * m_term
         out = out + term
         if float(np.max(np.abs(term))) < tol * scale:

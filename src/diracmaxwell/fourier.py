@@ -17,14 +17,17 @@ fixed once and for all:
   inverse symbol or a homogeneous weight would be singular.
 * Poisson inversion uses the jellium convention: the source mean is removed
   and the solution mean is pinned to zero.
+* Real fields go through ``Lattice.rfft``/``irfft``, whose spectra keep the
+  modes with last-axis index <= n/2; spinors use the complex pair.
 
 Everything here is a pure function of immutable inputs (the Lattice caches
-are computed once and never mutated), so concurrent use from multiple
-threads is safe.
+are computed once and never mutated, and ``mode_multipliers`` hands out
+read-only arrays), so concurrent use from multiple threads is safe.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable
@@ -122,6 +125,13 @@ class Lattice:
     def ifft(self, fhat: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(fhat, axes=_SPATIAL_AXES)
 
+    def rfft(self, f: np.ndarray) -> np.ndarray:
+        """Transform of a real field: the modes with last-axis index <= n/2."""
+        return np.fft.rfftn(f, axes=_SPATIAL_AXES)
+
+    def irfft(self, fhat: np.ndarray) -> np.ndarray:
+        return np.fft.irfftn(fhat, s=(self.n,) * 3, axes=_SPATIAL_AXES)
+
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: True on modes kept (|index| <= n/3 per axis)."""
         idx = np.fft.fftfreq(self.n, d=1.0 / self.n)
@@ -135,6 +145,17 @@ class Lattice:
 
 def make_lattice(n: int, L: float) -> Lattice:
     return Lattice(n, L)
+
+
+def _transforms(lat: Lattice, f: np.ndarray):
+    """(forward, inverse) transform pair for f: the real pair for real fields."""
+    return (lat.rfft, lat.irfft) if np.isrealobj(f) else (lat.fft, lat.ifft)
+
+
+def _wavevector(lat: Lattice, fhat: np.ndarray):
+    """(kx, ky, kz, |k|^2) on the modes of fhat, a full or a real-transform spectrum."""
+    m = fhat.shape[-1]
+    return lat.kx, lat.ky, lat.kz[..., :m], lat.k_sq[..., :m]
 
 
 @dataclass(frozen=True)
@@ -167,16 +188,60 @@ def dealias(lat: Lattice, f: np.ndarray) -> np.ndarray:
 # -- paper-specific multipliers ---------------------------------------------
 
 
-def lambda_eps(lat: Lattice, f: np.ndarray, eps: float, power: int = 1) -> np.ndarray:
-    """Apply (1 + eps^2 |k|^2)^(power/2), power in {+1, -1}."""
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays if len(arrays) > 1 else arrays[0]
+
+
+class ModeMultipliers:
+    """Per-mode multipliers at one (lattice, eps, dt), computed on first use, read-only.
+
+    lam = sqrt(1 + eps^2 |k|^2) = |Q| for the free Dirac symbol Q = gamma0 + eps alpha.k;
+    dirac = (cos theta, sin theta / lam), theta = dt lam / eps^2: exp(-i dt Q / eps^2) =
+    cos theta - i (sin theta / lam) Q.  wave = (c, s, a, b) advances eps^2 u'' + |k|^2 u = f
+    (frozen), w = eps u', as u <- c u + s w + a f, w <- b u + c w + s f: with omega = |k|/eps,
+    c = cos omega dt, s = sin(omega dt)/(eps omega), a = (1 - c)/|k|^2, b = -|k| sin omega dt,
+    and sinc gives the zero-mode drift s = dt/eps, a = dt^2/(2 eps^2).
+    """
+
+    def __init__(self, lat: Lattice, eps: float, dt: float):
+        self.lat, self.eps, self.dt = lat, eps, dt
+
+    @functools.cached_property
+    def lam(self) -> np.ndarray:
+        return _read_only(np.sqrt(1.0 + self.eps**2 * self.lat.k_sq))
+
+    @functools.cached_property
+    def dirac(self) -> tuple:
+        theta = self.dt / self.eps**2 * self.lam
+        return _read_only(np.cos(theta), np.sin(theta) / self.lam)
+
+    @functools.cached_property
+    def wave(self) -> tuple:
+        eps, dt = self.eps, self.dt
+        omega_dt = self.lat.k_abs * (dt / eps)
+        c = np.cos(omega_dt)
+        s = (dt / eps) * np.sinc(omega_dt / np.pi)
+        a = dt**2 / (2.0 * eps**2) * np.sinc(omega_dt / (2.0 * np.pi)) ** 2
+        b = -self.lat.k_abs * np.sin(omega_dt)
+        return _read_only(c, s, a, b)
+
+
+@functools.lru_cache(maxsize=8)
+def mode_multipliers(lat: Lattice, eps: float, dt: float) -> ModeMultipliers:
+    """Cached ModeMultipliers; dt = 0 serves callers that need only lam."""
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
+    return ModeMultipliers(lat, eps, dt)
+
+
+def lambda_eps(lat: Lattice, f: np.ndarray, eps: float, power: int = 1) -> np.ndarray:
+    """Apply (1 + eps^2 |k|^2)^(power/2), power in {+1, -1}."""
     if power not in (1, -1):
         raise ValueError(f"power must be +1 or -1, got {power}")
-    mult = np.sqrt(1.0 + eps**2 * lat.k_sq)
-    if power == -1:
-        mult = 1.0 / mult
-    return apply_symbol(lat, f, mult)
+    lam = mode_multipliers(lat, eps, 0.0).lam
+    return apply_symbol(lat, f, lam if power == 1 else 1.0 / lam)
 
 
 def h_eps_symbol(lat: Lattice, eps: float) -> np.ndarray:
@@ -195,34 +260,27 @@ def h_eps(lat: Lattice, f: np.ndarray, eps: float) -> np.ndarray:
 
 
 def gradient(lat: Lattice, f: np.ndarray) -> np.ndarray:
-    fhat = lat.fft(f)
-    out = np.stack(
-        [
-            lat.ifft(1j * lat.kx * fhat),
-            lat.ifft(1j * lat.ky * fhat),
-            lat.ifft(1j * lat.kz * fhat),
-        ]
-    )
-    return out.real if np.isrealobj(f) else out
+    """Spectral gradient by one transform pair, derivative index on axis -4:
+    (n, n, n) -> (3, n, n, n) and (c, n, n, n) -> (c, 3, n, n, n)."""
+    fwd, inv = _transforms(lat, f)
+    fhat = fwd(f)
+    kx, ky, kz, _ = _wavevector(lat, fhat)
+    return inv(1j * np.stack([kx * fhat, ky * fhat, kz * fhat], axis=-4))
 
 
 def divergence(lat: Lattice, u: np.ndarray) -> np.ndarray:
-    uhat = lat.fft(u)
-    dhat = 1j * (lat.kx * uhat[0] + lat.ky * uhat[1] + lat.kz * uhat[2])
-    out = lat.ifft(dhat)
-    return out.real if np.isrealobj(u) else out
+    fwd, inv = _transforms(lat, u)
+    uhat = fwd(u)
+    kx, ky, kz, _ = _wavevector(lat, uhat)
+    return inv(1j * (kx * uhat[0] + ky * uhat[1] + kz * uhat[2]))
 
 
 def curl(lat: Lattice, u: np.ndarray) -> np.ndarray:
-    uhat = lat.fft(u)
-    out = np.stack(
-        [
-            lat.ifft(1j * (lat.ky * uhat[2] - lat.kz * uhat[1])),
-            lat.ifft(1j * (lat.kz * uhat[0] - lat.kx * uhat[2])),
-            lat.ifft(1j * (lat.kx * uhat[1] - lat.ky * uhat[0])),
-        ]
-    )
-    return out.real if np.isrealobj(u) else out
+    fwd, inv = _transforms(lat, u)
+    uhat = fwd(u)
+    kx, ky, kz, _ = _wavevector(lat, uhat)
+    return inv(1j * np.stack([ky * uhat[2] - kz * uhat[1], kz * uhat[0] - kx * uhat[2],
+                              kx * uhat[1] - ky * uhat[0]]))
 
 
 def laplacian(lat: Lattice, f: np.ndarray) -> np.ndarray:
@@ -230,27 +288,31 @@ def laplacian(lat: Lattice, f: np.ndarray) -> np.ndarray:
     return out.real if np.isrealobj(f) else out
 
 
-def leray_project(lat: Lattice, u: np.ndarray) -> np.ndarray:
-    """Project onto divergence-free fields: per mode I - k k^T / |k|^2."""
-    uhat = lat.fft(u)
+def leray_hat(lat: Lattice, uhat: np.ndarray) -> np.ndarray:
+    """Leray projection of a vector spectrum (full or real-transform): per
+    mode I - k k^T / |k|^2, the identity where k = 0."""
+    kx, ky, kz, k_sq = _wavevector(lat, uhat)
     with np.errstate(invalid="ignore", divide="ignore"):
-        k_dot_u = (lat.kx * uhat[0] + lat.ky * uhat[1] + lat.kz * uhat[2]) / lat.k_sq
-    k_dot_u[..., lat.zero_modes] = 0.0  # identity where k = 0
-    phat = np.stack(
-        [uhat[0] - lat.kx * k_dot_u, uhat[1] - lat.ky * k_dot_u, uhat[2] - lat.kz * k_dot_u]
-    )
-    out = lat.ifft(phat)
-    return out.real if np.isrealobj(u) else out
+        k_dot_u = (kx * uhat[0] + ky * uhat[1] + kz * uhat[2]) / k_sq
+    k_dot_u[..., k_sq == 0.0] = 0.0
+    return np.stack([uhat[0] - kx * k_dot_u, uhat[1] - ky * k_dot_u, uhat[2] - kz * k_dot_u])
+
+
+def leray_project(lat: Lattice, u: np.ndarray) -> np.ndarray:
+    """Project onto divergence-free fields."""
+    fwd, inv = _transforms(lat, u)
+    return inv(leray_hat(lat, fwd(u)))
 
 
 def poisson_solve(lat: Lattice, rho: np.ndarray) -> np.ndarray:
     """Solve Delta A0 = rho - mean(rho) with zero-mean A0 (jellium)."""
-    rhohat = lat.fft(rho)
+    fwd, inv = _transforms(lat, rho)
+    rhohat = fwd(rho)
+    k_sq = _wavevector(lat, rhohat)[3]
     with np.errstate(invalid="ignore", divide="ignore"):
-        sol = rhohat / (-lat.k_sq)
-    sol[..., lat.zero_modes] = 0.0
-    out = lat.ifft(sol)
-    return out.real if np.isrealobj(rho) else out
+        sol = rhohat / (-k_sq)
+    sol[..., k_sq == 0.0] = 0.0
+    return inv(sol)
 
 
 def inv_abs_nabla(lat: Lattice, f: np.ndarray, power: float = 1.0) -> np.ndarray:

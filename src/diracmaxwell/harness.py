@@ -15,16 +15,22 @@ from __future__ import annotations
 import numpy as np
 
 from . import spinors as sp
-from .evolve_dm import Trajectory, _dx, compute_EB, derived_A0
+from .evolve_dm import Trajectory, compute_EB, derived_A0
 from .fourier import (
     Lattice,
     divergence,
+    gradient,
     inv_abs_nabla,
     l2_norm,
     laplacian,
     riesz_transform,
     sobolev_norm,
 )
+
+
+def _dx(lat: Lattice, f: np.ndarray, axis: int) -> np.ndarray:
+    k = (lat.kx, lat.ky, lat.kz)[axis]
+    return lat.ifft(1j * k * lat.fft(f))
 
 
 # -- null bilinear forms --------------------------------------------------------
@@ -34,10 +40,7 @@ def q0(lat: Lattice, u, ut, v, vt, eps: float):
     """Q0(u, v) = (eps dt u)(eps dt v) - grad u . grad v."""
     if ut is None or vt is None:
         raise ValueError("Q0 needs both time derivatives")
-    out = eps**2 * ut * vt
-    for j in range(3):
-        out = out - _dx(lat, u, j) * _dx(lat, v, j)
-    return out
+    return eps**2 * ut * vt - np.sum(gradient(lat, u) * gradient(lat, v), axis=-4)
 
 
 def qab(lat: Lattice, a: int, b: int, u, v, ut=None, vt=None, eps: float = 1.0):
@@ -68,18 +71,10 @@ def a_jk(lat: Lattice, A: np.ndarray, j: int, k: int) -> np.ndarray:
 
 def null_identity_one_residual(lat: Lattice, A: np.ndarray, psi: np.ndarray) -> float:
     """Relative residual of 2 A.grad psi + sum_jk Q_jk(|grad|^-1 a_jk, psi)."""
-    lhs = np.zeros_like(psi)
-    for j in range(3):
-        lhs += 2.0 * A[j] * _dx(lat, psi, j)
+    lhs = 2.0 * np.sum(A * gradient(lat, psi), axis=-4)
     total = lhs.copy()
-    phis = {}
-    for j in range(3):
-        for k in range(3):
-            if j == k:
-                continue
-            key = (j, k)
-            phis[key] = inv_abs_nabla(lat, a_jk(lat, A, j, k))
-    for (j, k), phi in phis.items():
+    for j, k in ((j, k) for j in range(3) for k in range(3) if j != k):
+        phi = inv_abs_nabla(lat, a_jk(lat, A, j, k))
         total += _dx(lat, phi, j) * _dx(lat, psi, k) - _dx(lat, phi, k) * _dx(lat, psi, j)
     denom = l2_norm(lat, lhs)
     return l2_norm(lat, total) / denom if denom > 0 else l2_norm(lat, total)
@@ -97,10 +92,7 @@ def null_identity_two_residual(lat: Lattice, A: np.ndarray, eps_dtA: np.ndarray,
     from .fourier import curl
 
     B = curl(lat, A)
-    lhs = np.zeros_like(psi)
-    for j in range(3):
-        lhs += -1j * eps_dtA[j] * sp.mat(sp.ALPHA[j], psi)
-        lhs -= B[j] * sp.mat(sp.SPIN[j], psi)
+    lhs = -1j * sp.alpha_dot(eps_dtA, psi) - sp.spin_dot(B, psi)
 
     eps_dt_U = eps * dtU
     alpha_U = [sp.mat(sp.ALPHA[l], U) for l in range(3)]
@@ -196,14 +188,12 @@ def squared_dirac_residuals(traj: Trajectory, dealias_fields: bool = False) -> n
         )
         # (grad - i eps A)^2 psi, div A = 0
         res += laplacian(lat, psi)
-        for j in range(3):
-            res -= 2j * eps * A[j] * _dx(lat, psi, j)
+        res -= 2j * eps * np.sum(A * gradient(lat, psi), axis=-4)
         res -= eps**2 * np.sum(A**2, axis=0) * psi
         res -= psi / eps**2
         E, B = compute_EB(lat, A0, A, W)
-        for j in range(3):
-            res -= 1j * eps * E[j] * sp.mat(sp.ALPHA[j], psi)
-            res += eps * B[j] * sp.mat(sp.SPIN[j], psi)
+        res -= 1j * eps * sp.alpha_dot(E, psi)
+        res += eps * sp.spin_dot(B, psi)
         out.append(l2_norm(lat, res))
     return np.array(out)
 
@@ -265,8 +255,7 @@ def naive_expansion_residuals(traj: Trajectory, dealias_fields: bool = False) ->
         A0 = derived_A0(lat, traj.psis[i], dealias_fields)
         A = traj.As[i]
         res = eta + 0.5j * eps * sigma_grad(lat, chi)
-        A_sigma_chi = sum(A[j] * sp.mat(sp.SIGMA[j], chi) for j in range(3))
-        res += 0.5 * eps**2 * (1j * dt_eta + A0 * eta + A_sigma_chi)
+        res += 0.5 * eps**2 * (1j * dt_eta + A0 * eta + sp.sigma_dot(A, chi))
         out.append(l2_norm(lat, res))
     return np.array(out)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fourier import Lattice, lambda_eps
+from .fourier import Lattice, curl, gradient, l2_norm, lambda_eps, mode_multipliers
 
 # Pauli matrices and the 4x4 Dirac set (2x2 block form).
 SIGMA = np.array(
@@ -46,6 +46,43 @@ def mat(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.einsum("ab,b...->a...", m, psi)
 
 
+# -- block forms: v is a 3-vector field, or a triple of broadcastable arrays ----
+
+
+def _sigma_entries(v) -> tuple:
+    """v.sigma = [[v3, v1 - i v2], [v1 + i v2, -v3]]."""
+    return v[2], v[0] - 1j * v[1], v[0] + 1j * v[1]
+
+
+def _sigma_apply(entries, chi: np.ndarray) -> np.ndarray:
+    vz, vm, vp = entries
+    return np.stack([vz * chi[0] + vm * chi[1], vp * chi[0] - vz * chi[1]])
+
+
+def sigma_dot(v, chi: np.ndarray) -> np.ndarray:
+    """(v.sigma) chi of a 2-spinor field."""
+    return _sigma_apply(_sigma_entries(v), chi)
+
+
+def alpha_dot(v, psi: np.ndarray) -> np.ndarray:
+    """(v.alpha) psi of a 4-spinor field: v.sigma on the swapped 2-blocks."""
+    e = _sigma_entries(v)
+    return np.concatenate([_sigma_apply(e, psi[2:]), _sigma_apply(e, psi[:2])])
+
+
+def spin_dot(v, psi: np.ndarray) -> np.ndarray:
+    """(v.S) psi of a 4-spinor field, S^m = diag(sigma^m, sigma^m)."""
+    e = _sigma_entries(v)
+    return np.concatenate([_sigma_apply(e, psi[:2]), _sigma_apply(e, psi[2:])])
+
+
+def sigma_inner(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The 3-vector field inner(u, sigma^k w) of two 2-spinor fields."""
+    u0, u1 = np.conj(u[0]), np.conj(u[1])
+    a, b = u0 * w[1], u1 * w[0]
+    return np.stack([a + b, 1j * (b - a), u0 * w[0] - u1 * w[1]])
+
+
 def inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pointwise C^m inner product, conjugate-linear first slot."""
     return np.sum(np.conj(u) * v, axis=0)
@@ -72,10 +109,9 @@ def embed_lower(eta: np.ndarray) -> np.ndarray:
 
 def _q_hat_apply(lat: Lattice, psihat: np.ndarray, eps: float) -> np.ndarray:
     """Per-mode action of the free Dirac symbol eps*alpha.k + gamma0."""
-    out = mat(GAMMA0, psihat)
-    out += eps * lat.kx * mat(ALPHA[0], psihat)
-    out += eps * lat.ky * mat(ALPHA[1], psihat)
-    out += eps * lat.kz * mat(ALPHA[2], psihat)
+    out = alpha_dot((eps * lat.kx, eps * lat.ky, eps * lat.kz), psihat)
+    out[:2] += psihat[:2]
+    out[2:] -= psihat[2:]
     return out
 
 
@@ -88,14 +124,11 @@ def free_dirac_apply(lat: Lattice, psi: np.ndarray, eps: float) -> np.ndarray:
 
 def pi_eps(lat: Lattice, psi: np.ndarray, eps: float, sign: int) -> np.ndarray:
     """Energy projection: per mode (I +/- (eps alpha.k + gamma0)/lambda)/2."""
-    if not (eps > 0):
-        raise ValueError(f"eps must be positive, got {eps}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     psihat = lat.fft(psi)
-    lam = np.sqrt(1.0 + eps**2 * lat.k_sq)
     qpsi = _q_hat_apply(lat, psihat, eps)
-    return lat.ifft(0.5 * (psihat + sign * qpsi / lam))
+    return lat.ifft(0.5 * (psihat + sign * qpsi / mode_multipliers(lat, eps, 0.0).lam))
 
 
 def pi_zero(psi: np.ndarray, sign: int) -> np.ndarray:
@@ -116,22 +149,13 @@ def projection_remainders(lat: Lattice, f: np.ndarray, eps: float, sign: int = 1
     The first remainder is O(eps), the second O(eps^2) for fixed band-limited
     f; the first-order term of the expansion is -/+ (i eps/2) alpha.grad.
     """
-    from .fourier import l2_norm
-
     fhat = lat.fft(f)
-    lam = np.sqrt(1.0 + eps**2 * lat.k_sq)
     qf = _q_hat_apply(lat, fhat, eps)
-    proj = 0.5 * (fhat + sign * qf / lam)
-    proj0 = np.zeros_like(fhat)
-    if sign == 1:
-        proj0[:2] = fhat[:2]
-    else:
-        proj0[2:] = fhat[2:]
+    proj = 0.5 * (fhat + sign * qf / mode_multipliers(lat, eps, 0.0).lam)
+    proj0 = pi_zero(fhat, sign)
     rem1 = lat.ifft(proj - proj0)
     # (-/+ i eps/2 alpha.grad) has mode matrix +/- (eps/2) alpha.k
-    first = 0.5 * eps * sign * (
-        lat.kx * mat(ALPHA[0], fhat) + lat.ky * mat(ALPHA[1], fhat) + lat.kz * mat(ALPHA[2], fhat)
-    )
+    first = 0.5 * eps * sign * alpha_dot((lat.kx, lat.ky, lat.kz), fhat)
     rem2 = lat.ifft(proj - proj0 - first)
     return l2_norm(lat, rem1), l2_norm(lat, rem2)
 
@@ -165,11 +189,8 @@ def current_density(psi: np.ndarray, eps: float) -> np.ndarray:
     """J_k = eps^-1 <alpha^k psi, psi>; real, vanishes for one-block spinors."""
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
-    chi, eta = psi[:2], psi[2:]
     # psi^dag alpha^k psi = 2 Re(chi^dag sigma^k eta)
-    return np.stack(
-        [2.0 / eps * np.real(inner(chi, mat(SIGMA[k], eta))) for k in range(3)]
-    )
+    return 2.0 / eps * sigma_inner(psi[:2], psi[2:]).real
 
 
 def total_charge(lat: Lattice, psi: np.ndarray) -> float:
@@ -178,19 +199,17 @@ def total_charge(lat: Lattice, psi: np.ndarray) -> float:
 
 def spin_density(v: np.ndarray) -> np.ndarray:
     """Real 3-vector <sigma v, v> of a 2-spinor field."""
-    return np.stack([np.real(inner(v, mat(SIGMA[k], v))) for k in range(3)])
+    return sigma_inner(v, v).real
 
 
 def limit_current(lat: Lattice, v_plus: np.ndarray, v_minus: np.ndarray) -> np.ndarray:
     """Limit current: momentum parts of v+ and v- (opposite signs) plus the
     divergence-free spin-curl corrections."""
-    from .fourier import curl, gradient
-
     out = np.zeros((3, lat.n, lat.n, lat.n))
     for v, s in ((v_plus, 1.0), (v_minus, -1.0)):
         if not np.any(v):
             continue
-        grad_v = np.stack([gradient(lat, v[a]) for a in range(2)])  # (2, 3, n,n,n)
+        grad_v = gradient(lat, v)  # (2, 3, n,n,n)
         momentum = np.imag(np.sum(np.conj(v)[:, None] * grad_v, axis=0))
         out += s * (momentum + 0.5 * curl(lat, spin_density(v)))
     return out
@@ -200,9 +219,7 @@ def pauli_current(lat: Lattice, chi: np.ndarray, A: np.ndarray, eps: float) -> n
     """J_P = Im <chi, (grad - i eps A) chi>."""
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    from .fourier import gradient
-
-    grad_chi = np.stack([gradient(lat, chi[a]) for a in range(2)])
+    grad_chi = gradient(lat, chi)
     cov = grad_chi - 1j * eps * A[None] * chi[:, None]
     return np.imag(np.sum(np.conj(chi)[:, None] * cov, axis=0))
 
@@ -219,17 +236,10 @@ def density_expansions(lat: Lattice, phi_plus: np.ndarray, phi_minus: np.ndarray
 
     chi_p, eta_p = phi_plus[:2], phi_plus[2:]
     chi_m, eta_m = phi_minus[:2], phi_minus[2:]
-    J = np.stack(
-        [
-            2.0
-            / eps
-            * np.real(
-                inner(chi_p, mat(SIGMA[k], eta_p))
-                + inner(chi_m, mat(SIGMA[k], eta_m))
-                + osc * inner(chi_p, mat(SIGMA[k], eta_m))
-                + np.conj(osc) * inner(chi_m, mat(SIGMA[k], eta_p))
-            )
-            for k in range(3)
-        ]
+    J = 2.0 / eps * np.real(
+        sigma_inner(chi_p, eta_p)
+        + sigma_inner(chi_m, eta_m)
+        + osc * sigma_inner(chi_p, eta_m)
+        + np.conj(osc) * sigma_inner(chi_m, eta_p)
     )
     return rho, J

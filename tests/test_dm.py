@@ -146,6 +146,15 @@ class TestWaveStep:
         assert energy(A, W) == pytest.approx(e0, rel=1e-12)
 
 
+    def test_pure_gradient_current_is_projected_out(self, lat):
+        # the wave equation is driven by P J, and P annihilates gradients
+        X1, X2, X3 = lat.grid()
+        J = fc.gradient(lat, np.sin(X1) * np.cos(X2) + np.cos(2 * X3) + np.zeros((lat.n,) * 3))
+        A, W = dm.wave_step(lat, np.zeros_like(J), np.zeros_like(J), J, 0.3, 0.5)
+        assert np.abs(A).max() < 1e-14
+        assert np.abs(W).max() < 1e-14
+
+
 class TestStrangStep:
     def test_time_reversibility(self, lat12):
         eps = 0.25
@@ -175,6 +184,24 @@ class TestStrangStep:
         q0 = sp.total_charge(lat12, state.psi)
         out = dm.dm_strang_step(state, dm.StepConfig(dt=2e-3))
         assert sp.total_charge(lat12, out.psi) == pytest.approx(q0, rel=1e-12)
+
+
+class TestMultiplierCache:
+    def test_interleaved_eps_matches_fresh_cache(self, lat):
+        cfg = dm.StepConfig(dt=2e-3)
+        s1, s2 = smooth_state(lat, 0.3, gauge_amp=0.1), smooth_state(lat, 0.2, gauge_amp=0.1)
+        fc.mode_multipliers.cache_clear()
+        fresh = dm.dm_strang_step(s1, cfg)
+        dm.dm_strang_step(s2, cfg)
+        again = dm.dm_strang_step(s1, cfg)
+        for a, b in ((fresh.psi, again.psi), (fresh.A, again.A), (fresh.eps_dtA, again.eps_dtA)):
+            assert np.array_equal(a, b)
+
+    def test_bounded_after_many_times(self, lat):
+        psi0 = smooth_state(lat, 0.5).psi
+        info = fc.mode_multipliers.cache_info()
+        dm.free_dirac_trajectory(lat, psi0, np.linspace(0.0, 1.0, 4 * info.maxsize), 0.5)
+        assert fc.mode_multipliers.cache_info().currsize <= info.maxsize
 
 
 class TestSimulate:

@@ -174,6 +174,37 @@ class TestLeray:
         assert fc.l2_norm(lat, fc.divergence(lat, pu)) < 1e-12
 
 
+class TestGradient:
+    def test_batched_equals_per_component(self, lat):
+        f = np.stack([random_complex(lat, 20), random_complex(lat, 21)])
+        ref = np.stack([fc.gradient(lat, f[a]) for a in range(2)])
+        out = fc.gradient(lat, f)
+        assert out.shape == (2, 3, lat.n, lat.n, lat.n)
+        assert np.abs(out - ref).max() < 1e-12
+
+    def test_real_field_stays_real(self, lat):
+        X1, X2, _ = lat.grid()
+        f = np.sin(X1) * np.cos(2 * X2) + np.zeros((lat.n,) * 3)
+        out = fc.gradient(lat, f)
+        assert np.isrealobj(out) and out.shape == (3, lat.n, lat.n, lat.n)
+        assert np.abs(out[0] - np.cos(X1) * np.cos(2 * X2)).max() < 1e-13
+        assert np.abs(out[1] + 2 * np.sin(X1) * np.sin(2 * X2)).max() < 1e-13
+        assert np.abs(out[2]).max() < 1e-13
+
+
+class TestModeMultipliers:
+    def test_arrays_read_only(self, lat):
+        mm = fc.mode_multipliers(lat, 0.3, 0.01)
+        for a in (mm.lam, *mm.dirac, *mm.wave):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0, 0] = 1.0
+
+    def test_rejects_nonpositive_eps(self, lat):
+        with pytest.raises(ValueError):
+            fc.mode_multipliers(lat, 0.0, 0.01)
+
+
 class TestPoisson:
     def test_eigenfunction(self, lat):
         X1, _, _ = lat.grid()

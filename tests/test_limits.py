@@ -15,6 +15,11 @@ def lat():
     return fc.make_lattice(12, TWO_PI)
 
 
+@pytest.fixture(scope="module")
+def lat8():
+    return fc.make_lattice(8, TWO_PI)
+
+
 def plane_wave(lat, kvec):
     X1, X2, X3 = lat.grid()
     return np.exp(1j * (kvec[0] * X1 + kvec[1] * X2 + kvec[2] * X3)) + np.zeros((lat.n,) * 3)
@@ -224,6 +229,19 @@ class TestSimulatePauli:
         chi0[1, 0, 0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite spinor in step 1"):
             self._lockstep(init, chi0, 0.1, 0.01)
+
+
+    def test_non_finite_dm_spinor_is_named_not_a_convergence_failure(self, lat8):
+        # a NaN in the DM spinor reaches the Pauli step through the fields
+        eps = 0.4
+        init = self._dm_init(lat8, eps)
+        cfg = dm.StepConfig(dt=0.01)
+        state = lim.DMPauliState.start(init, sp.upper(init.psi), cfg)
+        state.dm.psi[0, 0, 0, 0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError) as info:
+            dm.integrate(state, lambda s: lim.dm_pauli_step(s, cfg), 3, 1, lambda s: None)
+        assert "step 1" in str(info.value)
+        assert "did not converge" not in str(info.value)
 
 
 class TestNonFiniteGuard:

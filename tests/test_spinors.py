@@ -63,6 +63,38 @@ class TestMatrices:
         assert np.array_equal(sp.GAMMA0 @ sp.GAMMA0, np.eye(4))
 
 
+class TestBlockForms:
+    """The block-form products against einsum over the constant matrices."""
+
+    def _fields(self, lat):
+        rng = np.random.default_rng(11)
+        shape = (3, lat.n, lat.n, lat.n)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape), random_spinor(lat, 12)
+
+    def test_alpha_and_spin_dot(self, lat):
+        v, psi = self._fields(lat)
+        for block, matrices in ((sp.alpha_dot, sp.ALPHA), (sp.spin_dot, sp.SPIN)):
+            ref = np.einsum("kab,k...,b...->a...", matrices, v, psi)
+            assert np.abs(block(v, psi) - ref).max() < 1e-13
+
+    def test_sigma_dot(self, lat):
+        v, psi = self._fields(lat)
+        ref = np.einsum("kab,k...,b...->a...", sp.SIGMA, v, psi[:2])
+        assert np.abs(sp.sigma_dot(v, psi[:2]) - ref).max() < 1e-13
+
+    def test_sigma_inner(self, lat):
+        _, psi = self._fields(lat)
+        ref = np.einsum("a...,kab,b...->k...", np.conj(psi[:2]), sp.SIGMA, psi[2:])
+        assert np.abs(sp.sigma_inner(psi[:2], psi[2:]) - ref).max() < 1e-13
+
+    def test_broadcast_wavevector(self, lat):
+        # the free Dirac symbol passes (kx, ky, kz) of shapes (n,1,1), (1,n,1), (1,1,n)
+        psi = random_spinor(lat, 13)
+        k = np.stack(np.broadcast_arrays(lat.kx, lat.ky, lat.kz))
+        ref = np.einsum("kab,k...,b...->a...", sp.ALPHA, k, psi)
+        assert np.abs(sp.alpha_dot((lat.kx, lat.ky, lat.kz), psi) - ref).max() < 1e-12
+
+
 class TestProjections:
     def test_zero_mode_is_block_projector(self, lat):
         psi = np.zeros((4, lat.n, lat.n, lat.n), dtype=complex)
