@@ -404,8 +404,7 @@ def remainder_R(state: DMState, psi_plus: np.ndarray, psi_minus: np.ndarray) -> 
     lat, eps = state.lat, state.eps
     A0 = derived_A0(lat, state.psi)
     E, B = compute_EB(lat, A0, state.A, state.eps_dtA)
-    grad_psi_dot_A = np.sum(state.A * gradient(lat, state.psi), axis=1)
-    term = 2j * grad_psi_dot_A
+    term = 2j * np.sum(state.A * gradient(lat, state.psi), axis=1)
     term += 1j * sp.alpha_dot(E, state.psi)
     term -= sp.spin_dot(B, state.psi)
     lamR = eps * term

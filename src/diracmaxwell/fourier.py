@@ -19,6 +19,8 @@ fixed once and for all:
   and the solution mean is pinned to zero.
 * Real fields go through ``Lattice.rfft``/``irfft``, whose spectra keep the
   modes with last-axis index <= n/2; spinors use the complex pair.
+* Derivatives (``partial``, and ``gradient``, ``divergence`` and ``curl`` on
+  it) take one 1-D transform pair along the derivative axis, not a 3-D pair.
 
 Everything here is a pure function of immutable inputs (the Lattice caches
 are computed once and never mutated, and ``mode_multipliers`` hands out
@@ -75,9 +77,7 @@ class Lattice:
             raise ValueError(f"grid size n must be even and >= 4, got {n}")
         if not (L > 0):
             raise ValueError(f"period must be positive, got {L}")
-        freq = 2.0 * np.pi / L * np.fft.fftfreq(n, d=1.0 / n)
-        sym = freq.copy()
-        sym[n // 2] = 0.0  # unmatched Nyquist mode: zeroed in all symbols
+        sym = self.axis_frequencies()  # unmatched Nyquist mode: zeroed in all symbols
         object.__setattr__(self, "kx", sym.reshape(n, 1, 1))
         object.__setattr__(self, "ky", sym.reshape(1, n, 1))
         object.__setattr__(self, "kz", sym.reshape(1, 1, n))
@@ -259,28 +259,30 @@ def h_eps(lat: Lattice, f: np.ndarray, eps: float) -> np.ndarray:
 # -- projections and inverses ------------------------------------------------
 
 
+def partial(lat: Lattice, f: np.ndarray, j: int) -> np.ndarray:
+    """d/dx_j of f (j = 0, 1, 2) by one 1-D transform pair along spatial axis j,
+    the real pair for real f: the symbol i k_j varies along that axis only."""
+    axis, ik = j - 3, 1j * (lat.kx, lat.ky, lat.kz)[j]
+    if np.isrealobj(f):
+        ik = ik.take(range(lat.n // 2 + 1), axis=j)
+        return np.fft.irfft(ik * np.fft.rfft(f, axis=axis), n=lat.n, axis=axis)
+    return np.fft.ifft(ik * np.fft.fft(f, axis=axis), axis=axis)
+
+
 def gradient(lat: Lattice, f: np.ndarray) -> np.ndarray:
-    """Spectral gradient by one transform pair, derivative index on axis -4:
+    """Spectral gradient, derivative index on axis -4:
     (n, n, n) -> (3, n, n, n) and (c, n, n, n) -> (c, 3, n, n, n)."""
-    fwd, inv = _transforms(lat, f)
-    fhat = fwd(f)
-    kx, ky, kz, _ = _wavevector(lat, fhat)
-    return inv(1j * np.stack([kx * fhat, ky * fhat, kz * fhat], axis=-4))
+    return np.stack([partial(lat, f, j) for j in range(3)], axis=-4)
 
 
 def divergence(lat: Lattice, u: np.ndarray) -> np.ndarray:
-    fwd, inv = _transforms(lat, u)
-    uhat = fwd(u)
-    kx, ky, kz, _ = _wavevector(lat, uhat)
-    return inv(1j * (kx * uhat[0] + ky * uhat[1] + kz * uhat[2]))
+    return sum(partial(lat, u[j], j) for j in range(3))
 
 
 def curl(lat: Lattice, u: np.ndarray) -> np.ndarray:
-    fwd, inv = _transforms(lat, u)
-    uhat = fwd(u)
-    kx, ky, kz, _ = _wavevector(lat, uhat)
-    return inv(1j * np.stack([ky * uhat[2] - kz * uhat[1], kz * uhat[0] - kx * uhat[2],
-                              kx * uhat[1] - ky * uhat[0]]))
+    def d(c, j):
+        return partial(lat, u[c], j)
+    return np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)])
 
 
 def laplacian(lat: Lattice, f: np.ndarray) -> np.ndarray:
@@ -440,6 +442,9 @@ def read_fld(path):
         raw = fh.read()
     n = header["grid_n"]
     c = header["components"]
-    dtype = "<c16" if header["dtype"] == "complex128" else "<f8"
+    dtype = np.dtype("<c16" if header["dtype"] == "complex128" else "<f8")
+    expected = n**3 * c * dtype.itemsize
+    if len(raw) != expected:
+        raise ValueError(f"{path}: payload has {len(raw)} bytes, its header needs {expected}")
     values = np.frombuffer(raw, dtype=dtype).reshape((c, n, n, n) if c > 1 else (n, n, n))
     return header, values.astype(values.dtype.newbyteorder("="))

@@ -16,21 +16,8 @@ import numpy as np
 
 from . import spinors as sp
 from .evolve_dm import Trajectory, compute_EB, derived_A0
-from .fourier import (
-    Lattice,
-    divergence,
-    gradient,
-    inv_abs_nabla,
-    l2_norm,
-    laplacian,
-    riesz_transform,
-    sobolev_norm,
-)
-
-
-def _dx(lat: Lattice, f: np.ndarray, axis: int) -> np.ndarray:
-    k = (lat.kx, lat.ky, lat.kz)[axis]
-    return lat.ifft(1j * k * lat.fft(f))
+from .fourier import (Lattice, curl, divergence, gradient, inv_abs_nabla, l2_norm, laplacian, partial,
+                      riesz_transform, sobolev_norm)
 
 
 # -- null bilinear forms --------------------------------------------------------
@@ -56,7 +43,7 @@ def qab(lat: Lattice, a: int, b: int, u, v, ut=None, vt=None, eps: float = 1.0):
             if ft is None:
                 raise ValueError("Q_0j needs time derivatives")
             return eps * ft
-        return _dx(lat, f, idx - 1)
+        return partial(lat, f, idx - 1)
 
     return d(u, ut, a) * d(v, vt, b) - d(u, ut, b) * d(v, vt, a)
 
@@ -75,7 +62,7 @@ def null_identity_one_residual(lat: Lattice, A: np.ndarray, psi: np.ndarray) -> 
     total = lhs.copy()
     for j, k in ((j, k) for j in range(3) for k in range(3) if j != k):
         phi = inv_abs_nabla(lat, a_jk(lat, A, j, k))
-        total += _dx(lat, phi, j) * _dx(lat, psi, k) - _dx(lat, phi, k) * _dx(lat, psi, j)
+        total += qab(lat, j + 1, k + 1, phi, psi)
     denom = l2_norm(lat, lhs)
     return l2_norm(lat, total) / denom if denom > 0 else l2_norm(lat, total)
 
@@ -89,8 +76,6 @@ def null_identity_two_residual(lat: Lattice, A: np.ndarray, eps_dtA: np.ndarray,
     A0 cancels from E_j - d_j A0 = -eps dt A_j, so only A, eps dt A, psi and
     the auxiliary wave field U (with its time derivative) enter.
     """
-    from .fourier import curl
-
     B = curl(lat, A)
     lhs = -1j * sp.alpha_dot(eps_dtA, psi) - sp.spin_dot(B, psi)
 
@@ -107,12 +92,12 @@ def null_identity_two_residual(lat: Lattice, A: np.ndarray, eps_dtA: np.ndarray,
             dt_ajk = riesz_transform(lat, eps_dtA[k], j) - riesz_transform(lat, eps_dtA[j], k)
             # term 1: Q_jk(|grad|^-1 eps dt a_jk, U)
             phi1 = inv_abs_nabla(lat, dt_ajk)
-            rhs += _dx(lat, phi1, j) * _dx(lat, U, k) - _dx(lat, phi1, k) * _dx(lat, U, j)
+            rhs += qab(lat, j + 1, k + 1, phi1, U)
             # term 2: -Q_jk(|grad|^-1 d_l a_jk, alpha^l U)
             for l in range(3):
-                phi2 = inv_abs_nabla(lat, _dx(lat, ajk, l))
+                phi2 = inv_abs_nabla(lat, partial(lat, ajk, l))
                 w = alpha_U[l]
-                rhs -= _dx(lat, phi2, j) * _dx(lat, w, k) - _dx(lat, phi2, k) * _dx(lat, w, j)
+                rhs -= qab(lat, j + 1, k + 1, phi2, w)
             # term 5: -(i/2) Q_jk(A_m, eps^{jkl} S_l alpha^m U)
             for l in range(3):
                 lev = sp.LEVI_CIVITA[j, k, l]
@@ -120,19 +105,17 @@ def null_identity_two_residual(lat: Lattice, A: np.ndarray, eps_dtA: np.ndarray,
                     continue
                 for m in range(3):
                     w = sp.mat(sp.SPIN[l], alpha_U[m])
-                    rhs -= 0.5j * lev * (
-                        _dx(lat, A[m], j) * _dx(lat, w, k) - _dx(lat, A[m], k) * _dx(lat, w, j)
-                    )
+                    rhs -= 0.5j * lev * qab(lat, j + 1, k + 1, A[m], w)
     for j in range(3):
         # term 3: Q0(A_j, alpha^j U)
         rhs += eps_dtA[j] * alpha_dtU[j]
         for l in range(3):
-            rhs -= _dx(lat, A[j], l) * _dx(lat, alpha_U[j], l)
+            rhs -= partial(lat, A[j], l) * partial(lat, alpha_U[j], l)
         # term 4: Q_0j(A_k, alpha^j alpha^k U)
         for k in range(3):
             w = sp.mat(sp.ALPHA[j] @ sp.ALPHA[k], U)
             wt = sp.mat(sp.ALPHA[j] @ sp.ALPHA[k], eps_dt_U)
-            rhs += eps_dtA[k] * _dx(lat, w, j) - _dx(lat, A[k], j) * wt
+            rhs += eps_dtA[k] * partial(lat, w, j) - partial(lat, A[k], j) * wt
     denom = l2_norm(lat, lhs)
     return l2_norm(lat, lhs - rhs) / denom if denom > 0 else l2_norm(lat, lhs - rhs)
 
@@ -146,7 +129,7 @@ def null_identity_check(lat: Lattice, A0, A, eps_dtA, psi, U, dtU, eps: float,
     role of the decay assumed on the whole space.
     """
     div_max = float(np.max(np.abs(divergence(lat, A))))
-    if div_max > div_tol:
+    if not div_max <= div_tol:
         raise ValueError(f"A is not divergence-free (max |div A| = {div_max:.2e})")
     mean_max = float(np.max(np.abs(np.mean(A, axis=(1, 2, 3)))))
     if mean_max > div_tol:

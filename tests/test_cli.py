@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -226,3 +229,14 @@ class TestDeterminism:
         run_cli(["run-dm", "--config", "preset:stationary", "--out", str(a)])
         run_cli(["run-dm", "--config", "preset:stationary", "--out", str(b)])
         assert digest_dir(a) == digest_dir(b)
+
+
+class TestImportCost:
+    def test_cli_and_studies_leave_scipy_unimported(self):
+        # importing scipy.fft adds about 0.3 s and 27 MB RSS to every process
+        # (measured on a 2-vCPU host), so the package keeps to numpy.fft
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, diracmaxwell.cli, diracmaxwell.studies; print('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -192,6 +192,56 @@ class TestGradient:
         assert np.abs(out[2]).max() < 1e-13
 
 
+def derivative_3d(lat, f, j):
+    """d/dx_j by a full 3-D transform pair: ifftn(1j k_j fftn(f)), or the rfftn pair for real f."""
+    k = (lat.kx, lat.ky, lat.kz)[j]
+    if np.isrealobj(f):
+        fhat = lat.rfft(f)
+        return lat.irfft(1j * k[..., : fhat.shape[-1]] * fhat)
+    return lat.ifft(1j * k * lat.fft(f))
+
+
+def assert_rel_close(out, ref, rtol):
+    assert out.shape == ref.shape and np.isrealobj(out) == np.isrealobj(ref)
+    assert np.abs(out - ref).max() <= rtol * np.abs(ref).max()
+
+
+class TestPartial:
+    """One 1-D pair along axis j against the 3-D formula, on random fields,
+    whose spectra fill every mode, the Nyquist planes included."""
+
+    @pytest.fixture(params=["real", "complex"])
+    def field(self, request, lat):
+        f = random_complex(lat, 30, shape=(2, lat.n, lat.n, lat.n))
+        return f.real.copy() if request.param == "real" else f
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_partial_matches_3d_transform(self, lat, field, j):
+        assert_rel_close(fc.partial(lat, field, j), derivative_3d(lat, field, j), 1e-13)
+
+    def test_gradient_divergence_curl_match_3d(self, lat, field):
+        u = np.concatenate([field, field[:1] ** 2])  # a vector field
+        d = [[derivative_3d(lat, u[c], j) for j in range(3)] for c in range(3)]
+        grad = np.stack([derivative_3d(lat, field, j) for j in range(3)], axis=-4)
+        assert_rel_close(fc.gradient(lat, field), grad, 1e-13)
+        assert_rel_close(fc.divergence(lat, u), d[0][0] + d[1][1] + d[2][2], 1e-13)
+        curl = np.stack([d[2][1] - d[1][2], d[0][2] - d[2][0], d[1][0] - d[0][1]])
+        assert_rel_close(fc.curl(lat, u), curl, 1e-13)
+
+    def test_div_curl_and_curl_grad_vanish(self, lat, field):
+        u = np.concatenate([field, field[:1] ** 2])
+        scale = np.abs(u).max() * np.abs(lat.kx).max() ** 2
+        assert np.abs(fc.divergence(lat, fc.curl(lat, u))).max() < 1e-13 * scale
+        assert np.abs(fc.curl(lat, fc.gradient(lat, field[0]))).max() < 1e-13 * scale
+
+    def test_nyquist_content_is_annihilated(self, lat):
+        # the unmatched -n/2 mode along the derivative axis has zeroed frequency
+        X1, _, _ = lat.grid()
+        f = np.cos(lat.n // 2 * X1) + np.zeros((lat.n,) * 3)
+        assert np.abs(fc.partial(lat, f, 0)).max() < 1e-13
+        assert np.abs(fc.partial(lat, f + 0j, 0)).max() < 1e-13
+
+
 class TestModeMultipliers:
     def test_arrays_read_only(self, lat):
         mm = fc.mode_multipliers(lat, 0.3, 0.01)
@@ -347,6 +397,16 @@ class TestSnapshotIO:
         header, values = fc.read_fld(path)
         assert header["dtype"] == "float64"
         assert np.array_equal(values, f)
+
+    @pytest.mark.parametrize("change", [-8, 16])
+    def test_payload_length_checked(self, lat, tmp_path, change):
+        path = tmp_path / "x.fld"
+        fc.write_fld(path, lat, np.zeros((2, lat.n, lat.n, lat.n), dtype=complex))
+        data = path.read_bytes()
+        path.write_bytes(data[:change] if change < 0 else data + bytes(change))
+        expected = 2 * lat.n**3 * 16
+        with pytest.raises(ValueError, match=f"payload has {expected + change} bytes.*needs {expected}"):
+            fc.read_fld(path)
 
     def test_header_is_one_json_line(self, lat, tmp_path):
         path = tmp_path / "x.fld"

@@ -156,6 +156,45 @@ class TestPauliStep:
         with pytest.raises(ValueError):
             lim.pauli_step(lim.PauliState(lat, 0.0, chi, 0.4), np.zeros((lat.n,) * 3), A, 0.02)
 
+    def test_non_finite_A_is_named(self, lat8):
+        # a NaN compares false with div_tol, so only an explicit finiteness check names A
+        chi = random_two_spinor(lat8, 6)
+        A = gauge_profile(lat8, 0.3)
+        A[1, 2, 3, 4] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite gauge field A"):
+            lim.pauli_step(lim.PauliState(lat8, 0.0, chi, 0.4), np.zeros((lat8.n,) * 3), A, 0.02)
+
+
+def advect_reference(lat, A, eps, dt, chi, tol=1e-16, max_terms=24):
+    """The mixed-term Taylor series with each term's gradient by one 3-D transform pair."""
+    scale = float(np.max(np.abs(chi))) + 1e-300
+    term, out = chi, chi.copy()
+    for k in range(1, max_terms + 1):
+        khat = lat.fft(term)
+        grad = lat.ifft(1j * np.stack([lat.kx * khat, lat.ky * khat, lat.kz * khat], axis=-4))
+        term = (-1j * dt / k) * (1j * eps * np.sum(A * grad, axis=1))
+        out = out + term
+        if float(np.max(np.abs(term))) < tol * scale:
+            return out
+    raise AssertionError("reference series did not converge")
+
+
+class TestAdvectApply:
+    @pytest.mark.parametrize("eps, dt", [(0.4, 0.005), (0.1, 0.05)])
+    def test_matches_3d_gradient_series(self, lat, eps, dt):
+        chi = random_two_spinor(lat, 7)
+        A = gauge_profile(lat, 0.3)
+        out = lim._advect_apply(lat, A, eps, dt, chi)
+        ref = advect_reference(lat, A, eps, dt, chi)
+        assert np.abs(out - ref).max() < 1e-13 * np.abs(ref).max()
+        assert np.abs(out - chi).max() > 1e-4 * np.abs(chi).max()  # the series did act
+
+    def test_leaves_its_input_unchanged(self, lat):
+        chi = random_two_spinor(lat, 8)
+        before = chi.copy()
+        lim._advect_apply(lat, gauge_profile(lat, 0.3), 0.4, 0.01, chi)
+        assert np.array_equal(chi, before)
+
 
 class TestSimulatePauli:
     """The Pauli spinor advanced in lockstep with a DM run, in its fields."""
