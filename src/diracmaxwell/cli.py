@@ -181,7 +181,7 @@ def cmd_run_pauli(cfg: dict, out_dir: Path, seed: int) -> int:
     return _finish("run-pauli", out_dir, cfg, seed, t0, writer)
 
 
-def _experiment_config(cfg: dict, seed: int) -> ExperimentConfig:
+def _experiment_config(cfg: dict) -> ExperimentConfig:
     n, period = _validate_grid(cfg)
     eps_list = _need(cfg, "eps_list")
     if len(eps_list) < 3:
@@ -201,14 +201,13 @@ def _experiment_config(cfg: dict, seed: int) -> ExperimentConfig:
         params=data.get("params", {}),
         gauge=cfg.get("gauge", "zero"),
         sample_every=int(cfg.get("sample_every", 10)),
-        seed=seed,
     )
 
 
 def cmd_converge(cfg: dict, out_dir: Path, seed: int, study) -> int:
     t0 = time.time()
     try:
-        exp_cfg = _experiment_config(cfg, seed)
+        exp_cfg = _experiment_config(cfg)
     except ValueError as exc:
         raise ConfigError(f"config error: {exc}") from None
     report = study(exp_cfg)
@@ -298,19 +297,23 @@ def _suite_projections(seed: int = 0) -> list:
 
 
 def _suite_symbols() -> list:
+    """Bounds on the code's own symbols: 1 - 1/lambda from mode_multipliers
+    and the dispersion gap |k|/eps - h_eps from h_eps_symbol."""
+    from .fourier import h_eps_symbol, mode_multipliers
+
     lat = make_lattice(16, 6.283185307179586)
     k_abs = lat.k_abs
     k_sq = lat.k_sq
     results = []
     for eps in (0.125, 0.25, 0.5, 1.0):
-        sym = 1.0 - 1.0 / np.sqrt(1.0 + eps**2 * k_sq)
+        sym = 1.0 - 1.0 / mode_multipliers(lat, eps, 0.0).lam
         lower_ok = float((-sym).max())
         upper = np.minimum(1.0, np.minimum(eps * k_abs, eps**2 * k_sq))
         upper_ok = float((sym - upper).max())
         results.append((f"one_minus_invlambda_lower_eps{eps}", max(lower_ok, 0.0), 1e-15))
         results.append((f"one_minus_invlambda_upper_eps{eps}", max(upper_ok, 0.0), 1e-15))
         nz = k_sq > 0
-        h = k_sq / (1.0 + np.sqrt(1.0 + eps**2 * k_sq))
+        h = h_eps_symbol(lat, eps)
         gap = k_abs[nz] / eps - h[nz]
         results.append((f"dispersion_gap_lower_eps{eps}", max(float((-gap).max()), 0.0), 1e-15))
         results.append((f"dispersion_gap_upper_eps{eps}", max(float((gap - 1.0 / eps**2).max()), 0.0), 1e-15))

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spinors as sp
-from .fourier import (Lattice, curl, gradient, l2_norm, lambda_eps, leray_hat, leray_project, mode_multipliers,
-                      poisson_solve, sobolev_norm)
+from .fourier import (Lattice, curl, dealias, gradient, l2_norm, lambda_eps, leray_hat, leray_project,
+                      mode_multipliers, on_modes, poisson_solve, sobolev_norm)
 
 
 @dataclass
@@ -71,8 +71,6 @@ def derived_A0(lat: Lattice, psi: np.ndarray, dealias_flag: bool = False) -> np.
     """Electric potential from the instantaneous charge (jellium Poisson)."""
     rho = sp.charge_density(psi)
     if dealias_flag:
-        from .fourier import dealias
-
         rho = dealias(lat, rho)
     return poisson_solve(lat, rho)
 
@@ -112,8 +110,7 @@ def wave_oscillator(lat: Lattice, fhat: np.ndarray, ghat: np.ndarray, srchat: np
     (full or real-transform spectra).  Modes with |k| = 0 get the exact
     polynomial drift.
     """
-    m = fhat.shape[-1]
-    c, s, a, b = (x[..., :m] for x in mode_multipliers(lat, eps, dt).wave)
+    c, s, a, b = (on_modes(x, fhat) for x in mode_multipliers(lat, eps, dt).wave)
     return c * fhat + s * ghat + a * srchat, b * fhat + c * ghat + s * srchat
 
 
@@ -135,8 +132,6 @@ def dm_strang_step(state: DMState, cfg: StepConfig) -> DMState:
     psihat_mid = free_flow_hat(lat, lat.fft(psi_a), dt / 2.0, eps)
     J = sp.current_density(lat.ifft(psihat_mid), eps)
     if cfg.dealias:
-        from .fourier import dealias
-
         J = dealias(lat, J)
     psi_b = lat.ifft(free_flow_hat(lat, psihat_mid, dt / 2.0, eps))
     A_new, W_new = wave_step(lat, state.A, state.eps_dtA, J, dt, eps)
@@ -344,14 +339,15 @@ def free_dirac_trajectory(lat: Lattice, psi0: np.ndarray, times: np.ndarray, eps
     return psis, dtpsis
 
 
-def build_U(lat: Lattice, psi_series: list, dt: float, eps: float, dtpsi_series: list | None = None,
-            variation_tol: float = 0.5):
+def build_U(lat: Lattice, psi_series: list, dt: float, eps: float, dtpsi_series: list | None = None):
     """Solve box_eps U = -i (eps dt + alpha.grad) psi with U(0) = 0 and
     i eps dt(U)(0) = psi(0), by the exact per-mode oscillator with the source
     frozen at each step midpoint.
 
     Returns (U_series, dtU_series).  When psi solves the free Dirac equation,
     i (eps dt - alpha.grad) U reproduces psi up to the O(dt^2) solver error.
+    A source that changes by more than half its size in one step raises
+    ValueError.
     """
     if len(psi_series) < 2:
         raise ValueError("need at least two samples of psi")
@@ -380,7 +376,7 @@ def build_U(lat: Lattice, psi_series: list, dt: float, eps: float, dtpsi_series:
         U_out.append(lat.ifft(Uhat))
         dtU_out.append(lat.ifft(What) / eps)
         src_prev = src_next
-    if max_var > variation_tol:
+    if max_var > 0.5:
         raise ValueError(
             f"source varies by {max_var:.2f} per step; refine the psi sampling"
         )

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import spinors as sp
 from .evolve_dm import DMState, StepConfig, coulomb_gauge, derived_A0, dm_strang_step
-from .fourier import Lattice, curl, divergence, l2_norm, partial, poisson_solve, sobolev_norm
+from .fourier import Lattice, apply_symbol, curl, divergence, l2_norm, partial, poisson_solve, sobolev_norm
 
 
 @dataclass
@@ -52,8 +52,8 @@ def sp_step(state: SPState, dt: float) -> SPState:
     vp = half * state.v_plus
     vm = half * state.v_minus
     kin = np.exp(-1j * lat.k_sq * dt / 2.0)
-    vp = lat.ifft(kin * lat.fft(vp))
-    vm = lat.ifft(np.conj(kin) * lat.fft(vm))
+    vp = apply_symbol(lat, vp, kin)
+    vm = apply_symbol(lat, vm, np.conj(kin))
     u = sp_potential(lat, vp, vm)
     half = np.exp(1j * u * dt / 2.0)
     return SPState(lat, state.t + dt, half * vp, half * vm)
@@ -100,15 +100,16 @@ def _kick_matrix_apply(A0, B, A_sq, eps, dt, chi):
     return np.exp(-1j * dt * a) * (np.cos(theta) * chi - 1j * sin_over * sp.sigma_dot(b, chi))
 
 
-def _advect_apply(lat: Lattice, A: np.ndarray, eps: float, dt: float, chi: np.ndarray,
-                  tol: float = 1e-16, max_terms: int = 24) -> np.ndarray:
+def _advect_apply(lat: Lattice, A: np.ndarray, eps: float, dt: float, chi: np.ndarray) -> np.ndarray:
     """exp(-i dt M) chi for the mixed term M = i eps A.grad (Hermitian for
     divergence-free A) by the Taylor series term_k = (dt eps / k) A.grad term_{k-1},
     each A_j d_j taken by one 1-D transform pair along axis j (``partial``).
 
     Converges to roundoff in a handful of terms since dt*|M| << 1 at the
-    resolutions used here; unitarity error is at the truncation level.  A
-    non-finite chi raises FloatingPointError before any term is taken.
+    resolutions used here; unitarity error is at the truncation level.  The
+    series stops at the first term below 1e-16 max|chi|, and raises
+    FloatingPointError if 24 terms do not get there.  A non-finite chi raises
+    FloatingPointError before any term is taken.
     """
     scale = float(np.max(np.abs(chi)))
     if not np.isfinite(scale):
@@ -116,27 +117,28 @@ def _advect_apply(lat: Lattice, A: np.ndarray, eps: float, dt: float, chi: np.nd
     scale += 1e-300
     term = chi
     out = chi.copy()
-    for k in range(1, max_terms + 1):
+    for k in range(1, 25):
         m = A[0] * partial(lat, term, 0)
         m += A[1] * partial(lat, term, 1)
         m += A[2] * partial(lat, term, 2)
         term = m * (dt * eps / k)
         out += term
-        if float(np.max(np.abs(term))) < tol * scale:
+        if float(np.max(np.abs(term))) < 1e-16 * scale:
             return out
     raise FloatingPointError("mixed-term exponential did not converge; reduce dt")
 
 
 def pauli_step(state: PauliState, A0: np.ndarray, A: np.ndarray, dt: float,
-               B: np.ndarray | None = None, div_tol: float = 1e-8) -> PauliState:
-    """Strang step of the Pauli equation in the supplied (midpoint) fields."""
+               B: np.ndarray | None = None) -> PauliState:
+    """Strang step of the Pauli equation in the supplied (midpoint) fields.
+    A with max |div A| above 1e-8 raises ValueError."""
     lat, eps = state.lat, state.eps
     advect = eps > 0 and bool(np.any(A))
     if advect:
         div_max = float(np.max(np.abs(divergence(lat, A))))
         if not np.isfinite(div_max):
             raise FloatingPointError("non-finite gauge field A entering the Pauli step")
-        if div_max > div_tol:
+        if div_max > 1e-8:
             raise ValueError(f"A is not divergence-free (max |div A| = {div_max:.2e})")
     if B is None:
         B = curl(lat, A)
@@ -144,8 +146,7 @@ def pauli_step(state: PauliState, A0: np.ndarray, A: np.ndarray, dt: float,
     chi = _kick_matrix_apply(A0, B, A_sq, eps, dt / 2.0, state.chi)
     if advect:
         chi = _advect_apply(lat, A, eps, dt / 2.0, chi)
-    kin = np.exp(-1j * lat.k_sq * dt / 2.0)
-    chi = lat.ifft(kin * lat.fft(chi))
+    chi = apply_symbol(lat, chi, np.exp(-1j * lat.k_sq * dt / 2.0))
     if advect:
         chi = _advect_apply(lat, A, eps, dt / 2.0, chi)
     chi = _kick_matrix_apply(A0, B, A_sq, eps, dt / 2.0, chi)

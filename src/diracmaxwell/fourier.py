@@ -17,8 +17,14 @@ fixed once and for all:
   inverse symbol or a homogeneous weight would be singular.
 * Poisson inversion uses the jellium convention: the source mean is removed
   and the solution mean is pinned to zero.
-* Real fields go through ``Lattice.rfft``/``irfft``, whose spectra keep the
-  modes with last-axis index <= n/2; spinors use the complex pair.
+* One multiplier path: every scalar Fourier multiplier is applied by
+  ``apply_symbol``, the one place that picks the 3-D transform pair.  Real
+  in gives real out: a real field takes ``Lattice.rfft``/``irfft``, whose
+  spectra keep the modes with last-axis index <= n/2 (``on_modes`` cuts a
+  full-grid multiplier to them); a complex field takes the complex pair.
+  The real pair is exact because every multiplier applied to real fields
+  satisfies m(-k) = conj(m(k)) on the lattice; the Schrodinger flows, which
+  do not, act on complex spinors only.
 * Derivatives (``partial``, and ``gradient``, ``divergence`` and ``curl`` on
   it) take one 1-D transform pair along the derivative axis, not a 3-D pair.
 
@@ -32,7 +38,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -70,6 +75,8 @@ class Lattice:
     kz: np.ndarray = field(init=False, repr=False, compare=False)
     k_sq: np.ndarray = field(init=False, repr=False, compare=False)
     k_abs: np.ndarray = field(init=False, repr=False, compare=False)
+    # -1/|k|^2, zero on the zero-like modes: the jellium Poisson inverse
+    inv_laplacian: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, L = self.n, self.period
@@ -84,6 +91,7 @@ class Lattice:
         k_sq = self.kx**2 + self.ky**2 + self.kz**2
         object.__setattr__(self, "k_sq", k_sq)
         object.__setattr__(self, "k_abs", np.sqrt(k_sq))
+        object.__setattr__(self, "inv_laplacian", -_reciprocal(self, k_sq))
 
     # -- geometry ----------------------------------------------------------
 
@@ -152,37 +160,29 @@ def _transforms(lat: Lattice, f: np.ndarray):
     return (lat.rfft, lat.irfft) if np.isrealobj(f) else (lat.fft, lat.ifft)
 
 
-def _wavevector(lat: Lattice, fhat: np.ndarray):
-    """(kx, ky, kz, |k|^2) on the modes of fhat, a full or a real-transform spectrum."""
-    m = fhat.shape[-1]
-    return lat.kx, lat.ky, lat.kz[..., :m], lat.k_sq[..., :m]
+def on_modes(a: np.ndarray, fhat: np.ndarray) -> np.ndarray:
+    """A per-mode array (full grid, or broadcastable to it) on the modes of
+    fhat, a full or a real-transform spectrum."""
+    return a[..., : fhat.shape[-1]]
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """Scalar Fourier multiplier: a named pure function of (k1, k2, k3)."""
-
-    name: str
-    fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-    def on(self, lat: Lattice) -> np.ndarray:
-        values = np.asarray(self.fn(lat.kx, lat.ky, lat.kz))
-        values = np.broadcast_to(values, (lat.n, lat.n, lat.n))
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"symbol {self.name!r} not finite on the lattice")
-        return values
+def _reciprocal(lat: Lattice, a: np.ndarray) -> np.ndarray:
+    """1/a, and 0 on the zero-like modes, where a homogeneous symbol vanishes."""
+    with np.errstate(divide="ignore"):
+        return np.where(lat.zero_modes, 0.0, 1.0 / a)
 
 
-def apply_symbol(lat: Lattice, f: np.ndarray, m: Symbol | np.ndarray) -> np.ndarray:
-    """Multiply the Fourier coefficients of f pointwise by m(k)."""
-    mult = m.on(lat) if isinstance(m, Symbol) else m
-    return lat.ifft(mult * lat.fft(f))
+def apply_symbol(lat: Lattice, f: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Multiply the Fourier coefficients of f pointwise by mult(k), a per-mode
+    array; real f takes the real transform pair and gives a real result."""
+    fwd, inv = _transforms(lat, f)
+    fhat = fwd(f)
+    return inv(on_modes(mult, fhat) * fhat)
 
 
 def dealias(lat: Lattice, f: np.ndarray) -> np.ndarray:
     """Band-limit f to the 2/3 block (mandatory for exact identity checks)."""
-    out = lat.ifft(lat.dealias_mask() * lat.fft(f))
-    return out.real if np.isrealobj(f) else out
+    return apply_symbol(lat, f, lat.dealias_mask())
 
 
 # -- paper-specific multipliers ---------------------------------------------
@@ -286,18 +286,15 @@ def curl(lat: Lattice, u: np.ndarray) -> np.ndarray:
 
 
 def laplacian(lat: Lattice, f: np.ndarray) -> np.ndarray:
-    out = apply_symbol(lat, f, -lat.k_sq)
-    return out.real if np.isrealobj(f) else out
+    return apply_symbol(lat, f, -lat.k_sq)
 
 
 def leray_hat(lat: Lattice, uhat: np.ndarray) -> np.ndarray:
     """Leray projection of a vector spectrum (full or real-transform): per
     mode I - k k^T / |k|^2, the identity where k = 0."""
-    kx, ky, kz, k_sq = _wavevector(lat, uhat)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        k_dot_u = (kx * uhat[0] + ky * uhat[1] + kz * uhat[2]) / k_sq
-    k_dot_u[..., k_sq == 0.0] = 0.0
-    return np.stack([uhat[0] - kx * k_dot_u, uhat[1] - ky * k_dot_u, uhat[2] - kz * k_dot_u])
+    kx, ky, kz, inv_lap = (on_modes(a, uhat) for a in (lat.kx, lat.ky, lat.kz, lat.inv_laplacian))
+    c = (kx * uhat[0] + ky * uhat[1] + kz * uhat[2]) * inv_lap  # -(k.u)/|k|^2
+    return np.stack([uhat[0] + kx * c, uhat[1] + ky * c, uhat[2] + kz * c])
 
 
 def leray_project(lat: Lattice, u: np.ndarray) -> np.ndarray:
@@ -308,32 +305,17 @@ def leray_project(lat: Lattice, u: np.ndarray) -> np.ndarray:
 
 def poisson_solve(lat: Lattice, rho: np.ndarray) -> np.ndarray:
     """Solve Delta A0 = rho - mean(rho) with zero-mean A0 (jellium)."""
-    fwd, inv = _transforms(lat, rho)
-    rhohat = fwd(rho)
-    k_sq = _wavevector(lat, rhohat)[3]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sol = rhohat / (-k_sq)
-    sol[..., k_sq == 0.0] = 0.0
-    return inv(sol)
+    return apply_symbol(lat, rho, lat.inv_laplacian)
 
 
-def inv_abs_nabla(lat: Lattice, f: np.ndarray, power: float = 1.0) -> np.ndarray:
-    """Apply |nabla|^(-power); mean-like modes are mapped to zero."""
-    fhat = lat.fft(f)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mult = lat.k_abs ** (-power)
-    mult = np.where(lat.zero_modes, 0.0, mult)
-    out = lat.ifft(mult * fhat)
-    return out.real if np.isrealobj(f) else out
+def inv_abs_nabla(lat: Lattice, f: np.ndarray) -> np.ndarray:
+    """Apply |nabla|^-1; mean-like modes are mapped to zero."""
+    return apply_symbol(lat, f, _reciprocal(lat, lat.k_abs))
 
 
 def riesz_transform(lat: Lattice, f: np.ndarray, j: int) -> np.ndarray:
     """R_j = |nabla|^{-1} d_j as a single multiplier."""
-    k = (lat.kx, lat.ky, lat.kz)[j]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mult = 1j * k / lat.k_abs
-    mult = np.where(lat.zero_modes, 0.0, mult)
-    return apply_symbol(lat, f, mult)
+    return apply_symbol(lat, f, 1j * (lat.kx, lat.ky, lat.kz)[j] * _reciprocal(lat, lat.k_abs))
 
 
 # -- dyadic decomposition -----------------------------------------------------
@@ -363,8 +345,6 @@ def low_high_split(lat: Lattice, f: np.ndarray, eps: float):
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
     low = apply_symbol(lat, f, bump_profile(eps * lat.k_abs))
-    if np.isrealobj(f):
-        low = low.real
     return low, f - low
 
 

@@ -120,19 +120,18 @@ def null_identity_two_residual(lat: Lattice, A: np.ndarray, eps_dtA: np.ndarray,
     return l2_norm(lat, lhs - rhs) / denom if denom > 0 else l2_norm(lat, lhs - rhs)
 
 
-def null_identity_check(lat: Lattice, A0, A, eps_dtA, psi, U, dtU, eps: float,
-                        div_tol: float = 1e-10):
+def null_identity_check(lat: Lattice, A0, A, eps_dtA, psi, U, dtU, eps: float):
     """Residuals of both null identities.
 
-    Rejects non-divergence-free A.  A must also be mean-free: the Riesz
-    transforms annihilate the constant mode, which on the torus plays the
-    role of the decay assumed on the whole space.
+    Rejects A whose divergence or mean exceeds 1e-10.  A must be mean-free:
+    the Riesz transforms annihilate the constant mode, which on the torus
+    plays the role of the decay assumed on the whole space.
     """
     div_max = float(np.max(np.abs(divergence(lat, A))))
-    if not div_max <= div_tol:
+    if not div_max <= 1e-10:
         raise ValueError(f"A is not divergence-free (max |div A| = {div_max:.2e})")
     mean_max = float(np.max(np.abs(np.mean(A, axis=(1, 2, 3)))))
-    if mean_max > div_tol:
+    if mean_max > 1e-10:
         raise ValueError(f"A must be mean-free (max |mean A| = {mean_max:.2e})")
     res1 = null_identity_one_residual(lat, A, psi)
     res2 = null_identity_two_residual(lat, A, eps_dtA, psi, U, dtU, eps, A0)
@@ -142,7 +141,7 @@ def null_identity_check(lat: Lattice, A0, A, eps_dtA, psi, U, dtU, eps: float,
 # -- squared Dirac equation ------------------------------------------------------
 
 
-def squared_dirac_residuals(traj: Trajectory, dealias_fields: bool = False) -> np.ndarray:
+def squared_dirac_residuals(traj: Trajectory) -> np.ndarray:
     """L2 residual of the squared equation at interior samples, using
     centered second differences in time.
 
@@ -156,7 +155,7 @@ def squared_dirac_residuals(traj: Trajectory, dealias_fields: bool = False) -> n
     if not np.allclose(dts, dts[0], rtol=1e-8):
         raise ValueError("samples must be uniformly spaced")
     dt = float(dts[0])
-    A0_series = [derived_A0(lat, p, dealias_fields) for p in traj.psis]
+    A0_series = [derived_A0(lat, p) for p in traj.psis]
     out = []
     for i in range(1, len(times) - 1):
         psi_m, psi, psi_p = traj.psis[i - 1], traj.psis[i], traj.psis[i + 1]
@@ -213,7 +212,7 @@ def small_component_track(traj: Trajectory, order: int, m: int = 1) -> dict:
     return result
 
 
-def naive_expansion_residuals(traj: Trajectory, dealias_fields: bool = False) -> np.ndarray:
+def naive_expansion_residuals(traj: Trajectory) -> np.ndarray:
     """L2 residual of the lower-component expansion
     eta + (eps/2) i sigma.grad chi + (eps^2/2){i dt eta + A0 eta + A_j sigma^j chi}
     at interior samples.
@@ -235,7 +234,7 @@ def naive_expansion_residuals(traj: Trajectory, dealias_fields: bool = False) ->
     for i in range(1, len(times) - 1):
         chi, eta = sp.upper(phis[i]), sp.lower(phis[i])
         dt_eta = (sp.lower(phis[i + 1]) - sp.lower(phis[i - 1])) / (2.0 * dt)
-        A0 = derived_A0(lat, traj.psis[i], dealias_fields)
+        A0 = derived_A0(lat, traj.psis[i])
         A = traj.As[i]
         res = eta + 0.5j * eps * sigma_grad(lat, chi)
         res += 0.5 * eps**2 * (1j * dt_eta + A0 * eta + sp.sigma_dot(A, chi))

@@ -20,8 +20,8 @@ from . import spinors as sp
 from .evolve_dm import (DMState, StepConfig, coulomb_gauge, derived_A0, dm_strang_step, integrate, n_steps_for,
                         sample_steps)
 from .evolve_limits import DMPauliState, SPState, dm_pauli_step, sp_step
-from .fourier import (Lattice, bump_profile, curl, littlewood_paley, lp_norm, make_lattice, poisson_solve,
-                      sobolev_norm)
+from .fourier import (Lattice, bump_profile, curl, h_eps_symbol, littlewood_paley, lp_norm, make_lattice,
+                      poisson_solve, sobolev_norm)
 
 # -- configuration ---------------------------------------------------------------
 
@@ -39,7 +39,6 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     gauge: str = "zero"
     sample_every: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         eps = list(self.eps_list)
@@ -118,6 +117,8 @@ def _dm_schedule(cfg: ExperimentConfig, eps: float):
     multiples of dt_ref * sample_every."""
     dt = cfg.dt_for(eps)
     steps = int(round(cfg.T / dt))
+    if steps < 1:
+        raise ValueError(f"T = {cfg.T} is shorter than half a DM step at eps = {eps} (dt = {dt:.6g})")
     dt = cfg.T / steps
     return dt, steps, max(1, int(round(cfg.dt_ref * cfg.sample_every / dt)))
 
@@ -254,10 +255,10 @@ def seminonrel_study(cfg: ExperimentConfig) -> RateReport:
 # -- weak-* current pairing ------------------------------------------------------------
 
 
-def test_bump(lat: Lattice, T: float, t_support=(0.2, 0.8)):
+def test_bump(lat: Lattice, T: float):
     """Fixed smooth bump G(t, x) = g(t) b(x), compactly supported in time
-    inside (0, T) and smooth on the torus; returns callables."""
-    t0, t1 = t_support[0] * T, t_support[1] * T
+    on (0.2 T, 0.8 T) and smooth on the torus; returns callables."""
+    t0, t1 = 0.2 * T, 0.8 * T
 
     def g(t):
         s = (np.asarray(t, dtype=float) - t0) / (t1 - t0)
@@ -340,12 +341,11 @@ def lp_localized_data(lat: Lattice, scale: float, seed_key: tuple) -> np.ndarray
 
 
 def dyadic_probe(lat: Lattice, mu: float, lam: float, eps: float, trials: int,
-                 case: str, T: float = 1.0, dt: float = 0.02, seed: int = 0,
-                 sign: int = 1) -> list:
+                 case: str, T: float = 1.0, dt: float = 0.02, seed: int = 0) -> list:
     """Ratio statistics for the spacetime product estimates.
 
     u solves box_eps u = 0 with data (f, 0); v solves the modulated-Dirac
-    scalar flow i dt v = sign * h_eps v with data g.  Case 'i'/'ii' measures
+    scalar flow i dt v = h_eps v with data g.  Case 'i'/'ii' measures
     ||LP_mu(u_lam v_lam)||_{L2_{t,x}}, case 'iii' measures ||u_mu v_lam||
     without outer localization; denominators follow the respective claims.
     """
@@ -353,8 +353,6 @@ def dyadic_probe(lat: Lattice, mu: float, lam: float, eps: float, trials: int,
         raise ValueError(f"case must be 'i', 'ii' or 'iii', got {case}")
     if max(mu, lam) > float(np.max(lat.k_abs)) / 2.0:
         raise ValueError("dyadic scale beyond lattice resolution")
-    from .fourier import h_eps_symbol
-
     steps = int(round(T / dt))
     times = np.arange(steps + 1) * dt
     omega = lat.k_abs / eps
@@ -374,7 +372,7 @@ def dyadic_probe(lat: Lattice, mu: float, lam: float, eps: float, trials: int,
         sq_accum = np.zeros(steps + 1)
         for it, t in enumerate(times):
             u = lat.ifft(np.cos(omega * t) * fhat)
-            v = lat.ifft(np.exp(-1j * sign * h_sym * t) * ghat)
+            v = lat.ifft(np.exp(-1j * h_sym * t) * ghat)
             prod_hat = lat.fft(u * v)
             if case in ("i", "ii"):
                 prod_hat = beta_mu * prod_hat

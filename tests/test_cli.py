@@ -204,6 +204,13 @@ class TestCheckSuites:
     def test_suites_pass(self, suite):
         assert run_cli(["check", suite]) == 0
 
+    def test_symbols_suite_checks_the_code_symbols(self, monkeypatch, capsys):
+        from diracmaxwell import fourier
+
+        monkeypatch.setattr(fourier, "h_eps_symbol", lambda lat, eps: lat.k_sq / 2.0)
+        assert cli.cmd_check("symbols") == 1
+        assert "FAIL dispersion_gap" in capsys.readouterr().out
+
     def test_unknown_suite(self, capsys):
         assert run_cli(["check", "bogus"]) == 2
         assert "unknown suite" in capsys.readouterr().err

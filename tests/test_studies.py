@@ -51,6 +51,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="eps = 0.3"):
             st.nonrel_convergence_study(cfg)
 
+    def test_run_shorter_than_half_a_step_rejected(self):
+        cfg = small_cfg(T=0.001, dt_ref=0.004, gauge="bandlimited_divfree",
+                        params={"amplitude": 0.5, "gauge_amplitude": 0.3})
+        with pytest.raises(ValueError, match="T = 0.001"):
+            st.seminonrel_study(cfg)
+
     def test_dt_for_schedules(self):
         cfg = small_cfg(dt_schedule="eps_squared")
         assert cfg.dt_for(0.4) == pytest.approx(2e-3)
