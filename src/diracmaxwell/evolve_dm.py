@@ -18,6 +18,13 @@ per-mode multipliers from the bounded cache fourier.mode_multipliers.  Not
 done: scipy.fft (its import costs ~0.3 s and 27 MB per process) and merging
 consecutive half kicks (the step would depend on the sample times).
 
+The Picard reference solve keeps its iterates as spectra (A as real-transform
+spectra).  A time level takes one inverse and one forward 4-component
+transform and one real transform each way; Duhamel and the wave update act
+per mode and the Cauchy H1 distances come by Parseval.  It shares only
+free_flow_hat, wave_oscillator and leray_hat with dm_strang_step, so it stays
+an independent check of the splitting.
+
 Every run, of this system or of the limit systems, is driven by integrate():
 it applies a pure state-to-state step, samples on one schedule and guards
 against non-finite spinors.  Distinct runs share no mutable state and the
@@ -32,7 +39,7 @@ import numpy as np
 
 from . import spinors as sp
 from .fourier import (Lattice, curl, dealias, gradient, l2_norm, lambda_eps, leray_hat, leray_project,
-                      mode_multipliers, on_modes, poisson_solve, sobolev_norm)
+                      mode_multipliers, on_modes, poisson_solve, sobolev_norm, sobolev_norm_hat)
 
 
 @dataclass
@@ -255,23 +262,30 @@ def simulate_dm(init: DMState, T: float, cfg: StepConfig) -> Trajectory:
 
 @dataclass
 class PicardResult:
+    """psis, As: the final iterate in real space at every time level (times);
+    cauchy[m]: sup over levels of the H1 distance between iterates m and m-1;
+    contraction_failed: cauchy grew three times in a row."""
+
     times: np.ndarray
-    psis: list                  # final iterate, sampled every step
+    psis: list
     As: list
-    cauchy: list                # sup_t H1 distance between consecutive iterates
+    cauchy: list
     contraction_failed: bool
 
 
-def _duhamel_dirac(lat: Lattice, psi0: np.ndarray, forcing: list, dt: float, eps: float) -> list:
-    """Solve i dt(psi) = H0 psi + F(t) with exact free flow per step and the
-    forcing frozen at the step midpoint (endpoint average)."""
-    out = [psi0.copy()]
-    psi = psi0
-    for k in range(len(forcing) - 1):
-        # exponential midpoint rule: the midpoint source rides the free flow
-        f_mid = 0.5 * (forcing[k] + forcing[k + 1])
-        psi = free_dirac_step(lat, psi, dt, eps) - 1j * dt * free_dirac_step(lat, f_mid, dt / 2.0, eps)
-        out.append(psi.copy())
+def _duhamel_dirac(lat: Lattice, psi0: np.ndarray, forcing, dt: float, eps: float) -> list:
+    """Solve i dt(psi) = H0 psi + F(t) per Fourier mode by the exponential
+    midpoint rule: exact free flow over each step, with the endpoint average of
+    the forcing riding a half-step of it.  psi0 is the spectrum at t = 0,
+    forcing an iterable of the per-level forcing spectra, consumed in order;
+    returns the spectra at every level."""
+    out = [psi0]
+    forcing = iter(forcing)
+    f_prev = next(forcing)
+    for f in forcing:
+        out.append(free_flow_hat(lat, out[-1], dt, eps)
+                   - 1j * dt * free_flow_hat(lat, 0.5 * (f_prev + f), dt / 2.0, eps))
+        f_prev = f
     return out
 
 
@@ -281,34 +295,43 @@ def picard_solve(init: DMState, T: float, m_max: int, cfg: StepConfig) -> Picard
     Iterate m = -1 is zero everywhere, so iterate 0 is the free evolution of
     the data.  Each Dirac update applies Duhamel with the previous iterate's
     potentials, each wave update the exact oscillator with the previous
-    iterate's (Leray-projected) current.
+    iterate's (Leray-projected) current.  A non-finite Cauchy distance raises
+    FloatingPointError naming the iterate, the time level and t.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     lat, eps, dt = init.lat, init.eps, cfg.dt
     steps = n_steps_for(T, cfg.dt)
     times = np.arange(steps + 1) * dt
-    a0 = leray_project(lat, init.A)
-    a1 = leray_project(lat, init.eps_dtA)
+    a0, a1 = lat.rfft(leray_project(lat, init.A)), lat.rfft(leray_project(lat, init.eps_dtA))
+    psihat0 = lat.fft(init.psi)
 
-    psi_prev = [np.zeros_like(init.psi)] * (steps + 1)
-    A_prev = [np.zeros_like(init.A)] * (steps + 1)
+    psi_prev = [np.zeros_like(psihat0)] * (steps + 1)
+    A_prev = [np.zeros_like(a0)] * (steps + 1)
     cauchy = []
     for m in range(m_max + 1):
-        # potentials of the previous iterate
-        A0_prev = [derived_A0(lat, p, cfg.dealias) for p in psi_prev]
-        forcing = [-sp.alpha_dot(a, p) - a0_field * p for p, a, a0_field in zip(psi_prev, A_prev, A0_prev)]
-        psi_next = _duhamel_dirac(lat, init.psi, forcing, dt, eps)
+        A_next = [a0]
 
-        J_prev = [sp.current_density(p, eps) for p in psi_prev]
-        A_next, A_cur, W = [a0], a0, a1
-        for k in range(steps):
-            A_cur, W = wave_step(lat, A_cur, W, 0.5 * (J_prev[k] + J_prev[k + 1]), dt, eps)
-            A_next.append(A_cur)
+        def forcing():
+            # sources of the previous iterate, one level at a time; the wave
+            # update rides along, driven by the average of adjacent currents
+            W = a1
+            for k, (psihat, Ahat) in enumerate(zip(psi_prev, A_prev)):
+                psi, A = lat.ifft(psihat), lat.irfft(Ahat)
+                J = lat.rfft(sp.current_density(psi, eps))
+                if k:
+                    A_cur, W = wave_oscillator(lat, A_next[-1], W, eps * leray_hat(lat, 0.5 * (J_last + J)), dt, eps)
+                    A_next.append(A_cur)
+                J_last = J
+                yield lat.fft(-sp.alpha_dot(A, psi) - derived_A0(lat, psi, cfg.dealias) * psi)
 
-        diff = max(
-            sobolev_norm(lat, pn - pp, 1.0) for pn, pp in zip(psi_next, psi_prev)
-        )
+        psi_next = _duhamel_dirac(lat, psihat0, forcing(), dt, eps)
+        diff = 0.0
+        for k, (pn, pp) in enumerate(zip(psi_next, psi_prev)):
+            d = sobolev_norm_hat(lat, pn - pp, 1.0)
+            if not np.isfinite(d):
+                raise FloatingPointError(f"non-finite Picard iterate {m} at time level {k}, t = {times[k]}")
+            diff = max(diff, d)
         cauchy.append(diff)
         psi_prev, A_prev = psi_next, A_next
 
@@ -316,7 +339,7 @@ def picard_solve(init: DMState, T: float, m_max: int, cfg: StepConfig) -> Picard
     if len(cauchy) >= 4:
         increasing = [cauchy[i + 1] > cauchy[i] for i in range(len(cauchy) - 1)]
         failed = any(all(increasing[i : i + 3]) for i in range(len(increasing) - 2))
-    return PicardResult(times, psi_prev, A_prev, cauchy, failed)
+    return PicardResult(times, [lat.ifft(p) for p in psi_prev], [lat.irfft(a) for a in A_prev], cauchy, failed)
 
 
 # -- diagnostic constructions ----------------------------------------------------

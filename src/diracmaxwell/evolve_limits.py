@@ -17,7 +17,8 @@ import numpy as np
 
 from . import spinors as sp
 from .evolve_dm import DMState, StepConfig, coulomb_gauge, derived_A0, dm_strang_step
-from .fourier import Lattice, apply_symbol, curl, divergence, l2_norm, partial, poisson_solve, sobolev_norm
+from .fourier import (Lattice, apply_symbol, curl, divergence, kinetic_multipliers, l2_norm, partial, poisson_solve,
+                      sobolev_norm)
 
 
 @dataclass
@@ -51,9 +52,9 @@ def sp_step(state: SPState, dt: float) -> SPState:
     half = np.exp(1j * u * dt / 2.0)
     vp = half * state.v_plus
     vm = half * state.v_minus
-    kin = np.exp(-1j * lat.k_sq * dt / 2.0)
+    kin, kin_conj = kinetic_multipliers(lat, dt)
     vp = apply_symbol(lat, vp, kin)
-    vm = apply_symbol(lat, vm, np.conj(kin))
+    vm = apply_symbol(lat, vm, kin_conj)
     u = sp_potential(lat, vp, vm)
     half = np.exp(1j * u * dt / 2.0)
     return SPState(lat, state.t + dt, half * vp, half * vm)
@@ -146,7 +147,7 @@ def pauli_step(state: PauliState, A0: np.ndarray, A: np.ndarray, dt: float,
     chi = _kick_matrix_apply(A0, B, A_sq, eps, dt / 2.0, state.chi)
     if advect:
         chi = _advect_apply(lat, A, eps, dt / 2.0, chi)
-    chi = apply_symbol(lat, chi, np.exp(-1j * lat.k_sq * dt / 2.0))
+    chi = apply_symbol(lat, chi, kinetic_multipliers(lat, dt)[0])
     if advect:
         chi = _advect_apply(lat, A, eps, dt / 2.0, chi)
     chi = _kick_matrix_apply(A0, B, A_sq, eps, dt / 2.0, chi)

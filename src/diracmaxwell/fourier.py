@@ -29,8 +29,9 @@ fixed once and for all:
   it) take one 1-D transform pair along the derivative axis, not a 3-D pair.
 
 Everything here is a pure function of immutable inputs (the Lattice caches
-are computed once and never mutated, and ``mode_multipliers`` hands out
-read-only arrays), so concurrent use from multiple threads is safe.
+are computed once and never mutated, and ``mode_multipliers`` and
+``kinetic_multipliers`` hand out read-only arrays), so concurrent use from
+multiple threads is safe.
 """
 
 from __future__ import annotations
@@ -236,6 +237,16 @@ def mode_multipliers(lat: Lattice, eps: float, dt: float) -> ModeMultipliers:
     return ModeMultipliers(lat, eps, dt)
 
 
+@functools.lru_cache(maxsize=2)
+def kinetic_multipliers(lat: Lattice, dt: float) -> tuple:
+    """Cached read-only exp(-i dt |k|^2 / 2) and its conjugate: the free
+    Schrodinger flows over dt of the SP branches and the Pauli spinor.  A run
+    steps at one dt, so two entries serve two runs in lockstep and keep little
+    memory after a sweep over dt."""
+    kin = np.exp(-1j * lat.k_sq * dt / 2.0)
+    return _read_only(kin, np.conj(kin))
+
+
 def lambda_eps(lat: Lattice, f: np.ndarray, eps: float, power: int = 1) -> np.ndarray:
     """Apply (1 + eps^2 |k|^2)^(power/2), power in {+1, -1}."""
     if power not in (1, -1):
@@ -358,7 +369,11 @@ def sobolev_norm(lat: Lattice, f: np.ndarray, s: float, homogeneous: bool = Fals
     modes (zeroed Nyquist corners included) are dropped from homogeneous
     norms; a homogeneous norm with s < 0 requires a mean-free field.
     """
-    fhat = lat.fft(f)
+    return sobolev_norm_hat(lat, lat.fft(f), s, homogeneous)
+
+
+def sobolev_norm_hat(lat: Lattice, fhat: np.ndarray, s: float, homogeneous: bool = False) -> float:
+    """sobolev_norm of f from its full spectrum fhat = lat.fft(f), by Parseval."""
     power = np.abs(fhat) ** 2
     if power.ndim > 3:
         power = power.reshape(-1, lat.n, lat.n, lat.n).sum(axis=0)

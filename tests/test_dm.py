@@ -263,7 +263,55 @@ class TestSimulate:
             dm.simulate_dm(state, 0.105, dm.StepConfig(dt=0.01))
 
 
+def picard_reference(init, T, m_max, cfg):
+    """The real-space Picard loop that the spectral picard_solve replaced:
+    every level goes through free_dirac_step, wave_step and sobolev_norm."""
+    lat, eps, dt = init.lat, init.eps, cfg.dt
+    steps = dm.n_steps_for(T, dt)
+    a0, a1 = fc.leray_project(lat, init.A), fc.leray_project(lat, init.eps_dtA)
+    psi_prev = [np.zeros_like(init.psi)] * (steps + 1)
+    A_prev = [np.zeros_like(init.A)] * (steps + 1)
+    cauchy = []
+    for _ in range(m_max + 1):
+        A0_prev = [dm.derived_A0(lat, p, cfg.dealias) for p in psi_prev]
+        forcing = [-sp.alpha_dot(a, p) - a0_field * p for p, a, a0_field in zip(psi_prev, A_prev, A0_prev)]
+        psi_next = [init.psi.copy()]
+        for k in range(steps):
+            f_mid = 0.5 * (forcing[k] + forcing[k + 1])
+            psi_next.append(dm.free_dirac_step(lat, psi_next[-1], dt, eps)
+                            - 1j * dt * dm.free_dirac_step(lat, f_mid, dt / 2.0, eps))
+        J_prev = [sp.current_density(p, eps) for p in psi_prev]
+        A_next, W = [a0], a1
+        for k in range(steps):
+            A, W = dm.wave_step(lat, A_next[-1], W, 0.5 * (J_prev[k] + J_prev[k + 1]), dt, eps)
+            A_next.append(A)
+        cauchy.append(max(fc.sobolev_norm(lat, pn - pp, 1.0) for pn, pp in zip(psi_next, psi_prev)))
+        psi_prev, A_prev = psi_next, A_next
+    return psi_prev, A_prev, cauchy
+
+
 class TestPicard:
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_matches_real_space_reference(self, lat, dealias):
+        state = smooth_state(lat, 0.4, gauge_amp=0.3)
+        state.eps_dtA = 0.5 * gauge_profile(lat, 0.3)[[1, 2, 0]]
+        cfg = dm.StepConfig(dt=2e-3, dealias=dealias)
+        res = dm.picard_solve(state, 0.02, 4, cfg)
+        psis, As, cauchy = picard_reference(state, 0.02, 4, cfg)
+        for got, want in ((res.psis, psis), (res.As, As)):
+            assert len(got) == len(want) == 11
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+        assert np.abs(As[-1]).max() > 0.1
+        np.testing.assert_allclose(res.cauchy, cauchy, rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.parametrize("field", ["A", "psi"])
+    def test_non_finite_input_raises(self, lat, field):
+        state = smooth_state(lat, 0.4, gauge_amp=0.3)
+        getattr(state, field)[0, 1, 2, 3] = np.inf if field == "A" else np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match=r"iterate \d+ at time level \d+, t = "):
+            dm.picard_solve(state, 0.01, 4, dm.StepConfig(dt=2e-3))
+
     def test_zero_data_converges_immediately(self, lat):
         n = lat.n
         state = dm.DMState(

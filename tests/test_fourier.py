@@ -284,6 +284,16 @@ class TestModeMultipliers:
         with pytest.raises(ValueError):
             fc.mode_multipliers(lat, 0.0, 0.01)
 
+    def test_kinetic_arrays_read_only_and_exact(self, lat):
+        dt = 0.013
+        kin = np.exp(-1j * lat.k_sq * dt / 2.0)
+        got = fc.kinetic_multipliers(lat, dt)
+        for a, want in zip(got, (kin, np.conj(kin))):
+            assert np.array_equal(a, want)
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0, 0] = 1.0
+
 
 class TestPoisson:
     def test_eigenfunction(self, lat):
@@ -388,6 +398,8 @@ class TestNorms:
     def test_parseval(self, lat):
         f = random_complex(lat, 15)
         assert fc.sobolev_norm(lat, f, 0.0) == pytest.approx(fc.l2_norm(lat, f), rel=1e-12)
+        for s, homogeneous in ((0.0, False), (1.0, False), (1.0, True)):
+            assert fc.sobolev_norm_hat(lat, lat.fft(f), s, homogeneous) == fc.sobolev_norm(lat, f, s, homogeneous)
 
     def test_lp_constant(self, lat):
         f = np.ones((lat.n,) * 3)
