@@ -176,7 +176,7 @@ def cmd_run_pauli(cfg: dict, out_dir: Path, seed: int) -> int:
     init = _dm_init(cfg)
     step_cfg = StepConfig(dt=dt)
     writer = _SampleWriter(out_dir, "chi", init.lat, lambda s: s.pauli.chi, lambda s: pauli_diagnostics(s.pauli))
-    integrate(DMPauliState.start(init, sp.upper(init.psi), step_cfg), lambda s: dm_pauli_step(s, step_cfg),
+    integrate(DMPauliState.start(init, sp.upper(init.psi)), lambda s: dm_pauli_step(s, step_cfg),
               n_steps_for(T, dt), every, writer)
     return _finish("run-pauli", out_dir, cfg, seed, t0, writer)
 

@@ -11,12 +11,15 @@ Source freezing happens at the step midpoint (the current is evaluated after
 the half kick and a half free flight), which makes a (dt, -dt) round trip
 exact; see the tests.
 
-One transform of the kicked spinor feeds both free half-steps, and the real
-fields (charge, current, A, eps*dt(A)) use real transforms: a step moves 4
-complex components forward and 8 back, 11 real forward and 8 back, with
-per-mode multipliers from the bounded cache fourier.mode_multipliers.  Not
-done: scipy.fft (its import costs ~0.3 s and 27 MB per process) and merging
-consecutive half kicks (the step would depend on the sample times).
+One transform of the kicked spinor feeds both free half-steps, the real
+fields use real transforms, and per-mode multipliers come from the bounded
+cache fourier.mode_multipliers.  A stepped DMState carries A0 (the kick is
+pointwise unitary, so the closing A0 of a step opens the next) and the
+spectra of A and eps*dt(A): a step moves 4 complex components forward and 8
+back, 4 real forward and 7 back; a sample, one spectrum of psi and one real
+one of A.  Not done: scipy.fft (its import costs ~0.3 s and 27 MB per
+process) and merging consecutive half kicks (first same as last: the step
+would depend on the sample times).
 
 The Picard reference solve keeps its iterates as spectra (A as real-transform
 spectra).  A time level takes one inverse and one forward 4-component
@@ -33,7 +36,8 @@ results are independent of thread scheduling for a fixed configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,9 +46,22 @@ from .fourier import (Lattice, curl, dealias, gradient, l2_norm, lambda_eps, ler
                       mode_multipliers, on_modes, poisson_solve, sobolev_norm, sobolev_norm_hat)
 
 
-@dataclass
+class Carried(NamedTuple):
+    """What dm_strang_step hands on to its next call."""
+
+    dealias: bool
+    A0: np.ndarray     # derived_A0(lat, psi, dealias)
+    A_hat: np.ndarray  # lat.rfft(A)
+    W_hat: np.ndarray  # lat.rfft(eps_dtA)
+
+
+@dataclass(frozen=True, eq=False)
 class DMState:
-    """State of the coupled system: spinor, magnetic potential, eps*dt(A)."""
+    """State of the coupled system: spinor, magnetic potential, eps*dt(A).
+
+    Frozen.  Only dm_strang_step sets ``carried``, on states whose arrays it
+    makes read-only; a state built any other way (constructor, copy(),
+    dataclasses.replace) has none, and its first step derives the values."""
 
     lat: Lattice
     t: float
@@ -52,6 +69,7 @@ class DMState:
     A: np.ndarray              # (3, n, n, n) real, divergence-free
     eps_dtA: np.ndarray        # (3, n, n, n) real, stores eps * dt(A)
     eps: float
+    carried: Carried | None = field(default=None, init=False, repr=False)
 
     def copy(self) -> "DMState":
         return DMState(self.lat, self.t, self.psi.copy(), self.A.copy(), self.eps_dtA.copy(), self.eps)
@@ -72,6 +90,8 @@ class StepConfig:
             raise ValueError("dt must be nonzero")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
+        if not self.h1_ceiling > 0:
+            raise ValueError(f"h1_ceiling must be positive, got {self.h1_ceiling}")
 
 
 def derived_A0(lat: Lattice, psi: np.ndarray, dealias_flag: bool = False) -> np.ndarray:
@@ -101,13 +121,20 @@ def potential_kick(lat: Lattice, psi: np.ndarray, A0: np.ndarray, A: np.ndarray,
     """Pointwise-exact solve of i dt(psi) = (-A.alpha - A0) psi over dt.
 
     exp(i dt (A.alpha + A0)) factorizes since A0*I commutes with A.alpha and
-    (A.alpha)^2 = |A|^2; the magnetic factor is cos + i sin * unit-alpha.
+    (A.alpha)^2 = |A|^2: phase (cos + i sin * unit-alpha), phase = exp(i dt A0).
+    The phase and i sin/|A| are folded into the sigma entries of A.alpha.
     """
-    mag = np.sqrt(np.sum(A**2, axis=0))
-    theta = dt * mag
+    theta = dt * np.sqrt(np.sum(A**2, axis=0))
     sin_over_mag = dt * np.sinc(theta / np.pi)  # sin(dt m)/m with the m -> 0 limit dt
     phase = np.exp(1j * dt * A0)
-    return (phase * np.cos(theta)) * psi + (1j * sin_over_mag * phase) * sp.alpha_dot(A, psi)
+    diag = phase * np.cos(theta)
+    f = 1j * sin_over_mag * phase
+    vz, vm, vp = (f * e for e in sp._sigma_entries(A))
+    out = np.empty(psi.shape, dtype=complex)
+    for lo, hi in ((0, 2), (2, 0)):  # alpha swaps the 2-blocks
+        out[lo] = diag * psi[lo] + vz * psi[hi] + vm * psi[hi + 1]
+        out[lo + 1] = diag * psi[lo + 1] + vp * psi[hi] - vz * psi[hi + 1]
+    return out
 
 
 def wave_oscillator(lat: Lattice, fhat: np.ndarray, ghat: np.ndarray, srchat: np.ndarray, dt: float, eps: float):
@@ -121,30 +148,47 @@ def wave_oscillator(lat: Lattice, fhat: np.ndarray, ghat: np.ndarray, srchat: np
     return c * fhat + s * ghat + a * srchat, b * fhat + c * ghat + s * srchat
 
 
-def wave_step(lat: Lattice, A: np.ndarray, eps_dtA: np.ndarray, J: np.ndarray, dt: float, eps: float):
-    """Exact step of eps^2 dtt(A) - Delta A = eps P J with J frozen; the Leray
-    projection P of the current is applied here."""
-    Shat = eps * leray_hat(lat, lat.rfft(J))
-    A_new, W_new = wave_oscillator(lat, lat.rfft(A), lat.rfft(eps_dtA), Shat, dt, eps)
-    return lat.irfft(A_new), lat.irfft(W_new)
+def wave_step(lat: Lattice, A_hat: np.ndarray, W_hat: np.ndarray, J: np.ndarray, dt: float, eps: float):
+    """Exact step of eps^2 dtt(A) - Delta A = eps P J with J frozen, on the
+    real-transform spectra of A and W = eps*dt(A); returns the new spectra.
+    The Leray projection P of the (real-space) current is applied here."""
+    return wave_oscillator(lat, A_hat, W_hat, eps * leray_hat(lat, lat.rfft(J)), dt, eps)
 
 
 # -- coupled stepping ----------------------------------------------------------
 
 
+def carried_values(state: DMState, cfg: StepConfig) -> Carried:
+    """state.carried, or the same values derived afresh when the state has
+    none or was stepped under the other dealias flag."""
+    c = state.carried
+    if c is None or c.dealias != cfg.dealias:
+        lat = state.lat
+        c = Carried(cfg.dealias, derived_A0(lat, state.psi, cfg.dealias), lat.rfft(state.A), lat.rfft(state.eps_dtA))
+    return c
+
+
 def dm_strang_step(state: DMState, cfg: StepConfig) -> DMState:
+    """Half kick, free flight with the wave step in the midpoint current, half
+    kick; the closing A0 and the new spectra of A and eps*dt(A) are carried."""
     lat, eps, dt = state.lat, state.eps, cfg.dt
-    A0 = derived_A0(lat, state.psi, cfg.dealias)
-    psi_a = potential_kick(lat, state.psi, A0, state.A, dt / 2.0, eps)
-    psihat_mid = free_flow_hat(lat, lat.fft(psi_a), dt / 2.0, eps)
+    c = carried_values(state, cfg)
+    psihat_mid = free_flow_hat(lat, lat.fft(potential_kick(lat, state.psi, c.A0, state.A, dt / 2.0, eps)),
+                               dt / 2.0, eps)
     J = sp.current_density(lat.ifft(psihat_mid), eps)
     if cfg.dealias:
         J = dealias(lat, J)
+    A_hat, W_hat = wave_step(lat, c.A_hat, c.W_hat, J, dt, eps)
     psi_b = lat.ifft(free_flow_hat(lat, psihat_mid, dt / 2.0, eps))
-    A_new, W_new = wave_step(lat, state.A, state.eps_dtA, J, dt, eps)
+    del psihat_mid, J  # not kept alive through the closing kick, where the step peaks in memory
+    A_new, W_new = lat.irfft(A_hat), lat.irfft(W_hat)
     A0_new = derived_A0(lat, psi_b, cfg.dealias)
     psi_new = potential_kick(lat, psi_b, A0_new, A_new, dt / 2.0, eps)
-    return DMState(lat, state.t + dt, psi_new, A_new, W_new, eps)
+    for a in (psi_new, A_new, W_new):
+        a.flags.writeable = False
+    new = DMState(lat, state.t + dt, psi_new, A_new, W_new, eps)
+    object.__setattr__(new, "carried", Carried(cfg.dealias, A0_new, A_hat, W_hat))
+    return new
 
 
 @dataclass
@@ -170,14 +214,18 @@ DIAGNOSTIC_COLUMNS = ("t", "charge", "h1_psi", "h1dot_A", "eps_l2_dtA", "h1_pi_m
 
 
 def _diagnose(state: DMState) -> dict:
+    """The DIAGNOSTIC_COLUMNS of a state.  The spinor columns come from one
+    spectrum of psi by Parseval (Pi_- per mode, no inverse transform) and
+    h1dot_A from a real transform of A."""
     lat = state.lat
+    psihat = lat.fft(state.psi)
     return {
         "t": state.t,
-        "charge": sp.total_charge(lat, state.psi),
-        "h1_psi": sobolev_norm(lat, state.psi, 1.0),
+        "charge": sobolev_norm_hat(lat, psihat, 0.0) ** 2,
+        "h1_psi": sobolev_norm_hat(lat, psihat, 1.0),
         "h1dot_A": sobolev_norm(lat, state.A, 1.0, homogeneous=True),
         "eps_l2_dtA": l2_norm(lat, state.eps_dtA),
-        "h1_pi_minus_psi": sobolev_norm(lat, sp.pi_eps(lat, state.psi, state.eps, -1), 1.0),
+        "h1_pi_minus_psi": sobolev_norm_hat(lat, sp.pi_eps_hat(lat, psihat, state.eps, -1), 1.0),
     }
 
 
@@ -214,16 +262,22 @@ def integrate(state, step, n_steps: int, sample_every: int, observe):
     of sample_steps(n_steps, sample_every); returns the final state.
 
     Works for every solver state with a time ``t`` and a ``spinors()`` tuple.
-    A non-finite value in any spinor array of a new state raises
-    FloatingPointError; that error, and any raised inside a step, names the
-    step and the time it started from.
+    A non-finite value in any spinor array of the initial state raises
+    FloatingPointError naming step 0 and t before anything is observed; in a
+    new state it raises FloatingPointError too, and that error, and any
+    raised inside a step, names the step and the time it started from.
     """
+    def finite(s):
+        return all(np.all(np.isfinite(a)) for a in s.spinors())
+
     samples = set(sample_steps(n_steps, sample_every))
+    if not finite(state):
+        raise FloatingPointError(f"non-finite spinor in the initial state, step 0, t = {state.t}")
     observe(state)
     for k in range(1, n_steps + 1):
         try:
             new = step(state)
-            if not all(np.all(np.isfinite(a)) for a in new.spinors()):
+            if not finite(new):
                 raise FloatingPointError("non-finite spinor")
         except FloatingPointError as exc:
             raise FloatingPointError(f"{exc} in step {k}, from t = {state.t}") from None
@@ -236,10 +290,8 @@ def integrate(state, step, n_steps: int, sample_every: int, observe):
 def coulomb_gauge(init: DMState) -> DMState:
     """Copy of a DM state with A and eps*dt(A) Leray-projected; every DM run
     starts from it."""
-    out = init.copy()
-    out.A = leray_project(init.lat, init.A)
-    out.eps_dtA = leray_project(init.lat, init.eps_dtA)
-    return out
+    return replace(init, psi=init.psi.copy(), A=leray_project(init.lat, init.A),
+                   eps_dtA=leray_project(init.lat, init.eps_dtA))
 
 
 def simulate_dm(init: DMState, T: float, cfg: StepConfig) -> Trajectory:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spinors as sp
-from .evolve_dm import DMState, StepConfig, coulomb_gauge, derived_A0, dm_strang_step
+from .evolve_dm import DMState, StepConfig, carried_values, coulomb_gauge, dm_strang_step
 from .fourier import (Lattice, apply_symbol, curl, divergence, kinetic_multipliers, l2_norm, partial, poisson_solve,
                       sobolev_norm)
 
@@ -162,17 +162,15 @@ def pauli_diagnostics(state: PauliState) -> dict:
 @dataclass
 class DMPauliState:
     """A DM state and the Pauli spinor driven by its fields, advanced in
-    lockstep.  A0 is derived_A0 of dm.psi, carried over so that each step
-    derives the potential once."""
+    lockstep."""
 
     dm: DMState
     pauli: PauliState
-    A0: np.ndarray
 
     @classmethod
-    def start(cls, init: DMState, chi0: np.ndarray, cfg: StepConfig) -> "DMPauliState":
+    def start(cls, init: DMState, chi0: np.ndarray) -> "DMPauliState":
         dm = coulomb_gauge(init)
-        return cls(dm, PauliState(dm.lat, dm.t, chi0.copy(), dm.eps), derived_A0(dm.lat, dm.psi, cfg.dealias))
+        return cls(dm, PauliState(dm.lat, dm.t, chi0.copy(), dm.eps))
 
     @property
     def t(self) -> float:
@@ -184,8 +182,9 @@ class DMPauliState:
 
 def dm_pauli_step(state: DMPauliState, cfg: StepConfig) -> DMPauliState:
     """One DM step, and one Pauli step in the endpoint averages of A0 and A
-    (the midpoint values of their linear interpolation)."""
+    (the midpoint values of their linear interpolation).  A0 at either end
+    is the one the DM step carries, so only the first step derives it here."""
     dm = dm_strang_step(state.dm, cfg)
-    A0 = derived_A0(dm.lat, dm.psi, cfg.dealias)
-    pauli = pauli_step(state.pauli, 0.5 * (state.A0 + A0), 0.5 * (state.dm.A + dm.A), cfg.dt)
-    return DMPauliState(dm, pauli, A0)
+    A0_open = carried_values(state.dm, cfg).A0
+    pauli = pauli_step(state.pauli, 0.5 * (A0_open + dm.carried.A0), 0.5 * (state.dm.A + dm.A), cfg.dt)
+    return DMPauliState(dm, pauli)

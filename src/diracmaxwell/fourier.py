@@ -367,16 +367,21 @@ def sobolev_norm(lat: Lattice, f: np.ndarray, s: float, homogeneous: bool = Fals
 
     Multi-component fields are summed over the leading axes.  The zero-like
     modes (zeroed Nyquist corners included) are dropped from homogeneous
-    norms; a homogeneous norm with s < 0 requires a mean-free field.
+    norms; a homogeneous norm with s < 0 requires a mean-free field.  A real
+    field takes the real transform, as in ``apply_symbol``.
     """
-    return sobolev_norm_hat(lat, lat.fft(f), s, homogeneous)
+    fwd, _ = _transforms(lat, f)
+    return sobolev_norm_hat(lat, fwd(f), s, homogeneous)
 
 
 def sobolev_norm_hat(lat: Lattice, fhat: np.ndarray, s: float, homogeneous: bool = False) -> float:
-    """sobolev_norm of f from its full spectrum fhat = lat.fft(f), by Parseval."""
+    """sobolev_norm of f from its spectrum by Parseval: fhat = lat.fft(f), or
+    lat.rfft(f) of a real f (told apart by the last-axis length, as in
+    ``on_modes``), whose interior last-axis modes stand for their conjugates
+    too and so count twice."""
     power = np.abs(fhat) ** 2
     if power.ndim > 3:
-        power = power.reshape(-1, lat.n, lat.n, lat.n).sum(axis=0)
+        power = power.reshape(-1, *power.shape[-3:]).sum(axis=0)
     if homogeneous:
         if s < 0:
             mean_sq = power[0, 0, 0] / lat.n**6
@@ -387,6 +392,9 @@ def sobolev_norm_hat(lat: Lattice, fhat: np.ndarray, s: float, homogeneous: bool
         w = np.where(lat.zero_modes, 0.0, w)
     else:
         w = (1.0 + lat.k_sq) ** s
+    w = on_modes(w, fhat)
+    if fhat.shape[-1] != lat.n:
+        w = w * np.r_[1.0, np.full(lat.n // 2 - 1, 2.0), 1.0]
     total = float(np.sum(w * power)) * lat.volume / lat.n**6
     return float(np.sqrt(total))
 
@@ -427,7 +435,7 @@ def write_fld(path, lat: Lattice, values: np.ndarray, time: float = 0.0) -> None
     payload = np.ascontiguousarray(values, dtype="<c16" if complex_data else "<f8")
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        fh.write(payload.tobytes())
+        fh.write(payload.data)
 
 
 def read_fld(path):

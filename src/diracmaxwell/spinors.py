@@ -122,13 +122,17 @@ def free_dirac_apply(lat: Lattice, psi: np.ndarray, eps: float) -> np.ndarray:
     return lat.ifft(_q_hat_apply(lat, lat.fft(psi), eps))
 
 
-def pi_eps(lat: Lattice, psi: np.ndarray, eps: float, sign: int) -> np.ndarray:
-    """Energy projection: per mode (I +/- (eps alpha.k + gamma0)/lambda)/2."""
+def pi_eps_hat(lat: Lattice, psihat: np.ndarray, eps: float, sign: int) -> np.ndarray:
+    """Energy projection of a spinor spectrum: per mode (I +/- (eps alpha.k + gamma0)/lambda)/2."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    psihat = lat.fft(psi)
     qpsi = _q_hat_apply(lat, psihat, eps)
-    return lat.ifft(0.5 * (psihat + sign * qpsi / mode_multipliers(lat, eps, 0.0).lam))
+    return 0.5 * (psihat + sign * qpsi / mode_multipliers(lat, eps, 0.0).lam)
+
+
+def pi_eps(lat: Lattice, psi: np.ndarray, eps: float, sign: int) -> np.ndarray:
+    """Energy projection Pi_+/- of a spinor field (pi_eps_hat in real space)."""
+    return lat.ifft(pi_eps_hat(lat, lat.fft(psi), eps, sign))
 
 
 def pi_zero(psi: np.ndarray, sign: int) -> np.ndarray:
@@ -150,8 +154,7 @@ def projection_remainders(lat: Lattice, f: np.ndarray, eps: float, sign: int = 1
     f; the first-order term of the expansion is -/+ (i eps/2) alpha.grad.
     """
     fhat = lat.fft(f)
-    qf = _q_hat_apply(lat, fhat, eps)
-    proj = 0.5 * (fhat + sign * qf / mode_multipliers(lat, eps, 0.0).lam)
+    proj = pi_eps_hat(lat, fhat, eps, sign)
     proj0 = pi_zero(fhat, sign)
     rem1 = lat.ifft(proj - proj0)
     # (-/+ i eps/2 alpha.grad) has mode matrix +/- (eps/2) alpha.k

@@ -133,7 +133,7 @@ def _integrate_dm(cfg: ExperimentConfig, lat: Lattice, eps: float, observe, with
     a0, a1 = df.gauge_data(lat, cfg.gauge, cfg.params)
     init = coulomb_gauge(DMState(lat, 0.0, psi0, a0, a1, eps))
     if with_pauli:
-        integrate(DMPauliState.start(init, sp.upper(init.psi), step_cfg),
+        integrate(DMPauliState.start(init, sp.upper(init.psi)),
                   lambda s: dm_pauli_step(s, step_cfg), steps, every, observe)
     else:
         integrate(init, lambda s: dm_strang_step(s, step_cfg), steps, every, observe)

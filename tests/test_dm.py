@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -29,6 +30,24 @@ def smooth_state(lat, eps, gauge_amp=0.0, seed=None):
     else:
         a0 = np.zeros((3, n, n, n))
     return dm.DMState(lat, 0.0, psi0, a0, np.zeros((3, n, n, n)), eps)
+
+
+@pytest.fixture
+def transform_counts(monkeypatch):
+    """Components moved by each Lattice transform method from here on."""
+    counts = collections.Counter()
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counting(self, f, _name=name, _transform=getattr(fc.Lattice, name)):
+            counts[_name] += int(np.prod(np.shape(f)[:-3]))
+            return _transform(self, f)
+        monkeypatch.setattr(fc.Lattice, name, counting)
+    return counts
+
+
+def real_wave_step(lat, A, W, J, dt, eps):
+    """wave_step on real fields: A and W = eps*dt(A) in and out in real space."""
+    A_hat, W_hat = dm.wave_step(lat, lat.rfft(A), lat.rfft(W), J, dt, eps)
+    return lat.irfft(A_hat), lat.irfft(W_hat)
 
 
 class TestFreeDiracStep:
@@ -93,6 +112,20 @@ class TestPotentialKick:
         out = dm.potential_kick(lat, psi, np.zeros((lat.n,) * 3), A, 0.1, 0.5)
         assert np.abs(out - np.exp(1j * 0.8 * 0.1) * psi).max() < 1e-13
 
+    def test_matches_unfused_formula(self, lat):
+        # the kick before the phase and sin/|A| were folded into the sigma entries
+        rng = np.random.default_rng(6)
+        psi = rng.standard_normal((4, lat.n, lat.n, lat.n)) + 1j * rng.standard_normal((4, lat.n, lat.n, lat.n))
+        A0 = rng.standard_normal((lat.n,) * 3)
+        A = rng.standard_normal((3, lat.n, lat.n, lat.n))
+        A[:, 0] = 0.0  # the |A| -> 0 limit of sin(dt |A|)/|A|
+        dt = 0.2
+        theta = dt * np.sqrt(np.sum(A**2, axis=0))
+        phase = np.exp(1j * dt * A0)
+        want = (phase * np.cos(theta)) * psi + (1j * dt * np.sinc(theta / np.pi) * phase) * sp.alpha_dot(A, psi)
+        got = dm.potential_kick(lat, psi, A0, A, dt, 0.5)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_pointwise_unitary(self, lat):
         rng = np.random.default_rng(4)
         psi = rng.standard_normal((4, lat.n, lat.n, lat.n)) + 1j * rng.standard_normal(
@@ -111,14 +144,14 @@ class TestWaveStep:
         X1, _, _ = lat.grid()
         A = np.zeros((3, lat.n, lat.n, lat.n))
         A[0] = np.cos(X1) + np.zeros((lat.n,) * 3)
-        out, _ = dm.wave_step(lat, A, np.zeros_like(A), np.zeros_like(A), dt, eps)
+        out, _ = real_wave_step(lat, A, np.zeros_like(A), np.zeros_like(A), dt, eps)
         assert np.abs(out[0] - np.cos(dt / eps) * A[0]).max() < 1e-13
 
     def test_zero_mode_linear_drift(self, lat):
         eps, dt, v = 0.5, 0.3, 2.0
         W = np.zeros((3, lat.n, lat.n, lat.n))
         W[1] = eps * v  # stores eps * dt(A)
-        out, w_out = dm.wave_step(lat, np.zeros_like(W), W, np.zeros_like(W), dt, eps)
+        out, w_out = real_wave_step(lat, np.zeros_like(W), W, np.zeros_like(W), dt, eps)
         assert np.abs(out[1] - v * dt).max() < 1e-13
         assert np.abs(w_out[1] - eps * v).max() < 1e-13
 
@@ -127,7 +160,7 @@ class TestWaveStep:
         X1, _, _ = lat.grid()
         J = np.zeros((3, lat.n, lat.n, lat.n))
         J[1] = np.cos(2 * X1) + np.zeros((lat.n,) * 3)
-        out, _ = dm.wave_step(lat, np.zeros_like(J), np.zeros_like(J), J, dt, eps)
+        out, _ = real_wave_step(lat, np.zeros_like(J), np.zeros_like(J), J, dt, eps)
         expected = (eps / 4.0) * (1 - np.cos(2 * dt / eps)) * J[1]
         assert np.abs(out[1] - expected).max() < 1e-14
 
@@ -142,7 +175,7 @@ class TestWaveStep:
 
         e0 = energy(A, W)
         for _ in range(5):
-            A, W = dm.wave_step(lat, A, W, np.zeros_like(A), 0.17, eps)
+            A, W = real_wave_step(lat, A, W, np.zeros_like(A), 0.17, eps)
         assert energy(A, W) == pytest.approx(e0, rel=1e-12)
 
 
@@ -150,7 +183,7 @@ class TestWaveStep:
         # the wave equation is driven by P J, and P annihilates gradients
         X1, X2, X3 = lat.grid()
         J = fc.gradient(lat, np.sin(X1) * np.cos(X2) + np.cos(2 * X3) + np.zeros((lat.n,) * 3))
-        A, W = dm.wave_step(lat, np.zeros_like(J), np.zeros_like(J), J, 0.3, 0.5)
+        A, W = real_wave_step(lat, np.zeros_like(J), np.zeros_like(J), J, 0.3, 0.5)
         assert np.abs(A).max() < 1e-14
         assert np.abs(W).max() < 1e-14
 
@@ -184,6 +217,100 @@ class TestStrangStep:
         q0 = sp.total_charge(lat12, state.psi)
         out = dm.dm_strang_step(state, dm.StepConfig(dt=2e-3))
         assert sp.total_charge(lat12, out.psi) == pytest.approx(q0, rel=1e-12)
+
+
+class TestCarried:
+    """dm_strang_step carries A0 and the spectra of A and eps*dt(A) into its next call."""
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_carried_values_match_the_state(self, lat12, dealias):
+        s1 = dm.dm_strang_step(smooth_state(lat12, 0.25, gauge_amp=0.1), dm.StepConfig(dt=2e-3, dealias=dealias))
+        c = s1.carried
+        assert c.dealias == dealias
+        for got, want in ((c.A0, dm.derived_A0(lat12, s1.psi, dealias)),
+                          (c.A_hat, lat12.rfft(s1.A)), (c.W_hat, lat12.rfft(s1.eps_dtA))):
+            assert np.abs(want).max() > 1e-6
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("rebuild", ["constructor", "copy", "replace", "coulomb_gauge"])
+    def test_state_without_carry_steps_the_same(self, lat12, rebuild):
+        cfg = dm.StepConfig(dt=2e-3)
+        s1 = dm.dm_strang_step(smooth_state(lat12, 0.25, gauge_amp=0.1), cfg)
+        bare = {
+            "constructor": lambda s: dm.DMState(s.lat, s.t, s.psi.copy(), s.A.copy(), s.eps_dtA.copy(), s.eps),
+            "copy": lambda s: s.copy(),
+            "replace": lambda s: dataclasses.replace(s, t=s.t),
+            "coulomb_gauge": dm.coulomb_gauge,
+        }[rebuild](s1)
+        assert bare.carried is None
+        carried, fresh = dm.dm_strang_step(s1, cfg), dm.dm_strang_step(bare, cfg)
+        for a, b in ((carried.psi, fresh.psi), (carried.A, fresh.A), (carried.eps_dtA, fresh.eps_dtA)):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+    def test_carry_under_the_other_dealias_flag_is_not_used(self, lat12):
+        s1 = dm.dm_strang_step(smooth_state(lat12, 0.25, gauge_amp=0.1), dm.StepConfig(dt=2e-3))
+        cfg = dm.StepConfig(dt=2e-3, dealias=True)
+        assert np.array_equal(dm.dm_strang_step(s1, cfg).psi, dm.dm_strang_step(s1.copy(), cfg).psi)
+
+    def test_stepped_state_cannot_be_edited(self, lat):
+        s1 = dm.dm_strang_step(smooth_state(lat, 0.25, gauge_amp=0.1), dm.StepConfig(dt=2e-3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s1.A = np.zeros_like(s1.A)
+        for a in (s1.psi, s1.A, s1.eps_dtA):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0, 0, 0] = 0.0
+
+
+class TestTransformCounts:
+    """Components per Lattice transform, pinned so that none comes back unnoticed."""
+
+    def test_carried_step(self, lat, transform_counts):
+        cfg = dm.StepConfig(dt=2e-3)
+        s1 = dm.dm_strang_step(smooth_state(lat, 0.25, gauge_amp=0.1), cfg)
+        transform_counts.clear()
+        dm.dm_strang_step(s1, cfg)
+        assert transform_counts == {"fft": 4, "ifft": 8, "rfft": 4, "irfft": 7}
+
+    def test_diagnose(self, lat, transform_counts):
+        state = smooth_state(lat, 0.25, gauge_amp=0.1)
+        transform_counts.clear()
+        dm._diagnose(state)
+        assert transform_counts == {"fft": 4, "rfft": 3}
+
+
+def diagnose_reference(state):
+    """The real-space _diagnose that the one-spectrum one replaced."""
+    lat = state.lat
+
+    def h1(f, homogeneous=False):
+        return fc.sobolev_norm_hat(lat, lat.fft(f), 1.0, homogeneous)
+
+    return {
+        "t": state.t,
+        "charge": sp.total_charge(lat, state.psi),
+        "h1_psi": h1(state.psi),
+        "h1dot_A": h1(state.A, homogeneous=True),
+        "eps_l2_dtA": fc.l2_norm(lat, state.eps_dtA),
+        "h1_pi_minus_psi": h1(sp.pi_eps(lat, state.psi, state.eps, -1)),
+    }
+
+
+class TestDiagnose:
+    @pytest.mark.parametrize("case", ["gauged", "random"])
+    def test_matches_real_space_formulas(self, lat12, case):
+        if case == "gauged":
+            state = dm.dm_strang_step(dm.coulomb_gauge(smooth_state(lat12, 0.3, gauge_amp=0.2)), dm.StepConfig(dt=2e-3))
+        else:
+            # random real A and eps*dt(A) carry Nyquist content on every axis
+            rng = np.random.default_rng(7)
+            shape = (lat12.n,) * 3
+            psi = rng.standard_normal((4, *shape)) + 1j * rng.standard_normal((4, *shape))
+            state = dm.DMState(lat12, 0.1, psi, rng.standard_normal((3, *shape)), rng.standard_normal((3, *shape)), 0.3)
+        got, want = dm._diagnose(state), diagnose_reference(state)
+        assert list(got) == list(dm.DIAGNOSTIC_COLUMNS)
+        for col in dm.DIAGNOSTIC_COLUMNS:
+            assert want[col] > 0
+            assert abs(got[col] - want[col]) <= 1e-13 * want[col]
 
 
 class TestMultiplierCache:
@@ -257,6 +384,19 @@ class TestSimulate:
         with pytest.raises(FloatingPointError):
             dm.simulate_dm(state, 0.1, dm.StepConfig(dt=0.01, h1_ceiling=1e-6))
 
+    @pytest.mark.parametrize("ceiling", [float("nan"), 0.0, -1.0])
+    def test_bad_h1_ceiling_rejected(self, ceiling):
+        with pytest.raises(ValueError, match="h1_ceiling"):
+            dm.StepConfig(dt=0.01, h1_ceiling=ceiling)
+
+    def test_non_finite_initial_state_raises_before_observing(self, lat):
+        state = smooth_state(lat, 0.5)
+        state.psi[1, 2, 3, 4] = np.nan
+        observed = []
+        with pytest.raises(FloatingPointError, match=r"initial state, step 0, t = 0\.0"):
+            dm.integrate(state, lambda s: dm.dm_strang_step(s, dm.StepConfig(dt=0.01)), 3, 1, observed.append)
+        assert observed == []
+
     def test_t_not_multiple_of_dt_rejected(self, lat):
         state = smooth_state(lat, 0.5)
         with pytest.raises(ValueError):
@@ -283,7 +423,7 @@ def picard_reference(init, T, m_max, cfg):
         J_prev = [sp.current_density(p, eps) for p in psi_prev]
         A_next, W = [a0], a1
         for k in range(steps):
-            A, W = dm.wave_step(lat, A_next[-1], W, 0.5 * (J_prev[k] + J_prev[k + 1]), dt, eps)
+            A, W = real_wave_step(lat, A_next[-1], W, 0.5 * (J_prev[k] + J_prev[k + 1]), dt, eps)
             A_next.append(A)
         cauchy.append(max(fc.sobolev_norm(lat, pn - pp, 1.0) for pn, pp in zip(psi_next, psi_prev)))
         psi_prev, A_prev = psi_next, A_next
@@ -294,7 +434,7 @@ class TestPicard:
     @pytest.mark.parametrize("dealias", [False, True])
     def test_matches_real_space_reference(self, lat, dealias):
         state = smooth_state(lat, 0.4, gauge_amp=0.3)
-        state.eps_dtA = 0.5 * gauge_profile(lat, 0.3)[[1, 2, 0]]
+        state = dataclasses.replace(state, eps_dtA=0.5 * gauge_profile(lat, 0.3)[[1, 2, 0]])
         cfg = dm.StepConfig(dt=2e-3, dealias=dealias)
         res = dm.picard_solve(state, 0.02, 4, cfg)
         psis, As, cauchy = picard_reference(state, 0.02, 4, cfg)

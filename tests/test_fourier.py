@@ -401,6 +401,17 @@ class TestNorms:
         for s, homogeneous in ((0.0, False), (1.0, False), (1.0, True)):
             assert fc.sobolev_norm_hat(lat, lat.fft(f), s, homogeneous) == fc.sobolev_norm(lat, f, s, homogeneous)
 
+    @pytest.mark.parametrize("components", [(), (3,)])
+    @pytest.mark.parametrize("s, homogeneous", [(0.0, False), (1.0, False), (1.0, True), (-0.5, True)])
+    def test_real_and_complex_paths_agree(self, lat, components, s, homogeneous):
+        # a random real field has Nyquist content on every axis
+        f = random_complex(lat, 21, shape=(*components, lat.n, lat.n, lat.n)).real
+        if s < 0:
+            f = f - f.mean(axis=(-3, -2, -1), keepdims=True)
+        got = fc.sobolev_norm(lat, f, s, homogeneous)
+        assert fc.sobolev_norm_hat(lat, lat.rfft(f), s, homogeneous) == got
+        assert got == pytest.approx(fc.sobolev_norm_hat(lat, lat.fft(f), s, homogeneous), rel=1e-13)
+
     def test_lp_constant(self, lat):
         f = np.ones((lat.n,) * 3)
         assert fc.lp_norm(lat, f, 2.0) == pytest.approx(TWO_PI**1.5, rel=1e-12)
@@ -431,6 +442,7 @@ class TestSnapshotIO:
         assert header["components"] == 4
         assert header["time"] == 0.25
         assert np.array_equal(values, f)
+        assert path.read_bytes().split(b"\n", 1)[1] == f.astype("<c16").tobytes()
 
     def test_roundtrip_real_scalar(self, lat, tmp_path):
         f = random_complex(lat, 19).real
@@ -439,6 +451,7 @@ class TestSnapshotIO:
         header, values = fc.read_fld(path)
         assert header["dtype"] == "float64"
         assert np.array_equal(values, f)
+        assert path.read_bytes().split(b"\n", 1)[1] == f.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("change", [-8, 16])
     def test_payload_length_checked(self, lat, tmp_path, change):

@@ -209,7 +209,7 @@ class TestSimulatePauli:
         cfg = dm.StepConfig(dt=dt)
         masses = []
         final = dm.integrate(
-            lim.DMPauliState.start(init, chi0, cfg),
+            lim.DMPauliState.start(init, chi0),
             lambda s: lim.dm_pauli_step(s, cfg),
             dm.n_steps_for(T, dt),
             sample_every,
@@ -258,7 +258,8 @@ class TestSimulatePauli:
         assert drift < 1e-8
 
     def test_non_finite_spinor_names_the_step(self, lat):
-        # zero DM data keeps the fields zero, so only the guard can stop the run
+        # zero DM data keeps the fields zero, so only the guard can stop the run;
+        # it checks the initial state before anything is observed
         n = lat.n
         init = dm.DMState(
             lat, 0.0, np.zeros((4, n, n, n), dtype=complex), np.zeros((3, n, n, n)), np.zeros((3, n, n, n)), 0.5
@@ -266,20 +267,21 @@ class TestSimulatePauli:
         chi0 = np.zeros((2, n, n, n), dtype=complex)
         chi0[0] = plane_wave(lat, (1, 0, 0))
         chi0[1, 0, 0, 0] = np.nan
-        with pytest.raises(FloatingPointError, match="non-finite spinor in step 1"):
+        with pytest.raises(FloatingPointError, match=r"non-finite spinor in the initial state, step 0, t = 0\.0"):
             self._lockstep(init, chi0, 0.1, 0.01)
 
 
     def test_non_finite_dm_spinor_is_named_not_a_convergence_failure(self, lat8):
-        # a NaN in the DM spinor reaches the Pauli step through the fields
+        # a NaN in the initial DM spinor is named at step 0, before the Pauli
+        # step could see it through the fields and misreport it
         eps = 0.4
         init = self._dm_init(lat8, eps)
         cfg = dm.StepConfig(dt=0.01)
-        state = lim.DMPauliState.start(init, sp.upper(init.psi), cfg)
+        state = lim.DMPauliState.start(init, sp.upper(init.psi))
         state.dm.psi[0, 0, 0, 0] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError) as info:
             dm.integrate(state, lambda s: lim.dm_pauli_step(s, cfg), 3, 1, lambda s: None)
-        assert "step 1" in str(info.value)
+        assert "step 0" in str(info.value)
         assert "did not converge" not in str(info.value)
 
 
