@@ -116,10 +116,17 @@ class _SampleWriter:
         self.write_seconds += time.time() - t0
 
 
+def _sample_every(cfg: dict, default: int) -> int:
+    every = cfg.get("sample_every", default)
+    if not isinstance(every, int) or every < 1:
+        raise ConfigError(f"config error at sample_every: must be a positive integer, got {every!r}")
+    return every
+
+
 def _run_times(cfg: dict) -> tuple:
     T = float(_need(cfg, "T"))
     dt = float(_need(cfg, "dt"))
-    return T, dt, int(cfg.get("sample_every", 1))
+    return T, dt, _sample_every(cfg, 1)
 
 
 def _dm_init(cfg: dict) -> DMState:
@@ -200,7 +207,7 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
         family=_need(data, "family", "data.family"),
         params=data.get("params", {}),
         gauge=cfg.get("gauge", "zero"),
-        sample_every=int(cfg.get("sample_every", 10)),
+        sample_every=_sample_every(cfg, 10),
     )
 
 

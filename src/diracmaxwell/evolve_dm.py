@@ -13,7 +13,10 @@ exact; see the tests.
 
 One transform of the kicked spinor feeds both free half-steps, the real
 fields use real transforms, and per-mode multipliers come from the bounded
-cache fourier.mode_multipliers.  A stepped DMState carries A0 (the kick is
+cache fourier.mode_multipliers.  Every spinor matrix, the free flow per mode
+(d, conj(d), V = -i h k from the cached d and h), the potential kick per
+point and the Picard forcing, goes through the 2x2-block kernel
+spinors.block_apply.  A stepped DMState carries A0 (the kick is
 pointwise unitary, so the closing A0 of a step opens the next) and the
 spectra of A and eps*dt(A): a step moves 4 complex components forward and 8
 back, 4 real forward and 7 back; a sample, one spectrum of psi and one real
@@ -23,10 +26,11 @@ would depend on the sample times).
 
 The Picard reference solve keeps its iterates as spectra (A as real-transform
 spectra).  A time level takes one inverse and one forward 4-component
-transform and one real transform each way; Duhamel and the wave update act
-per mode and the Cauchy H1 distances come by Parseval.  It shares only
-free_flow_hat, wave_oscillator and leray_hat with dm_strang_step, so it stays
-an independent check of the splitting.
+transform and one real transform each way (none in iterate 0, whose sources
+are those of the zero iterate -1); Duhamel and the wave update act per mode
+and the Cauchy H1 distances come by Parseval.  Besides the block kernel it
+shares only free_flow_hat, wave_oscillator and leray_hat with dm_strang_step,
+so it stays an independent check of the splitting.
 
 Every run, of this system or of the limit systems, is driven by integrate():
 it applies a pure state-to-state step, samples on one schedule and guards
@@ -107,9 +111,11 @@ def derived_A0(lat: Lattice, psi: np.ndarray, dealias_flag: bool = False) -> np.
 
 def free_flow_hat(lat: Lattice, psihat: np.ndarray, dt: float, eps: float) -> np.ndarray:
     """Exact free flow of a spinor spectrum: exp(-i dt Q / eps^2) per mode,
-    cos(theta) - i sin(theta)/lam Q with theta = dt lam / eps^2."""
-    cos, sin_over_lam = mode_multipliers(lat, eps, dt).dirac
-    return cos * psihat - 1j * sin_over_lam * sp._q_hat_apply(lat, psihat, eps)
+    cos(theta) - i sin(theta)/lam Q with theta = dt lam / eps^2, in block form
+    [[d, V.sigma], [V.sigma, conj(d)]] with d = cos(theta) - i sin(theta)/lam
+    and V = -i h k, h = eps sin(theta)/lam."""
+    d, h = mode_multipliers(lat, eps, dt).dirac
+    return sp.block_apply(psihat, d, np.conj(d), sp.sigma_entries((-1j * lat.kx, -1j * lat.ky, -1j * lat.kz)), h)
 
 
 def free_dirac_step(lat: Lattice, psi: np.ndarray, dt: float, eps: float) -> np.ndarray:
@@ -122,19 +128,14 @@ def potential_kick(lat: Lattice, psi: np.ndarray, A0: np.ndarray, A: np.ndarray,
 
     exp(i dt (A.alpha + A0)) factorizes since A0*I commutes with A.alpha and
     (A.alpha)^2 = |A|^2: phase (cos + i sin * unit-alpha), phase = exp(i dt A0).
-    The phase and i sin/|A| are folded into the sigma entries of A.alpha.
+    The block form has d_+ = d_- = phase cos and V = i phase sin(dt |A|)/|A| A.
     """
     theta = dt * np.sqrt(np.sum(A**2, axis=0))
-    sin_over_mag = dt * np.sinc(theta / np.pi)  # sin(dt m)/m with the m -> 0 limit dt
-    phase = np.exp(1j * dt * A0)
-    diag = phase * np.cos(theta)
-    f = 1j * sin_over_mag * phase
-    vz, vm, vp = (f * e for e in sp._sigma_entries(A))
-    out = np.empty(psi.shape, dtype=complex)
-    for lo, hi in ((0, 2), (2, 0)):  # alpha swaps the 2-blocks
-        out[lo] = diag * psi[lo] + vz * psi[hi] + vm * psi[hi + 1]
-        out[lo + 1] = diag * psi[lo + 1] + vp * psi[hi] - vz * psi[hi + 1]
-    return out
+    diag = np.exp(1j * dt * A0)
+    f = diag * np.sinc(theta / np.pi)  # sin(dt m)/(dt m) with the m -> 0 limit 1
+    f *= 1j * dt
+    diag *= np.cos(theta)
+    return sp.block_apply(psi, diag, diag, sp.sigma_entries(A), f)
 
 
 def wave_oscillator(lat: Lattice, fhat: np.ndarray, ghat: np.ndarray, srchat: np.ndarray, dt: float, eps: float):
@@ -341,6 +342,13 @@ def _duhamel_dirac(lat: Lattice, psi0: np.ndarray, forcing, dt: float, eps: floa
     return out
 
 
+def picard_forcing(psi: np.ndarray, A0: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The Dirac forcing -(A.alpha) psi - A0 psi of a Picard iterate, in one
+    block_apply: d_+ = d_- = -A0 and V = -A."""
+    minus_A0 = -A0
+    return sp.block_apply(psi, minus_A0, minus_A0, sp.sigma_entries(-A))
+
+
 def picard_solve(init: DMState, T: float, m_max: int, cfg: StepConfig) -> PicardResult:
     """Iterate the linearized system starting from identically-zero iterates.
 
@@ -358,24 +366,29 @@ def picard_solve(init: DMState, T: float, m_max: int, cfg: StepConfig) -> Picard
     a0, a1 = lat.rfft(leray_project(lat, init.A)), lat.rfft(leray_project(lat, init.eps_dtA))
     psihat0 = lat.fft(init.psi)
 
-    psi_prev = [np.zeros_like(psihat0)] * (steps + 1)
-    A_prev = [np.zeros_like(a0)] * (steps + 1)
+    zero_psi, zero_A = np.zeros_like(psihat0), np.zeros_like(a0)
+    psi_prev = [zero_psi] * (steps + 1)
+    A_prev = [zero_A] * (steps + 1)
     cauchy = []
     for m in range(m_max + 1):
         A_next = [a0]
 
         def forcing():
             # sources of the previous iterate, one level at a time; the wave
-            # update rides along, driven by the average of adjacent currents
+            # update rides along, driven by the average of adjacent currents.
+            # Iterate -1 is zero, and so are its current and forcing spectra.
             W = a1
             for k, (psihat, Ahat) in enumerate(zip(psi_prev, A_prev)):
-                psi, A = lat.ifft(psihat), lat.irfft(Ahat)
-                J = lat.rfft(sp.current_density(psi, eps))
+                J, F = zero_A, zero_psi
+                if m:
+                    psi = lat.ifft(psihat)
+                    J = lat.rfft(sp.current_density(psi, eps))
+                    F = lat.fft(picard_forcing(psi, derived_A0(lat, psi, cfg.dealias), lat.irfft(Ahat)))
                 if k:
                     A_cur, W = wave_oscillator(lat, A_next[-1], W, eps * leray_hat(lat, 0.5 * (J_last + J)), dt, eps)
                     A_next.append(A_cur)
                 J_last = J
-                yield lat.fft(-sp.alpha_dot(A, psi) - derived_A0(lat, psi, cfg.dealias) * psi)
+                yield F
 
         psi_next = _duhamel_dirac(lat, psihat0, forcing(), dt, eps)
         diff = 0.0

@@ -88,17 +88,20 @@ class PauliState:
         return (self.chi,)
 
 
-def _kick_matrix_apply(A0, B, A_sq, eps, dt, chi):
-    """exp(-i dt V) chi with V = -A0 - (eps/2) B.sigma + (eps^2/2) A^2.
-
-    V = a I + b.sigma pointwise; the exponential is cos - i sin * unit part.
+def _kick_coefficients(A0, A, B, eps, dt) -> tuple:
+    """(d, v, scale) with exp(-i dt V) = d + (scale v).sigma pointwise, for
+    V = -A0 - (eps/2) B.sigma + (eps^2/2) A^2: V = a I + b.sigma, and the
+    exponential is exp(-i dt a) (cos theta - i sin theta (b/|b|).sigma) with
+    theta = dt |b|; apply it with sp.sigma_block_apply.
     """
-    a = -A0 + 0.5 * eps**2 * A_sq
-    b = -0.5 * eps * B
-    mag = np.sqrt(np.sum(b**2, axis=0))
-    theta = dt * mag
-    sin_over = dt * np.sinc(theta / np.pi)
-    return np.exp(-1j * dt * a) * (np.cos(theta) * chi - 1j * sin_over * sp.sigma_dot(b, chi))
+    a = 0.5 * eps**2 * np.sum(A**2, axis=0)
+    a -= A0
+    theta = (0.5 * eps * dt) * np.sqrt(np.sum(B**2, axis=0))
+    d = np.exp(-1j * dt * a)
+    scale = d * np.sinc(theta / np.pi)  # -i sin(theta)/|b| b = (i eps dt/2) sinc B
+    scale *= 0.5j * eps * dt
+    d *= np.cos(theta)
+    return d, sp.sigma_entries(B), scale
 
 
 def _advect_apply(lat: Lattice, A: np.ndarray, eps: float, dt: float, chi: np.ndarray) -> np.ndarray:
@@ -143,14 +146,14 @@ def pauli_step(state: PauliState, A0: np.ndarray, A: np.ndarray, dt: float,
             raise ValueError(f"A is not divergence-free (max |div A| = {div_max:.2e})")
     if B is None:
         B = curl(lat, A)
-    A_sq = np.sum(A**2, axis=0)
-    chi = _kick_matrix_apply(A0, B, A_sq, eps, dt / 2.0, state.chi)
+    kick = _kick_coefficients(A0, A, B, eps, dt / 2.0)
+    chi = sp.sigma_block_apply(state.chi, *kick)
     if advect:
         chi = _advect_apply(lat, A, eps, dt / 2.0, chi)
     chi = apply_symbol(lat, chi, kinetic_multipliers(lat, dt)[0])
     if advect:
         chi = _advect_apply(lat, A, eps, dt / 2.0, chi)
-    chi = _kick_matrix_apply(A0, B, A_sq, eps, dt / 2.0, chi)
+    chi = sp.sigma_block_apply(chi, *kick)
     return PauliState(lat, state.t + dt, chi, eps)
 
 

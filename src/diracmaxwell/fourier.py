@@ -198,12 +198,15 @@ def _read_only(*arrays):
 class ModeMultipliers:
     """Per-mode multipliers at one (lattice, eps, dt), computed on first use, read-only.
 
-    lam = sqrt(1 + eps^2 |k|^2) = |Q| for the free Dirac symbol Q = gamma0 + eps alpha.k;
-    dirac = (cos theta, sin theta / lam), theta = dt lam / eps^2: exp(-i dt Q / eps^2) =
-    cos theta - i (sin theta / lam) Q.  wave = (c, s, a, b) advances eps^2 u'' + |k|^2 u = f
-    (frozen), w = eps u', as u <- c u + s w + a f, w <- b u + c w + s f: with omega = |k|/eps,
-    c = cos omega dt, s = sin(omega dt)/(eps omega), a = (1 - c)/|k|^2, b = -|k| sin omega dt,
-    and sinc gives the zero-mode drift s = dt/eps, a = dt^2/(2 eps^2).
+    lam = sqrt(1 + eps^2 |k|^2) = |Q| for the free Dirac symbol Q = gamma0 + eps alpha.k,
+    one array per (lattice, eps): every dt takes it from the dt = 0 entry.  dirac = (d, h)
+    with theta = dt lam / eps^2, d = cos theta - i sin theta / lam and the real
+    h = eps sin theta / lam: exp(-i dt Q / eps^2) = cos theta - i (sin theta / lam) Q is
+    [[d, V.sigma], [V.sigma, conj(d)]] per mode with V = -i h k.  wave = (c, s, a, b)
+    advances eps^2 u'' + |k|^2 u = f (frozen), w = eps u', as u <- c u + s w + a f,
+    w <- b u + c w + s f: with omega = |k|/eps, c = cos omega dt, s = sin(omega dt)/(eps omega),
+    a = (1 - c)/|k|^2, b = -|k| sin omega dt, and sinc gives the zero-mode drift s = dt/eps,
+    a = dt^2/(2 eps^2).
     """
 
     def __init__(self, lat: Lattice, eps: float, dt: float):
@@ -211,12 +214,22 @@ class ModeMultipliers:
 
     @functools.cached_property
     def lam(self) -> np.ndarray:
+        if self.dt != 0.0:
+            return mode_multipliers(self.lat, self.eps, 0.0).lam
         return _read_only(np.sqrt(1.0 + self.eps**2 * self.lat.k_sq))
 
     @functools.cached_property
     def dirac(self) -> tuple:
+        # built in place: each full-grid temporary here, allocated mid-step on
+        # first use, can leave a hole that raises the peak RSS of a run
         theta = self.dt / self.eps**2 * self.lam
-        return _read_only(np.cos(theta), np.sin(theta) / self.lam)
+        h = np.sin(theta)
+        h /= self.lam
+        d = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=d.real)
+        np.negative(h, out=d.imag)
+        h *= self.eps
+        return _read_only(d, h)
 
     @functools.cached_property
     def wave(self) -> tuple:

@@ -49,31 +49,62 @@ def mat(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
 # -- block forms: v is a 3-vector field, or a triple of broadcastable arrays ----
 
 
-def _sigma_entries(v) -> tuple:
-    """v.sigma = [[v3, v1 - i v2], [v1 + i v2, -v3]]."""
+def sigma_entries(v) -> tuple:
+    """The entries (v_z, v_-, v_+) of v.sigma = [[v3, v1 - i v2], [v1 + i v2, -v3]]."""
     return v[2], v[0] - 1j * v[1], v[0] + 1j * v[1]
 
 
-def _sigma_apply(entries, chi: np.ndarray) -> np.ndarray:
-    vz, vm, vp = entries
-    return np.stack([vz * chi[0] + vm * chi[1], vp * chi[0] - vz * chi[1]])
+def _sigma_rows(out, chi, d, v, eta, scale, tmp):
+    """out = d chi + scale (v.sigma) eta for 2-spinor fields, written into out
+    one component at a time by in-place multiply-adds through the one-component
+    scratch tmp.  d or scale None drops that term or factor."""
+    vz, vm, vp = v
+    for o, c, a, b, add in ((out[0], chi[0], vz, vm, np.add), (out[1], chi[1], vp, vz, np.subtract)):
+        np.multiply(a, eta[0], out=o)
+        add(o, np.multiply(b, eta[1], out=tmp), out=o)
+        if scale is not None:
+            o *= scale
+        if d is not None:
+            o += np.multiply(d, c, out=tmp)
+
+
+def block_apply(psi: np.ndarray, d_plus, d_minus, v, scale=None) -> np.ndarray:
+    """[[d_+, V.sigma], [V.sigma, d_-]] psi of a 4-spinor field (upper, lower).
+
+    V = scale * v, with v the entries (v_z, v_-, v_+) of sigma_entries, full
+    arrays or broadcast ones such as the wavevector's; d_+, d_- and scale are
+    scalars or arrays, and None drops the term or factor.  Every component is
+    written into one new array, with a one-component scratch.
+    """
+    out = np.empty(psi.shape, dtype=complex)
+    tmp = np.empty(psi.shape[1:], dtype=complex)
+    _sigma_rows(out[:2], psi[:2], d_plus, v, psi[2:], scale, tmp)
+    _sigma_rows(out[2:], psi[2:], d_minus, v, psi[:2], scale, tmp)
+    return out
+
+
+def sigma_block_apply(chi: np.ndarray, d, v, scale=None) -> np.ndarray:
+    """d chi + (V.sigma) chi of a 2-spinor field, V = scale * v: the one-block
+    form of block_apply."""
+    out = np.empty(chi.shape, dtype=complex)
+    _sigma_rows(out, chi, d, v, chi, scale, np.empty(chi.shape[1:], dtype=complex))
+    return out
 
 
 def sigma_dot(v, chi: np.ndarray) -> np.ndarray:
     """(v.sigma) chi of a 2-spinor field."""
-    return _sigma_apply(_sigma_entries(v), chi)
+    return sigma_block_apply(chi, None, sigma_entries(v))
 
 
 def alpha_dot(v, psi: np.ndarray) -> np.ndarray:
     """(v.alpha) psi of a 4-spinor field: v.sigma on the swapped 2-blocks."""
-    e = _sigma_entries(v)
-    return np.concatenate([_sigma_apply(e, psi[2:]), _sigma_apply(e, psi[:2])])
+    return block_apply(psi, None, None, sigma_entries(v))
 
 
 def spin_dot(v, psi: np.ndarray) -> np.ndarray:
     """(v.S) psi of a 4-spinor field, S^m = diag(sigma^m, sigma^m)."""
-    e = _sigma_entries(v)
-    return np.concatenate([_sigma_apply(e, psi[:2]), _sigma_apply(e, psi[2:])])
+    e = sigma_entries(v)
+    return np.concatenate([sigma_block_apply(psi[:2], None, e), sigma_block_apply(psi[2:], None, e)])
 
 
 def sigma_inner(u: np.ndarray, w: np.ndarray) -> np.ndarray:

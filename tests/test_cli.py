@@ -60,6 +60,21 @@ class TestRunDM:
         assert code != 0
         assert "grid.n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("every", [2.5, 0])
+    def test_bad_sample_every_rejected_with_field_name(self, tmp_path, capsys, every):
+        cfg = {
+            "grid": {"n": 8, "period": 6.28},
+            "eps": 0.5,
+            "T": 0.1,
+            "dt": 0.01,
+            "sample_every": every,
+            "data": {"family": "zero"},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run-dm", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error at sample_every" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli(["run-dm", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert code != 0
@@ -88,6 +103,21 @@ class TestConverge:
         code = run_cli(["converge", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code != 0
         assert "eps_list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("every", [2.5, 0])
+    def test_bad_sample_every_rejected_with_field_name(self, tmp_path, capsys, every):
+        cfg = {
+            "grid": {"n": 8, "period": 6.283185307179586},
+            "eps_list": [0.4, 0.2, 0.1],
+            "T": 0.05,
+            "dt_ref": 5e-3,
+            "data": {"family": "zero"},
+            "sample_every": every,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["converge", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error at sample_every" in capsys.readouterr().err
 
     def test_zero_preset_rates_undefined(self, tmp_path):
         cfg = {

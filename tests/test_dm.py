@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,12 @@ def transform_counts(monkeypatch):
             return _transform(self, f)
         monkeypatch.setattr(fc.Lattice, name, counting)
     return counts
+
+
+def random_spinor(lat, seed):
+    rng = np.random.default_rng(seed)
+    shape = (4, lat.n, lat.n, lat.n)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def real_wave_step(lat, A, W, J, dt, eps):
@@ -87,6 +94,17 @@ class TestFreeDiracStep:
         a = sp.pi_eps(lat, dm.free_dirac_step(lat, psi, 0.2, 0.5), 0.5, +1)
         b = dm.free_dirac_step(lat, sp.pi_eps(lat, psi, 0.5, +1), 0.2, 0.5)
         assert np.abs(a - b).max() < 1e-12
+
+    @pytest.mark.parametrize("dt", [0.013, -0.013])
+    def test_matches_cos_sin_formula(self, lat, dt):
+        # cos(theta) psi - i sin(theta)/lam Q psi, the form before the block kernel
+        eps = 0.3
+        psihat = np.fft.fftn(random_spinor(lat, 8), axes=(-3, -2, -1))  # Nyquist content on every axis
+        lam = np.sqrt(1.0 + eps**2 * lat.k_sq)
+        theta = dt * lam / eps**2
+        want = np.cos(theta) * psihat - 1j * (np.sin(theta) / lam) * sp._q_hat_apply(lat, psihat, eps)
+        got = dm.free_flow_hat(lat, psihat, dt, eps)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestPotentialKick:
@@ -271,11 +289,42 @@ class TestTransformCounts:
         dm.dm_strang_step(s1, cfg)
         assert transform_counts == {"fft": 4, "ifft": 8, "rfft": 4, "irfft": 7}
 
+    def test_picard_iterate_zero(self, lat, transform_counts):
+        # iterate -1 is zero: the level loop transforms none of it, so the only
+        # inverse transforms are the Leray projections of the data and the output
+        steps = 5
+        state = smooth_state(lat, 0.4, gauge_amp=0.3)
+        transform_counts.clear()
+        dm.picard_solve(state, steps * 2e-3, 0, dm.StepConfig(dt=2e-3))
+        levels = steps + 1
+        assert transform_counts == {"fft": 4, "ifft": 4 * levels, "rfft": 12, "irfft": 6 + 3 * levels}
+
     def test_diagnose(self, lat, transform_counts):
         state = smooth_state(lat, 0.25, gauge_amp=0.1)
         transform_counts.clear()
         dm._diagnose(state)
         assert transform_counts == {"fft": 4, "rfft": 3}
+
+
+class TestWorkingSet:
+    # Peak traced allocation of one carried step above live data, in (4, n, n, n)
+    # complex arrays.  Before the block kernel (commit 66a055b) it read 6.230011:
+    # `PYTHONPATH=src python -m pytest -q -s tests/test_dm.py -k working_set` with
+    # this test, printing `peak`, against that commit's src/.
+    PARENT_PEAK = 6.2301
+
+    def test_carried_step_working_set(self):
+        lat16 = fc.make_lattice(16, TWO_PI)
+        cfg = dm.StepConfig(dt=2e-3)
+        state = dm.dm_strang_step(dm.dm_strang_step(dm.coulomb_gauge(smooth_state(lat16, 0.25, gauge_amp=0.1)), cfg), cfg)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            dm.dm_strang_step(state, cfg)
+            peak = (tracemalloc.get_traced_memory()[1] - live) / (4 * lat16.n**3 * 16)
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PARENT_PEAK, f"peak {peak:.3f} spinors above live data"
 
 
 def diagnose_reference(state):
@@ -444,6 +493,15 @@ class TestPicard:
                 assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
         assert np.abs(As[-1]).max() > 0.1
         np.testing.assert_allclose(res.cauchy, cauchy, rtol=1e-9, atol=1e-11)
+
+    def test_forcing_matches_alpha_dot(self, lat):
+        rng = np.random.default_rng(9)
+        psi = random_spinor(lat, 10)
+        A0 = rng.standard_normal((lat.n,) * 3)
+        A = rng.standard_normal((3, lat.n, lat.n, lat.n))
+        want = -sp.alpha_dot(A, psi) - A0 * psi
+        got = dm.picard_forcing(psi, A0, A)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("field", ["A", "psi"])
     def test_non_finite_input_raises(self, lat, field):

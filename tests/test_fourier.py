@@ -284,6 +284,11 @@ class TestModeMultipliers:
         with pytest.raises(ValueError):
             fc.mode_multipliers(lat, 0.0, 0.01)
 
+    def test_one_lam_per_eps(self, lat):
+        lam = fc.mode_multipliers(lat, 0.3, 0.0).lam
+        for dt in (0.01, 0.005, -0.01):
+            assert fc.mode_multipliers(lat, 0.3, dt).lam is lam
+
     def test_kinetic_arrays_read_only_and_exact(self, lat):
         dt = 0.013
         kin = np.exp(-1j * lat.k_sq * dt / 2.0)

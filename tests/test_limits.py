@@ -165,6 +165,30 @@ class TestPauliStep:
             lim.pauli_step(lim.PauliState(lat8, 0.0, chi, 0.4), np.zeros((lat8.n,) * 3), A, 0.02)
 
 
+def kick_matrix_reference(A0, B, A_sq, eps, dt, chi):
+    """The magnetic kick before its coefficients were built once per step:
+    exp(-i dt V) chi with V = a + b.sigma, a = -A0 + (eps^2/2) A^2, b = -(eps/2) B."""
+    a = -A0 + 0.5 * eps**2 * A_sq
+    b = -0.5 * eps * B
+    theta = dt * np.sqrt(np.sum(b**2, axis=0))
+    sin_over = dt * np.sinc(theta / np.pi)
+    return np.exp(-1j * dt * a) * (np.cos(theta) * chi - 1j * sin_over * sp.sigma_dot(b, chi))
+
+
+class TestKick:
+    def test_matches_matrix_exponential_formula(self, lat8):
+        rng = np.random.default_rng(7)
+        shape = (lat8.n,) * 3
+        chi = random_two_spinor(lat8, 8)
+        A0 = rng.standard_normal(shape)
+        A, B = rng.standard_normal((3, *shape)), rng.standard_normal((3, *shape))
+        B[:, 0] = 0.0  # the |B| -> 0 limit of sin(theta)/|b|
+        eps, dt = 0.4, 0.3
+        want = kick_matrix_reference(A0, B, np.sum(A**2, axis=0), eps, dt, chi)
+        got = sp.sigma_block_apply(chi, *lim._kick_coefficients(A0, A, B, eps, dt))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def advect_reference(lat, A, eps, dt, chi, tol=1e-16, max_terms=24):
     """The mixed-term Taylor series with each term's gradient by one 3-D transform pair."""
     scale = float(np.max(np.abs(chi))) + 1e-300

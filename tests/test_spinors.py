@@ -95,6 +95,47 @@ class TestBlockForms:
         assert np.abs(sp.alpha_dot((lat.kx, lat.ky, lat.kz), psi) - ref).max() < 1e-12
 
 
+def block_matrices(d_plus, d_minus, w):
+    """Per-point 4x4 matrices [[d_+, w.sigma], [w.sigma, d_-]] from GAMMA0/ALPHA."""
+    eye = np.eye(4)[:, :, None, None, None]
+    g0 = sp.GAMMA0[:, :, None, None, None]
+    return 0.5 * (d_plus + d_minus) * eye + 0.5 * (d_plus - d_minus) * g0 + np.einsum("kab,k...->ab...", sp.ALPHA, w)
+
+
+class TestBlockApply:
+    """block_apply and sigma_block_apply against einsum over the constant matrices."""
+
+    def _coefficients(self, lat):
+        rng = np.random.default_rng(14)
+        shape = (lat.n,) * 3
+        d_plus, d_minus, scale = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(3))
+        w = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
+        return d_plus, d_minus, scale, w
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_four_spinor(self, lat):
+        d_plus, d_minus, scale, w = self._coefficients(lat)
+        psi = random_spinor(lat, 15)
+        got = sp.block_apply(psi, d_plus, d_minus, sp.sigma_entries(w), scale)
+        self.assert_close(got, np.einsum("ab...,b...->a...", block_matrices(d_plus, d_minus, scale * w), psi))
+
+    def test_broadcast_wavevector_and_scalar_diagonal(self, lat):
+        _, _, scale, _ = self._coefficients(lat)
+        psi = random_spinor(lat, 16)
+        k = np.stack(np.broadcast_arrays(lat.kx, lat.ky, lat.kz))
+        got = sp.block_apply(psi, 1.0, -1.0, sp.sigma_entries((lat.kx, lat.ky, lat.kz)), scale)
+        self.assert_close(got, np.einsum("ab...,b...->a...", block_matrices(1.0, -1.0, scale * k), psi))
+
+    def test_two_spinor(self, lat):
+        d, _, scale, w = self._coefficients(lat)
+        chi = random_spinor(lat, 17, comps=2)
+        want = d * chi + np.einsum("kab,k...,b...->a...", sp.SIGMA, scale * w, chi)
+        self.assert_close(sp.sigma_block_apply(chi, d, sp.sigma_entries(w), scale), want)
+
+
 class TestProjections:
     def test_zero_mode_is_block_projector(self, lat):
         psi = np.zeros((4, lat.n, lat.n, lat.n), dtype=complex)
