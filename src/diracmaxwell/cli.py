@@ -20,8 +20,7 @@ import numpy as np
 from . import __version__
 from . import data_families as df
 from . import spinors as sp
-from .evolve_dm import (DMState, StepConfig, checked_diagnostics, coulomb_gauge, dm_strang_step, integrate,
-                        n_steps_for, simulate_dm)
+from .evolve_dm import DMState, StepConfig, checked_diagnostics, integrate, n_steps_for, run_dm
 from .evolve_limits import DMPauliState, SPState, dm_pauli_step, pauli_diagnostics, sp_diagnostics, sp_step
 from .fourier import Lattice, make_lattice, write_fld
 from .presets import get_preset
@@ -94,7 +93,8 @@ def _write_csv(path: Path, header, rows):
 class _SampleWriter:
     """observe() of the run commands: each sample writes ``<stem>_<i>.fld``
     and appends its diagnostics row to diagnostics.csv, so no run keeps its
-    samples in memory."""
+    samples in memory.  The first sample creates the output directory, so a
+    run that fails its checks before stepping leaves none."""
 
     def __init__(self, out_dir: Path, stem: str, lat: Lattice, snapshot, diagnose):
         self.out_dir, self.stem, self.lat = out_dir, stem, lat
@@ -106,6 +106,8 @@ class _SampleWriter:
     def __call__(self, state):
         row = self.diagnose(state)
         t0 = time.time()
+        if not self.snapshots:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / f"{self.stem}_{len(self.snapshots):04d}.fld"
         write_fld(path, self.lat, self.snapshot(state), state.t)
         lines = [",".join(row)] if not self.snapshots else []
@@ -158,7 +160,7 @@ def cmd_run_dm(cfg: dict, out_dir: Path, seed: int, dealias: bool) -> int:
     step_cfg = StepConfig(dt=dt, dealias=dealias)
     writer = _SampleWriter(out_dir, "psi", init.lat, lambda s: s.psi,
                            lambda s: checked_diagnostics(s, step_cfg))
-    final = integrate(coulomb_gauge(init), lambda s: dm_strang_step(s, step_cfg), n_steps_for(T, dt), every, writer)
+    final = run_dm(init, T, step_cfg, every, writer)
     a_path = out_dir / "A_final.fld"
     write_fld(a_path, init.lat, final.A, final.t)
     return _finish("run-dm", out_dir, cfg, seed, t0, writer, (a_path,))
@@ -218,6 +220,7 @@ def cmd_converge(cfg: dict, out_dir: Path, seed: int, study) -> int:
     except ValueError as exc:
         raise ConfigError(f"config error: {exc}") from None
     report = study(exp_cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     json_path = out_dir / "rate_report.json"
     json_path.write_text(report.to_json() + "\n")
@@ -247,6 +250,7 @@ def cmd_probe(cfg: dict, out_dir: Path, seed: int) -> int:
         T=float(cfg.get("T", 1.0)),
         dt=float(cfg.get("dt", 0.02)),
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     csv_path = out_dir / "sweep.csv"
     _write_csv(csv_path, ("mu", "lambda", "eps", "trial", "ratio"), rows)
@@ -368,24 +372,20 @@ def _suite_null2() -> list:
 
 
 def _suite_squared_dirac() -> list:
-    from .harness import squared_dirac_residuals
+    from .harness import SquaredDiracResiduals
 
     lat = make_lattice(12, 6.283185307179586)
     eps = 0.25
     psi0 = df.spinor_data(lat, "upper_projected", eps, {"amplitude": 0.5})
     a0, a1 = df.gauge_data(lat, "bandlimited_divfree", {"gauge_amplitude": 0.2})
-    results = []
-    res_prev = None
+    res = {}
     for dt in (2e-3, 1e-3):
-        init = DMState(lat, 0.0, psi0.copy(), a0.copy(), a1.copy(), eps)
-        traj = simulate_dm(init, 0.1, StepConfig(dt=dt, sample_every=1))
-        res = float(np.max(squared_dirac_residuals(traj)))
-        results.append((f"squared_dirac_dt{dt}", res, 1.0))
-        if res_prev is not None:
-            ratio = res_prev / res
-            results.append(("squared_dirac_halving_ratio_ge_3", 3.0 - min(ratio, 3.0), 1e-9))
-        res_prev = res
-    return results
+        check = SquaredDiracResiduals()
+        run_dm(DMState(lat, 0.0, psi0, a0, a1, eps), 0.1, StepConfig(dt=dt), 1, check)
+        res[dt] = float(np.max(check.result()))
+    ratio = res[2e-3] / res[1e-3]
+    return [*((f"squared_dirac_dt{dt}", r, 1.0) for dt, r in res.items()),
+            ("squared_dirac_halving_ratio_ge_3", 3.0 - min(ratio, 3.0), 1e-9)]
 
 
 CHECK_SUITES = {
@@ -438,7 +438,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "run-dm":
             return cmd_run_dm(cfg, out_dir, args.seed, args.dealias)
         if args.command == "run-sp":

@@ -34,8 +34,12 @@ so it stays an independent check of the splitting.
 
 Every run, of this system or of the limit systems, is driven by integrate():
 it applies a pure state-to-state step, samples on one schedule and guards
-against non-finite spinors.  Distinct runs share no mutable state and the
-results are independent of thread scheduling for a fixed configuration.
+against non-finite spinors.  Every DM run is run_dm(): the Coulomb gauge,
+then integrate() with dm_strang_step (the lockstep Pauli run gauges in
+DMPauliState.start).  Nothing keeps a run: the observer reduces or writes
+each sample when it is taken (the harness checks hold a window of three
+frozen states).  Distinct runs share no mutable state and the results are
+independent of thread scheduling for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -86,16 +90,10 @@ class DMState:
 class StepConfig:
     dt: float
     dealias: bool = False
-    sample_every: int = 1
-    h1_ceiling: float = 1e6
 
     def __post_init__(self):
         if self.dt == 0:
             raise ValueError("dt must be nonzero")
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        if not self.h1_ceiling > 0:
-            raise ValueError(f"h1_ceiling must be positive, got {self.h1_ceiling}")
 
 
 def derived_A0(lat: Lattice, psi: np.ndarray, dealias_flag: bool = False) -> np.ndarray:
@@ -192,26 +190,8 @@ def dm_strang_step(state: DMState, cfg: StepConfig) -> DMState:
     return new
 
 
-@dataclass
-class Trajectory:
-    """Sampled states plus per-sample diagnostics of a single run."""
-
-    lat: Lattice
-    eps: float
-    times: list = field(default_factory=list)
-    psis: list = field(default_factory=list)
-    As: list = field(default_factory=list)
-    Ws: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
-
-    def record(self, state: DMState):
-        self.times.append(state.t)
-        self.psis.append(state.psi.copy())
-        self.As.append(state.A.copy())
-        self.Ws.append(state.eps_dtA.copy())
-
-
 DIAGNOSTIC_COLUMNS = ("t", "charge", "h1_psi", "h1dot_A", "eps_l2_dtA", "h1_pi_minus_psi")
+H1_CEILING = 1e6  # checked_diagnostics raises above this h1_psi
 
 
 def _diagnose(state: DMState) -> dict:
@@ -231,13 +211,13 @@ def _diagnose(state: DMState) -> dict:
 
 
 def checked_diagnostics(state: DMState, cfg: StepConfig) -> dict:
-    """_diagnose, with the blow-up guard: h1_psi above cfg.h1_ceiling raises
+    """_diagnose, with the blow-up guard: h1_psi above H1_CEILING raises
     FloatingPointError (steps counted from t = 0)."""
     row = _diagnose(state)
-    if row["h1_psi"] > cfg.h1_ceiling:
+    if row["h1_psi"] > H1_CEILING:
         raise FloatingPointError(
             f"H1 blow-up guard tripped at step {round(state.t / cfg.dt)}, t = {state.t}: "
-            f"h1_psi = {row['h1_psi']:.3e} > {cfg.h1_ceiling:.3e}"
+            f"h1_psi = {row['h1_psi']:.3e} > {H1_CEILING:.3e}"
         )
     return row
 
@@ -295,19 +275,11 @@ def coulomb_gauge(init: DMState) -> DMState:
                    eps_dtA=leray_project(init.lat, init.eps_dtA))
 
 
-def simulate_dm(init: DMState, T: float, cfg: StepConfig) -> Trajectory:
-    """Advance to time T, sampling states and scalar diagnostics."""
-    traj = Trajectory(init.lat, init.eps)
-    rows = []
-
-    def observe(state):
-        traj.record(state)
-        rows.append(checked_diagnostics(state, cfg))
-
-    integrate(coulomb_gauge(init), lambda s: dm_strang_step(s, cfg), n_steps_for(T, cfg.dt),
-              cfg.sample_every, observe)
-    traj.diagnostics = {c: np.array([row[c] for row in rows]) for c in DIAGNOSTIC_COLUMNS}
-    return traj
+def run_dm(init: DMState, T: float, cfg: StepConfig, sample_every: int, observe) -> DMState:
+    """integrate() dm_strang_step from the Coulomb-gauged data to time T,
+    calling observe at each of sample_steps; returns the final state."""
+    return integrate(coulomb_gauge(init), lambda s: dm_strang_step(s, cfg), n_steps_for(T, cfg.dt),
+                     sample_every, observe)
 
 
 # -- Picard reference integrator -----------------------------------------------
@@ -363,7 +335,7 @@ def picard_solve(init: DMState, T: float, m_max: int, cfg: StepConfig) -> Picard
     lat, eps, dt = init.lat, init.eps, cfg.dt
     steps = n_steps_for(T, cfg.dt)
     times = np.arange(steps + 1) * dt
-    a0, a1 = lat.rfft(leray_project(lat, init.A)), lat.rfft(leray_project(lat, init.eps_dtA))
+    a0, a1 = leray_hat(lat, lat.rfft(init.A)), leray_hat(lat, lat.rfft(init.eps_dtA))
     psihat0 = lat.fft(init.psi)
 
     zero_psi, zero_A = np.zeros_like(psihat0), np.zeros_like(a0)

@@ -1,4 +1,4 @@
-"""Identity checkers and trajectory diagnostics.
+"""Identity checkers and run diagnostics.
 
 These confront simulator output (or analytically generated fields) with the
 algebraic structure of the coupled system: the two null-form identities
@@ -6,16 +6,24 @@ behind the Coulomb-gauge cancellations, the squared Dirac equation, the
 smallness of the positron component, and the textbook lower-component
 expansion with its initial constraint.
 
+The checks over a run (SquaredDiracResiduals, SmallComponentTrack,
+NaiveExpansionResiduals) are integrate() observers: pass one to
+evolve_dm.run_dm, then read result().  Each holds at most three sampled
+states, by reference.
+
 All spatial derivatives are spectral; time derivatives are exact where the
 flow is per-mode exact and centered differences otherwise.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from . import spinors as sp
-from .evolve_dm import Trajectory, compute_EB, derived_A0
+from .data_families import sigma_grad
+from .evolve_dm import compute_EB, derived_A0
 from .fourier import (Lattice, curl, divergence, gradient, inv_abs_nabla, l2_norm, laplacian, partial,
                       riesz_transform, sobolev_norm)
 
@@ -138,108 +146,127 @@ def null_identity_check(lat: Lattice, A0, A, eps_dtA, psi, U, dtU, eps: float):
     return res1, res2
 
 
-# -- squared Dirac equation ------------------------------------------------------
+# -- checks over a run: integrate() observers on a three-sample window -----------
 
 
-def squared_dirac_residuals(traj: Trajectory) -> np.ndarray:
+class _Window:
+    """Base of the run checks.  Called on each sample of a DM run, it keeps
+    the last three as (state, derive(state)); stepped states are frozen and
+    read-only, so they are held by reference.  dt is the spacing of the first
+    two samples (with ``uniform``, every later spacing must match it), and
+    interior() of each full window is appended to ``out``."""
+
+    uniform = False
+
+    def __init__(self):
+        self.times, self.out, self.dt = [], [], None
+        self.window = deque(maxlen=3)
+
+    def __call__(self, state):
+        if self.times:
+            spacing = state.t - self.times[-1]
+            if self.dt is None:
+                self.dt = spacing
+            elif self.uniform and not np.allclose(spacing, self.dt, rtol=1e-8):
+                raise ValueError("samples must be uniformly spaced")
+        self.times.append(state.t)
+        self.window.append((state, self.derive(state)))
+        if len(self.window) == 3:
+            self.out.append(self.interior(*self.window))
+
+    def result(self) -> np.ndarray:
+        return np.array(self.out)
+
+
+class SquaredDiracResiduals(_Window):
     """L2 residual of the squared equation at interior samples, using
     centered second differences in time.
 
-    Requires uniformly spaced samples with psi, A and eps dt A stored.
-    """
-    lat, eps = traj.lat, traj.eps
-    times = np.asarray(traj.times)
-    if len(times) < 3:
-        raise ValueError("need at least three samples")
-    dts = np.diff(times)
-    if not np.allclose(dts, dts[0], rtol=1e-8):
-        raise ValueError("samples must be uniformly spaced")
-    dt = float(dts[0])
-    A0_series = [derived_A0(lat, p) for p in traj.psis]
-    out = []
-    for i in range(1, len(times) - 1):
-        psi_m, psi, psi_p = traj.psis[i - 1], traj.psis[i], traj.psis[i + 1]
-        A0_m, A0, A0_p = A0_series[i - 1], A0_series[i], A0_series[i + 1]
-        A, W = traj.As[i], traj.Ws[i]
-        dt_psi = (psi_p - psi_m) / (2.0 * dt)
-        dtt_psi = (psi_p - 2.0 * psi + psi_m) / dt**2
+    Requires uniformly spaced samples."""
+
+    uniform = True
+
+    def derive(self, state):
+        return derived_A0(state.lat, state.psi)
+
+    def interior(self, prev, mid, nxt):
+        (s_m, A0_m), (s, A0), (s_p, A0_p) = prev, mid, nxt
+        lat, eps, dt, psi = s.lat, s.eps, self.dt, s.psi
+        dt_psi = (s_p.psi - s_m.psi) / (2.0 * dt)
+        dtt_psi = (s_p.psi - 2.0 * psi + s_m.psi) / dt**2
         dt_A0 = (A0_p - A0_m) / (2.0 * dt)
-        # eps^2 (i dt + A0)^2 psi
-        res = eps**2 * (
-            -dtt_psi + 1j * dt_A0 * psi + 2j * A0 * dt_psi + A0**2 * psi
-        )
+        res = eps**2 * (-dtt_psi + 1j * dt_A0 * psi + 2j * A0 * dt_psi + A0**2 * psi)  # eps^2 (i dt + A0)^2 psi
         # (grad - i eps A)^2 psi, div A = 0
         res += laplacian(lat, psi)
-        res -= 2j * eps * np.sum(A * gradient(lat, psi), axis=-4)
-        res -= eps**2 * np.sum(A**2, axis=0) * psi
+        res -= 2j * eps * np.sum(s.A * gradient(lat, psi), axis=-4)
+        res -= eps**2 * np.sum(s.A**2, axis=0) * psi
         res -= psi / eps**2
-        E, B = compute_EB(lat, A0, A, W)
+        E, B = compute_EB(lat, A0, s.A, s.eps_dtA)
         res -= 1j * eps * sp.alpha_dot(E, psi)
         res += eps * sp.spin_dot(B, psi)
-        out.append(l2_norm(lat, res))
-    return np.array(out)
+        return l2_norm(lat, res)
+
+    def result(self) -> np.ndarray:
+        if len(self.times) < 3:
+            raise ValueError("need at least three samples")
+        return super().result()
 
 
 # -- small component and naive expansion ------------------------------------------
 
 
-def small_component_track(traj: Trajectory, order: int, m: int = 1) -> dict:
+class SmallComponentTrack(_Window):
     """Series of ||Pi_-^eps psi(t)||_{H^m} plus the measured constant in
     sup_t ||.|| <= C eps^order, with the eta-based surrogates."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    lat, eps = traj.lat, traj.eps
-    series = np.array(
-        [sobolev_norm(lat, sp.pi_eps(lat, p, eps, -1), float(m)) for p in traj.psis]
-    )
-    etas = [sp.lower(np.exp(1j * t / eps**2) * p) for t, p in zip(traj.times, traj.psis)]
-    eta_series = np.array([sobolev_norm(lat, e, float(m)) for e in etas])
-    result = {
-        "times": np.asarray(traj.times),
-        "pi_minus": series,
-        "eta": eta_series,
-        "constant": float(series.max() / eps**order),
-        "order": order,
-    }
-    if order == 2:
-        times = np.asarray(traj.times)
-        dt = float(times[1] - times[0])
-        dt_eta = [
-            sobolev_norm(lat, (etas[i + 1] - etas[i - 1]) / (2.0 * dt), float(m - 1))
-            for i in range(1, len(etas) - 1)
-        ]
-        result["dt_eta"] = np.array(dt_eta)
-    return result
+
+    def __init__(self, order: int, m: int = 1):
+        if order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
+        super().__init__()
+        self.order, self.m, self.pi_minus, self.eta = order, float(m), [], []
+
+    def derive(self, state):
+        lat, self.eps = state.lat, state.eps
+        self.pi_minus.append(sobolev_norm(lat, sp.pi_eps(lat, state.psi, self.eps, -1), self.m))
+        eta = sp.lower(np.exp(1j * state.t / self.eps**2) * state.psi)
+        self.eta.append(sobolev_norm(lat, eta, self.m))
+        return eta
+
+    def interior(self, prev, mid, nxt):
+        if self.order == 2:
+            return sobolev_norm(mid[0].lat, (nxt[1] - prev[1]) / (2.0 * self.dt), self.m - 1.0)
+
+    def result(self) -> dict:
+        series = np.array(self.pi_minus)
+        return {"times": np.asarray(self.times), "pi_minus": series, "eta": np.array(self.eta),
+                "constant": float(series.max() / self.eps**self.order), "order": self.order,
+                **({"dt_eta": super().result()} if self.order == 2 else {})}
 
 
-def naive_expansion_residuals(traj: Trajectory) -> np.ndarray:
+class NaiveExpansionResiduals(_Window):
     """L2 residual of the lower-component expansion
     eta + (eps/2) i sigma.grad chi + (eps^2/2){i dt eta + A0 eta + A_j sigma^j chi}
     at interior samples.
 
-    dt(eta) is a centered difference over the trajectory's sample spacing.
+    dt(eta) is a centered difference over the run's sample spacing.
     With the exact derivative the expansion is an identity; the quantity
     being probed is the textbook reading in which eta moves at an O(1) rate,
     so the samples must be spaced at an eps-independent O(1) interval that
     does not resolve the rest-energy oscillation.  Data satisfying the
     leading-order constraint then leave an O(eps^2) residual, while the
     (v, eps v) counterexample leaves Theta(eps)."""
-    from .data_families import sigma_grad
 
-    lat, eps = traj.lat, traj.eps
-    times = np.asarray(traj.times)
-    dt = float(times[1] - times[0])
-    phis = [np.exp(1j * t / eps**2) * p for t, p in zip(traj.times, traj.psis)]
-    out = []
-    for i in range(1, len(times) - 1):
-        chi, eta = sp.upper(phis[i]), sp.lower(phis[i])
-        dt_eta = (sp.lower(phis[i + 1]) - sp.lower(phis[i - 1])) / (2.0 * dt)
-        A0 = derived_A0(lat, traj.psis[i])
-        A = traj.As[i]
+    def derive(self, state):
+        return np.exp(1j * state.t / state.eps**2) * state.psi
+
+    def interior(self, prev, mid, nxt):
+        s, phi = mid
+        lat, eps = s.lat, s.eps
+        chi, eta = sp.upper(phi), sp.lower(phi)
+        dt_eta = (sp.lower(nxt[1]) - sp.lower(prev[1])) / (2.0 * self.dt)
         res = eta + 0.5j * eps * sigma_grad(lat, chi)
-        res += 0.5 * eps**2 * (1j * dt_eta + A0 * eta + sp.sigma_dot(A, chi))
-        out.append(l2_norm(lat, res))
-    return np.array(out)
+        res += 0.5 * eps**2 * (1j * dt_eta + derived_A0(lat, s.psi) * eta + sp.sigma_dot(s.A, chi))
+        return l2_norm(lat, res)
 
 
 def counterexample_current_gap(lat: Lattice, v_plus: np.ndarray, eps: float) -> float:

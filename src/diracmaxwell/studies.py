@@ -17,8 +17,7 @@ import numpy as np
 
 from . import data_families as df
 from . import spinors as sp
-from .evolve_dm import (DMState, StepConfig, coulomb_gauge, derived_A0, dm_strang_step, integrate, n_steps_for,
-                        sample_steps)
+from .evolve_dm import DMState, StepConfig, derived_A0, integrate, n_steps_for, run_dm, sample_steps
 from .evolve_limits import DMPauliState, SPState, dm_pauli_step, sp_step
 from .fourier import (Lattice, bump_profile, curl, h_eps_symbol, littlewood_paley, lp_norm, make_lattice,
                       poisson_solve, sobolev_norm)
@@ -131,12 +130,12 @@ def _integrate_dm(cfg: ExperimentConfig, lat: Lattice, eps: float, observe, with
     step_cfg = StepConfig(dt=dt)
     psi0 = df.spinor_data(lat, cfg.family, eps, cfg.params)
     a0, a1 = df.gauge_data(lat, cfg.gauge, cfg.params)
-    init = coulomb_gauge(DMState(lat, 0.0, psi0, a0, a1, eps))
+    init = DMState(lat, 0.0, psi0, a0, a1, eps)
     if with_pauli:
-        integrate(DMPauliState.start(init, sp.upper(init.psi)),
+        integrate(DMPauliState.start(init, sp.upper(psi0)),
                   lambda s: dm_pauli_step(s, step_cfg), steps, every, observe)
     else:
-        integrate(init, lambda s: dm_strang_step(s, step_cfg), steps, every, observe)
+        run_dm(init, cfg.T, step_cfg, every, observe)
 
 
 def _integrate_sp(cfg: ExperimentConfig, lat: Lattice, sample_every: int, observe):

@@ -160,13 +160,17 @@ def test_criterion_05_conservation():
     psi0 = df.spinor_data(lat, "upper_projected", eps, {"amplitude": 0.5})
     a0, a1 = df.gauge_data(lat, "bandlimited_divfree", {"gauge_amplitude": 0.2})
     init = dm.DMState(lat, 0.0, psi0, a0, a1, eps)
-    traj = dm.simulate_dm(init, 1.0, dm.StepConfig(dt=2e-3, sample_every=25))
-    charge = traj.diagnostics["charge"]
+    cfg = dm.StepConfig(dt=2e-3)
+    charge, divs = [], []
+
+    def observe(s):
+        charge.append(dm.checked_diagnostics(s, cfg)["charge"])
+        divs.extend(fc.l2_norm(lat, fc.divergence(lat, f)) for f in (s.A, s.eps_dtA))
+
+    dm.run_dm(init, 1.0, cfg, 25, observe)
+    charge = np.array(charge)
     drift = float(np.abs(charge - charge[0]).max())
-    div_worst = max(
-        max(fc.l2_norm(lat, fc.divergence(lat, A)) for A in traj.As),
-        max(fc.l2_norm(lat, fc.divergence(lat, W)) for W in traj.Ws),
-    )
+    div_worst = max(divs)
     ok = drift < 1e-8 and div_worst < 1e-10
     report("05 conservation", ok, f"charge drift {drift:.2e}, max divergence {div_worst:.2e}")
 
@@ -178,10 +182,11 @@ def test_criterion_06_stationary_solution():
         psi0 = np.zeros((4, 8, 8, 8), dtype=complex)
         psi0[0] = 1.0
         init = dm.DMState(lat, 0.0, psi0, np.zeros((3, 8, 8, 8)), np.zeros((3, 8, 8, 8)), eps)
-        traj = dm.simulate_dm(init, 1.0, dm.StepConfig(dt=0.01, sample_every=100))
+        cfg = dm.StepConfig(dt=0.01)
+        final = dm.run_dm(init, 1.0, cfg, 100, lambda s: dm.checked_diagnostics(s, cfg))
         ref = np.zeros_like(psi0)
-        ref[0] = np.exp(-1j * traj.times[-1] / eps**2)
-        worst = max(worst, fc.sobolev_norm(lat, traj.psis[-1] - ref, 1.0))
+        ref[0] = np.exp(-1j * final.t / eps**2)
+        worst = max(worst, fc.sobolev_norm(lat, final.psi - ref, 1.0))
     report("06 stationary solution", worst < 1e-9, f"max H1 error {worst:.2e}")
 
 
@@ -283,10 +288,11 @@ def test_criterion_12_picard_cross_validation():
     res = dm.picard_solve(init, T, 6, dm.StepConfig(dt=1e-3))
     tail_ratios = [res.cauchy[i + 1] / res.cauchy[i] for i in range(3, len(res.cauchy) - 1)]
     cauchy_ok = all(r < 0.7 for r in tail_ratios) and not res.contraction_failed
-    traj_a = dm.simulate_dm(init.copy(), T, dm.StepConfig(dt=1e-3, sample_every=100))
-    traj_b = dm.simulate_dm(init.copy(), T, dm.StepConfig(dt=5e-4, sample_every=200))
-    self_err = fc.sobolev_norm(lat, traj_a.psis[-1] - traj_b.psis[-1], 1.0)
-    pic_err = fc.sobolev_norm(lat, res.psis[-1] - traj_a.psis[-1], 1.0)
+    cfg_a, cfg_b = dm.StepConfig(dt=1e-3), dm.StepConfig(dt=5e-4)
+    final_a = dm.run_dm(init.copy(), T, cfg_a, 100, lambda s: dm.checked_diagnostics(s, cfg_a))
+    final_b = dm.run_dm(init.copy(), T, cfg_b, 200, lambda s: dm.checked_diagnostics(s, cfg_b))
+    self_err = fc.sobolev_norm(lat, final_a.psi - final_b.psi, 1.0)
+    pic_err = fc.sobolev_norm(lat, res.psis[-1] - final_a.psi, 1.0)
     match_ok = pic_err < 5.0 * self_err
     report(
         "12 Picard cross-validation",

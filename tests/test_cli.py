@@ -75,6 +75,20 @@ class TestRunDM:
         assert run_cli(["run-dm", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "config error at sample_every" in capsys.readouterr().err
 
+    def test_config_error_leaves_no_out_dir(self, tmp_path):
+        cfg = {
+            "grid": {"n": 8, "period": 6.28},
+            "eps": 0.5,
+            "T": 0.1,
+            "dt": 0.01,
+            "sample_every": 0,
+            "data": {"family": "zero"},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run-dm", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli(["run-dm", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert code != 0

@@ -1,3 +1,6 @@
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,9 @@ from diracmaxwell import fourier as fc
 from diracmaxwell import harness as hn
 from diracmaxwell import spinors as sp
 from diracmaxwell.data_families import (
+    gauge_data,
     gauge_profile,
+    sigma_grad,
     spinor_data,
     v_minus_profile,
     v_plus_profile,
@@ -132,37 +137,43 @@ class TestNullIdentityTwo:
         assert r1 == 0.0 and r2 == 0.0
 
 
+def checked_run(init, T, dt, every, *checks):
+    """run_dm with every check observing each sample; returns their results."""
+    dm.run_dm(init, T, dm.StepConfig(dt=dt), every, lambda s: [check(s) for check in checks])
+    return [check.result() for check in checks]
+
+
 class TestSquaredDirac:
-    def _smooth_traj(self, lat, eps, dt, T=0.1, gauge_amp=0.2):
+    def _smooth_residuals(self, lat, eps, dt, T=0.1, gauge_amp=0.2):
         psi0 = spinor_data(lat, "upper_projected", eps, {"amplitude": 0.5})
         a0 = gauge_profile(lat, gauge_amp)
         init = dm.DMState(lat, 0.0, psi0, a0, np.zeros((3, lat.n, lat.n, lat.n)), eps)
-        return dm.simulate_dm(init, T, dm.StepConfig(dt=dt, sample_every=1))
+        return checked_run(init, T, dt, 1, hn.SquaredDiracResiduals())[0]
 
     def test_zero_fields_zero_residual(self, lat):
         n = lat.n
         init = dm.DMState(
             lat, 0.0, np.zeros((4, n, n, n), dtype=complex), np.zeros((3, n, n, n)), np.zeros((3, n, n, n)), 0.5
         )
-        traj = dm.simulate_dm(init, 0.05, dm.StepConfig(dt=0.01, sample_every=1))
-        assert np.max(hn.squared_dirac_residuals(traj)) == 0.0
+        (res,) = checked_run(init, 0.05, 0.01, 1, hn.SquaredDiracResiduals())
+        assert np.max(res) == 0.0
 
     def test_stationary_solution_small_residual(self, lat):
         n = lat.n
         psi0 = np.zeros((4, n, n, n), dtype=complex)
         psi0[0] = 1.0
         init = dm.DMState(lat, 0.0, psi0, np.zeros((3, n, n, n)), np.zeros((3, n, n, n)), 0.5)
-        traj = dm.simulate_dm(init, 0.05, dm.StepConfig(dt=1e-3, sample_every=1))
+        (res,) = checked_run(init, 0.05, 1e-3, 1, hn.SquaredDiracResiduals())
         # pure phase: centered differences of exp(-it/eps^2) are second order
-        assert np.max(hn.squared_dirac_residuals(traj)) < 1e-1
-        traj2 = dm.simulate_dm(init, 0.05, dm.StepConfig(dt=5e-4, sample_every=1))
-        ratio = np.max(hn.squared_dirac_residuals(traj)) / np.max(hn.squared_dirac_residuals(traj2))
+        assert np.max(res) < 1e-1
+        (res2,) = checked_run(init, 0.05, 5e-4, 1, hn.SquaredDiracResiduals())
+        ratio = np.max(res) / np.max(res2)
         assert ratio == pytest.approx(4.0, rel=0.2)
 
     def test_dt_halving_ratio_in_window(self, lat):
         eps = 0.25
-        r1 = np.max(hn.squared_dirac_residuals(self._smooth_traj(lat, eps, 2e-3)))
-        r2 = np.max(hn.squared_dirac_residuals(self._smooth_traj(lat, eps, 1e-3)))
+        r1 = np.max(self._smooth_residuals(lat, eps, 2e-3))
+        r2 = np.max(self._smooth_residuals(lat, eps, 1e-3))
         assert 3.0 <= r1 / r2 <= 5.0
 
     def test_too_few_samples_rejected(self, lat):
@@ -170,9 +181,8 @@ class TestSquaredDirac:
         init = dm.DMState(
             lat, 0.0, np.zeros((4, n, n, n), dtype=complex), np.zeros((3, n, n, n)), np.zeros((3, n, n, n)), 0.5
         )
-        traj = dm.simulate_dm(init, 0.02, dm.StepConfig(dt=0.01, sample_every=2))
         with pytest.raises(ValueError):
-            hn.squared_dirac_residuals(traj)
+            checked_run(init, 0.02, 0.01, 2, hn.SquaredDiracResiduals())
 
 
 class TestSmallComponent:
@@ -181,12 +191,11 @@ class TestSmallComponent:
         psi0 = spinor_data(lat, "upper_projected", eps, {"amplitude": 0.5})
         times = np.arange(0, 0.1, 0.01)
         psis, _ = dm.free_dirac_trajectory(lat, psi0, times, eps)
-        traj = dm.Trajectory(lat, eps)
-        traj.times = list(times)
-        traj.psis = psis
-        traj.As = [np.zeros((3, lat.n, lat.n, lat.n))] * len(psis)
-        traj.Ws = [np.zeros((3, lat.n, lat.n, lat.n))] * len(psis)
-        out = hn.small_component_track(traj, order=1)
+        track = hn.SmallComponentTrack(order=1)
+        zero = np.zeros((3, lat.n, lat.n, lat.n))
+        for t, psi in zip(times, psis):
+            track(dm.DMState(lat, t, psi, zero, zero, eps))
+        out = track.result()
         assert out["pi_minus"].max() < 1e-12
 
     def test_coupled_run_order_one_scaling(self, lat):
@@ -194,8 +203,7 @@ class TestSmallComponent:
         for eps in (0.4, 0.2):
             psi0 = spinor_data(lat, "upper_projected", eps, {"amplitude": 0.5})
             init = dm.DMState(lat, 0.0, psi0, gauge_profile(lat, 0.2), np.zeros((3, lat.n, lat.n, lat.n)), eps)
-            traj = dm.simulate_dm(init, 0.1, dm.StepConfig(dt=1e-3 * eps / 0.4, sample_every=25))
-            out = hn.small_component_track(traj, order=1)
+            (out,) = checked_run(init, 0.1, 1e-3 * eps / 0.4, 25, hn.SmallComponentTrack(order=1))
             sups[eps] = out["pi_minus"].max()
         # sup ||Pi_- psi|| scales like eps: halving eps halves the sup (30%)
         assert sups[0.4] / sups[0.2] == pytest.approx(2.0, rel=0.3)
@@ -204,33 +212,31 @@ class TestSmallComponent:
         eps = 0.2
         psi0 = spinor_data(lat, "counterexample", eps, {"amplitude": 0.5})
         init = dm.DMState(lat, 0.0, psi0, np.zeros((3, lat.n, lat.n, lat.n)), np.zeros((3, lat.n, lat.n, lat.n)), eps)
-        traj = dm.simulate_dm(init, 0.02, dm.StepConfig(dt=1e-3, sample_every=10))
-        c1 = hn.small_component_track(traj, order=1)["constant"]
-        c2 = hn.small_component_track(traj, order=2)["constant"]
+        out1, out2 = checked_run(init, 0.02, 1e-3, 10, hn.SmallComponentTrack(order=1), hn.SmallComponentTrack(order=2))
+        c1, c2 = out1["constant"], out2["constant"]
         # order-1 constant modest, order-2 constant blows past it by ~1/eps
         assert c2 > 3.0 * c1
 
 
 class TestNaiveExpansion:
-    def _run(self, lat, family, eps, T=0.2, dt=1e-3):
+    def _residuals(self, lat, family, eps, T=0.2, dt=1e-3):
         # fine solver step, coarse O(1) sampling for the naive dt(eta)
         psi0 = spinor_data(lat, family, eps, {"amplitude": 0.5})
         init = dm.DMState(lat, 0.0, psi0, np.zeros((3, lat.n, lat.n, lat.n)), np.zeros((3, lat.n, lat.n, lat.n)), eps)
-        return dm.simulate_dm(init, T, dm.StepConfig(dt=dt, sample_every=50))
+        return checked_run(init, T, dt, 50, hn.NaiveExpansionResiduals())[0]
 
     def test_zero_data(self, lat):
         n = lat.n
         init = dm.DMState(
             lat, 0.0, np.zeros((4, n, n, n), dtype=complex), np.zeros((3, n, n, n)), np.zeros((3, n, n, n)), 0.25
         )
-        traj = dm.simulate_dm(init, 0.02, dm.StepConfig(dt=1e-3, sample_every=1))
-        assert np.max(hn.naive_expansion_residuals(traj)) == 0.0
+        (res,) = checked_run(init, 0.02, 1e-3, 1, hn.NaiveExpansionResiduals())
+        assert np.max(res) == 0.0
 
     def test_constrained_data_small_residual(self, lat):
         res = {}
         for eps in (0.2, 0.1):
-            traj = self._run(lat, "constrained", eps)
-            res[eps] = np.max(hn.naive_expansion_residuals(traj))
+            res[eps] = np.max(self._residuals(lat, "constrained", eps))
         # O(eps^2): halving eps shrinks the residual ~4x
         assert res[0.2] / res[0.1] > 2.5
         assert res[0.2] < 0.1
@@ -238,13 +244,140 @@ class TestNaiveExpansion:
     def test_counterexample_theta_eps(self, lat):
         res = {}
         for eps in (0.2, 0.1):
-            traj = self._run(lat, "counterexample", eps)
-            res[eps] = hn.naive_expansion_residuals(traj)[0]
+            res[eps] = self._residuals(lat, "counterexample", eps)[0]
         # Theta(eps): stays bounded below by a multiple of eps, and far above
         # the constrained family's O(eps^2) level
         for eps in (0.2, 0.1):
             assert res[eps] > 5.0 * eps
         assert res[0.2] / res[0.1] < 3.0  # not shrinking like eps^2
+
+
+def squared_dirac_reference(lat, eps, times, psis, As, Ws):
+    """The list-based squared-Dirac check that the window observer replaced."""
+    times = np.asarray(times)
+    if len(times) < 3:
+        raise ValueError("need at least three samples")
+    dts = np.diff(times)
+    if not np.allclose(dts, dts[0], rtol=1e-8):
+        raise ValueError("samples must be uniformly spaced")
+    dt = float(dts[0])
+    A0_series = [dm.derived_A0(lat, p) for p in psis]
+    out = []
+    for i in range(1, len(times) - 1):
+        psi_m, psi, psi_p = psis[i - 1], psis[i], psis[i + 1]
+        A0_m, A0, A0_p = A0_series[i - 1], A0_series[i], A0_series[i + 1]
+        A, W = As[i], Ws[i]
+        dt_psi = (psi_p - psi_m) / (2.0 * dt)
+        dtt_psi = (psi_p - 2.0 * psi + psi_m) / dt**2
+        dt_A0 = (A0_p - A0_m) / (2.0 * dt)
+        res = eps**2 * (
+            -dtt_psi + 1j * dt_A0 * psi + 2j * A0 * dt_psi + A0**2 * psi
+        )
+        res += fc.laplacian(lat, psi)
+        res -= 2j * eps * np.sum(A * fc.gradient(lat, psi), axis=-4)
+        res -= eps**2 * np.sum(A**2, axis=0) * psi
+        res -= psi / eps**2
+        E, B = dm.compute_EB(lat, A0, A, W)
+        res -= 1j * eps * sp.alpha_dot(E, psi)
+        res += eps * sp.spin_dot(B, psi)
+        out.append(fc.l2_norm(lat, res))
+    return np.array(out)
+
+
+def small_component_reference(lat, eps, times, psis, order, m=1):
+    """The list-based small-component track that the window observer replaced."""
+    series = np.array([fc.sobolev_norm(lat, sp.pi_eps(lat, p, eps, -1), float(m)) for p in psis])
+    etas = [sp.lower(np.exp(1j * t / eps**2) * p) for t, p in zip(times, psis)]
+    result = {
+        "times": np.asarray(times),
+        "pi_minus": series,
+        "eta": np.array([fc.sobolev_norm(lat, e, float(m)) for e in etas]),
+        "constant": float(series.max() / eps**order),
+        "order": order,
+    }
+    if order == 2:
+        dt = float(np.asarray(times)[1] - np.asarray(times)[0])
+        result["dt_eta"] = np.array([
+            fc.sobolev_norm(lat, (etas[i + 1] - etas[i - 1]) / (2.0 * dt), float(m - 1))
+            for i in range(1, len(etas) - 1)
+        ])
+    return result
+
+
+def naive_expansion_reference(lat, eps, times, psis, As):
+    """The list-based naive-expansion check that the window observer replaced."""
+    dt = float(np.asarray(times)[1] - np.asarray(times)[0])
+    phis = [np.exp(1j * t / eps**2) * p for t, p in zip(times, psis)]
+    out = []
+    for i in range(1, len(times) - 1):
+        chi, eta = sp.upper(phis[i]), sp.lower(phis[i])
+        dt_eta = (sp.lower(phis[i + 1]) - sp.lower(phis[i - 1])) / (2.0 * dt)
+        A0 = dm.derived_A0(lat, psis[i])
+        res = eta + 0.5j * eps * sigma_grad(lat, chi)
+        res += 0.5 * eps**2 * (1j * dt_eta + A0 * eta + sp.sigma_dot(As[i], chi))
+        out.append(fc.l2_norm(lat, res))
+    return np.array(out)
+
+
+class TestWindowChecks:
+    """The window observers against the list-based checks they replaced."""
+
+    def _gauged(self, lat, eps=0.25):
+        psi0 = spinor_data(lat, "upper_projected", eps, {"amplitude": 0.5})
+        a0, a1 = gauge_data(lat, "bandlimited_divfree", {"gauge_amplitude": 0.2})
+        return dm.DMState(lat, 0.0, psi0, a0, a1, eps)
+
+    @pytest.mark.parametrize("every", [1, 3])  # 20 steps: at 3 the last sample falls off the stride
+    def test_bit_identical_to_list_reference(self, lat, every):
+        init, T, dt = self._gauged(lat), 0.04, 2e-3
+        kept = collections.defaultdict(list)
+        checks = (hn.SmallComponentTrack(order=1), hn.SmallComponentTrack(order=2), hn.NaiveExpansionResiduals())
+
+        def observe(s):
+            for key, value in (("times", s.t), ("psis", s.psi.copy()), ("As", s.A.copy()), ("Ws", s.eps_dtA.copy())):
+                kept[key].append(value)
+            for check in checks:
+                check(s)
+
+        dm.run_dm(init, T, dm.StepConfig(dt=dt), every, observe)
+        times, psis = kept["times"], kept["psis"]
+        assert len(times) == (21 if every == 1 else 8)
+        for order, check in ((1, checks[0]), (2, checks[1])):
+            got, want = check.result(), small_component_reference(lat, init.eps, times, psis, order)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert np.array_equal(got[key], want[key]), key
+        assert np.array_equal(checks[2].result(), naive_expansion_reference(lat, init.eps, times, psis, kept["As"]))
+
+        squared = hn.SquaredDiracResiduals()
+        if every == 1:
+            got = checked_run(init, T, dt, every, squared)[0]
+            want = squared_dirac_reference(lat, init.eps, times, psis, kept["As"], kept["Ws"])
+            assert len(got) == 19 and np.array_equal(got, want)
+        else:
+            for run in (lambda: checked_run(init, T, dt, every, squared),
+                        lambda: squared_dirac_reference(lat, init.eps, times, psis, kept["As"], kept["Ws"])):
+                with pytest.raises(ValueError, match="samples must be uniformly spaced"):
+                    run()
+
+    def test_window_memory_does_not_grow_with_samples(self):
+        # a check that kept its run would add psi, A and eps dt A (7/4 of a
+        # spinor) per sample: 42 spinors more for the 4x longer run.  The
+        # schedule and the per-sample floats add about 8 kB (a quarter spinor).
+        lat8 = fc.make_lattice(8, TWO_PI)
+        init, dt = self._gauged(lat8), 1e-2
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                checked_run(init, steps * dt, dt, 1, hn.SquaredDiracResiduals())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8)  # warms the per-mode multiplier caches
+        short, long = peak(8), peak(32)
+        assert long <= short + init.psi.nbytes, f"peak {short} -> {long} bytes"
 
 
 class TestCounterexampleGap:
