@@ -351,7 +351,7 @@ def _suite_null1(seed: int = 0) -> list:
 
 def _suite_null2() -> list:
     from .data_families import gauge_profile, v_plus_profile, v_minus_profile
-    from .evolve_dm import build_U, free_dirac_trajectory
+    from .evolve_dm import free_dirac_U
     from .harness import null_identity_check
 
     lat = make_lattice(16, 6.283185307179586)
@@ -359,15 +359,12 @@ def _suite_null2() -> list:
     psi0 = sp.pi_eps(lat, sp.embed_upper(v_plus_profile(lat, 0.5)), eps, +1) + sp.pi_eps(
         lat, sp.embed_lower(v_minus_profile(lat, 0.3)), eps, -1
     )
-    times = np.arange(0, T + dt / 2, dt)
-    psis, dtpsis = free_dirac_trajectory(lat, psi0, times, eps)
-    U, dtU = build_U(lat, psis, dt, eps, dtpsi_series=dtpsis)
+    psi, U, dtU = free_dirac_U(lat, psi0, T, dt, eps)
     Aprof = gauge_profile(lat, 0.2)
     om = 1.3
-    t = times[-1]
-    A_t = np.cos(om * t) * Aprof
-    W_t = -eps * om * np.sin(om * t) * Aprof
-    r1, r2 = null_identity_check(lat, None, A_t, W_t, psis[-1], U[-1], dtU[-1], eps)
+    A_t = np.cos(om * T) * Aprof
+    W_t = -eps * om * np.sin(om * T) * Aprof
+    r1, r2 = null_identity_check(lat, A_t, W_t, psi, U, dtU, eps)
     return [("null_identity_1_freedirac", r1, 1e-10), ("null_identity_2_freedirac", r2, 1e-5)]
 
 

@@ -38,7 +38,9 @@ against non-finite spinors.  Every DM run is run_dm(): the Coulomb gauge,
 then integrate() with dm_strang_step (the lockstep Pauli run gauges in
 DMPauliState.start).  Nothing keeps a run: the observer reduces or writes
 each sample when it is taken (the harness checks hold a window of three
-frozen states).  Distinct runs share no mutable state and the results are
+frozen states), and free_dirac_U advances the free spinor and the
+null-identity field U together as spectra and returns them at the end time
+only.  Distinct runs share no mutable state and the results are
 independent of thread scheduling for a fixed configuration.
 """
 
@@ -387,60 +389,32 @@ def compute_EB(lat: Lattice, A0: np.ndarray, A: np.ndarray, eps_dtA: np.ndarray)
     return gradient(lat, A0) - eps_dtA, curl(lat, A)
 
 
-def free_dirac_trajectory(lat: Lattice, psi0: np.ndarray, times: np.ndarray, eps: float):
-    """Free flow samples psi(t) and the exact dt(psi)(t) = -i Q psi / eps^2."""
-    psis, dtpsis = [], []
-    psihat0 = lat.fft(psi0)
-    for t in times:
-        ph = free_flow_hat(lat, psihat0, float(t), eps)
-        psis.append(lat.ifft(ph))
-        qh = sp._q_hat_apply(lat, ph, eps)
-        dtpsis.append(lat.ifft(-1j / eps**2 * qh))
-    return psis, dtpsis
+def free_dirac_U(lat: Lattice, psi0: np.ndarray, T: float, dt: float, eps: float):
+    """The free Dirac solution psi from psi0 and the field U of box_eps U =
+    -i (eps dt + alpha.grad) psi with U(0) = 0 and i eps dt(U)(0) = psi0, both
+    at time T; returns (psi, U, dt(U)).
 
-
-def build_U(lat: Lattice, psi_series: list, dt: float, eps: float, dtpsi_series: list | None = None):
-    """Solve box_eps U = -i (eps dt + alpha.grad) psi with U(0) = 0 and
-    i eps dt(U)(0) = psi(0), by the exact per-mode oscillator with the source
-    frozen at each step midpoint.
-
-    Returns (U_series, dtU_series).  When psi solves the free Dirac equation,
-    i (eps dt - alpha.grad) U reproduces psi up to the O(dt^2) solver error.
-    A source that changes by more than half its size in one step raises
-    ValueError.
+    psi advances by the exact free flow, U by the exact per-mode oscillator
+    with the source frozen at each step midpoint, all as spectra over
+    n_steps_for(T, dt) steps; only the three results are inverted.  For a free
+    solution eps dt(psi) = -i Q psi / eps, so the source is -gamma0 psi / eps
+    per mode.  i (eps dt - alpha.grad) U reproduces psi up to the O(dt^2)
+    error of the oscillator.  A source that changes by more than half its
+    size in one step raises ValueError.
     """
-    if len(psi_series) < 2:
-        raise ValueError("need at least two samples of psi")
-    if dtpsi_series is None:
-        # centered differences, one-sided at the ends
-        dtpsi_series = list(np.gradient(np.asarray(psi_series), dt, axis=0))
-
-    def source_hat(k):
-        psihat = lat.fft(psi_series[k])
-        dpsihat = lat.fft(dtpsi_series[k])
-        grad_part = 1j * sp.alpha_dot((lat.kx, lat.ky, lat.kz), psihat)
-        return -1j * (eps * dpsihat + grad_part)
-
-    Uhat = np.zeros_like(lat.fft(psi_series[0]))
-    What = eps * lat.fft(-1j / eps * psi_series[0])  # w = eps dt(U), i eps dt(U)(0) = psi0
-    U_out = [lat.ifft(Uhat)]
-    dtU_out = [lat.ifft(What) / eps]
-    src_prev = source_hat(0)
-    max_var = 0.0
-    for k in range(len(psi_series) - 1):
-        src_next = source_hat(k + 1)
-        denom = np.max(np.abs(src_prev)) + 1e-300
-        max_var = max(max_var, float(np.max(np.abs(src_next - src_prev)) / denom))
-        s_mid = 0.5 * (src_prev + src_next)
-        Uhat, What = wave_oscillator(lat, Uhat, What, s_mid, dt, eps)
-        U_out.append(lat.ifft(Uhat))
-        dtU_out.append(lat.ifft(What) / eps)
+    to_source = -np.diag(sp.GAMMA0).real[:, None, None, None] / eps  # -gamma0 / eps
+    psihat = lat.fft(psi0)
+    Uhat, What = np.zeros_like(psihat), -1j * psihat  # What = eps dt(U), i eps dt(U)(0) = psi0
+    src_prev = to_source * psihat
+    for _ in range(n_steps_for(T, dt)):
+        psihat = free_flow_hat(lat, psihat, dt, eps)
+        src_next = to_source * psihat
+        var = float(np.max(np.abs(src_next - src_prev)) / (np.max(np.abs(src_prev)) + 1e-300))
+        if var > 0.5:
+            raise ValueError(f"source varies by {var:.2f} per step; refine dt")
+        Uhat, What = wave_oscillator(lat, Uhat, What, 0.5 * (src_prev + src_next), dt, eps)
         src_prev = src_next
-    if max_var > 0.5:
-        raise ValueError(
-            f"source varies by {max_var:.2f} per step; refine the psi sampling"
-        )
-    return U_out, dtU_out
+    return lat.ifft(psihat), lat.ifft(Uhat), lat.ifft(What) / eps
 
 
 def reconstruct_from_U(lat: Lattice, U: np.ndarray, dtU: np.ndarray, eps: float) -> np.ndarray:

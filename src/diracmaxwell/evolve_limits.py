@@ -28,9 +28,6 @@ class SPState:
     v_plus: np.ndarray     # (2, n, n, n) complex
     v_minus: np.ndarray
 
-    def copy(self):
-        return SPState(self.lat, self.t, self.v_plus.copy(), self.v_minus.copy())
-
     def spinors(self) -> tuple:
         return (self.v_plus, self.v_minus)
 
@@ -80,9 +77,6 @@ class PauliState:
     t: float
     chi: np.ndarray        # (2, n, n, n) complex
     eps: float
-
-    def copy(self):
-        return PauliState(self.lat, self.t, self.chi.copy(), self.eps)
 
     def spinors(self) -> tuple:
         return (self.chi,)

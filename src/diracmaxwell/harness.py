@@ -6,10 +6,15 @@ behind the Coulomb-gauge cancellations, the squared Dirac equation, the
 smallness of the positron component, and the textbook lower-component
 expansion with its initial constraint.
 
+The second null identity is checked at one time: psi, U and dt(U) come from
+evolve_dm.free_dirac_U, and alpha and S act in block form (alpha_dot,
+spin_dot), as everywhere else.
+
 The checks over a run (SquaredDiracResiduals, SmallComponentTrack,
 NaiveExpansionResiduals) are integrate() observers: pass one to
 evolve_dm.run_dm, then read result().  Each holds at most three sampled
-states, by reference.
+states, by reference, and each that differences in time requires uniformly
+spaced samples.
 
 All spatial derivatives are spectral; time derivatives are exact where the
 flow is per-mode exact and centered differences otherwise.
@@ -76,20 +81,20 @@ def null_identity_one_residual(lat: Lattice, A: np.ndarray, psi: np.ndarray) -> 
 
 
 def null_identity_two_residual(lat: Lattice, A: np.ndarray, eps_dtA: np.ndarray,
-                               psi: np.ndarray, U: np.ndarray, dtU: np.ndarray,
-                               eps: float, A0: np.ndarray | None = None) -> float:
+                               psi: np.ndarray, U: np.ndarray, dtU: np.ndarray, eps: float) -> float:
     """Relative residual of the five-term null-form expansion of
     {i (E_j - d_j A0) alpha^j - B_j S^j} psi against its direct evaluation.
 
     A0 cancels from E_j - d_j A0 = -eps dt A_j, so only A, eps dt A, psi and
-    the auxiliary wave field U (with its time derivative) enter.
+    the auxiliary wave field U (with its time derivative) enter.  alpha^l and
+    S^l act in block form, as alpha_dot and spin_dot on the unit vector e_l.
     """
     B = curl(lat, A)
     lhs = -1j * sp.alpha_dot(eps_dtA, psi) - sp.spin_dot(B, psi)
 
-    eps_dt_U = eps * dtU
-    alpha_U = [sp.mat(sp.ALPHA[l], U) for l in range(3)]
-    alpha_dtU = [sp.mat(sp.ALPHA[l], eps_dt_U) for l in range(3)]
+    unit, eps_dt_U = np.eye(3), eps * dtU
+    alpha_U = [sp.alpha_dot(e, U) for e in unit]
+    alpha_dtU = [sp.alpha_dot(e, eps_dt_U) for e in unit]
 
     rhs = np.zeros_like(psi)
     for j in range(3):
@@ -104,16 +109,12 @@ def null_identity_two_residual(lat: Lattice, A: np.ndarray, eps_dtA: np.ndarray,
             # term 2: -Q_jk(|grad|^-1 d_l a_jk, alpha^l U)
             for l in range(3):
                 phi2 = inv_abs_nabla(lat, partial(lat, ajk, l))
-                w = alpha_U[l]
-                rhs -= qab(lat, j + 1, k + 1, phi2, w)
-            # term 5: -(i/2) Q_jk(A_m, eps^{jkl} S_l alpha^m U)
-            for l in range(3):
-                lev = sp.LEVI_CIVITA[j, k, l]
-                if lev == 0.0:
-                    continue
-                for m in range(3):
-                    w = sp.mat(sp.SPIN[l], alpha_U[m])
-                    rhs -= 0.5j * lev * qab(lat, j + 1, k + 1, A[m], w)
+                rhs -= qab(lat, j + 1, k + 1, phi2, alpha_U[l])
+            # term 5: -(i/2) Q_jk(A_m, eps^{jkl} S_l alpha^m U), l the third index
+            l = 3 - j - k
+            for m in range(3):
+                w = sp.spin_dot(unit[l], alpha_U[m])
+                rhs -= 0.5j * sp.LEVI_CIVITA[j, k, l] * qab(lat, j + 1, k + 1, A[m], w)
     for j in range(3):
         # term 3: Q0(A_j, alpha^j U)
         rhs += eps_dtA[j] * alpha_dtU[j]
@@ -121,14 +122,14 @@ def null_identity_two_residual(lat: Lattice, A: np.ndarray, eps_dtA: np.ndarray,
             rhs -= partial(lat, A[j], l) * partial(lat, alpha_U[j], l)
         # term 4: Q_0j(A_k, alpha^j alpha^k U)
         for k in range(3):
-            w = sp.mat(sp.ALPHA[j] @ sp.ALPHA[k], U)
-            wt = sp.mat(sp.ALPHA[j] @ sp.ALPHA[k], eps_dt_U)
+            w = sp.alpha_dot(unit[j], alpha_U[k])
+            wt = sp.alpha_dot(unit[j], alpha_dtU[k])
             rhs += eps_dtA[k] * partial(lat, w, j) - partial(lat, A[k], j) * wt
     denom = l2_norm(lat, lhs)
     return l2_norm(lat, lhs - rhs) / denom if denom > 0 else l2_norm(lat, lhs - rhs)
 
 
-def null_identity_check(lat: Lattice, A0, A, eps_dtA, psi, U, dtU, eps: float):
+def null_identity_check(lat: Lattice, A, eps_dtA, psi, U, dtU, eps: float):
     """Residuals of both null identities.
 
     Rejects A whose divergence or mean exceeds 1e-10.  A must be mean-free:
@@ -142,7 +143,7 @@ def null_identity_check(lat: Lattice, A0, A, eps_dtA, psi, U, dtU, eps: float):
     if mean_max > 1e-10:
         raise ValueError(f"A must be mean-free (max |mean A| = {mean_max:.2e})")
     res1 = null_identity_one_residual(lat, A, psi)
-    res2 = null_identity_two_residual(lat, A, eps_dtA, psi, U, dtU, eps, A0)
+    res2 = null_identity_two_residual(lat, A, eps_dtA, psi, U, dtU, eps)
     return res1, res2
 
 
@@ -152,27 +153,31 @@ def null_identity_check(lat: Lattice, A0, A, eps_dtA, psi, U, dtU, eps: float):
 class _Window:
     """Base of the run checks.  Called on each sample of a DM run, it keeps
     the last three as (state, derive(state)); stepped states are frozen and
-    read-only, so they are held by reference.  dt is the spacing of the first
-    two samples (with ``uniform``, every later spacing must match it), and
-    interior() of each full window is appended to ``out``."""
+    read-only, so they are held by reference.  interior() of each full window
+    is appended to ``out``; it differences in time over dt, the spacing of the
+    first two samples, so every later spacing must match dt.  A check whose
+    interior is None takes no time difference: it keeps no window and accepts
+    any spacing."""
 
-    uniform = False
+    interior = None
 
     def __init__(self):
         self.times, self.out, self.dt = [], [], None
         self.window = deque(maxlen=3)
 
     def __call__(self, state):
-        if self.times:
+        if self.interior is not None and self.times:
             spacing = state.t - self.times[-1]
             if self.dt is None:
                 self.dt = spacing
-            elif self.uniform and not np.allclose(spacing, self.dt, rtol=1e-8):
+            elif not np.allclose(spacing, self.dt, rtol=1e-8):
                 raise ValueError("samples must be uniformly spaced")
         self.times.append(state.t)
-        self.window.append((state, self.derive(state)))
-        if len(self.window) == 3:
-            self.out.append(self.interior(*self.window))
+        derived = self.derive(state)
+        if self.interior is not None:
+            self.window.append((state, derived))
+            if len(self.window) == 3:
+                self.out.append(self.interior(*self.window))
 
     def result(self) -> np.ndarray:
         return np.array(self.out)
@@ -183,8 +188,6 @@ class SquaredDiracResiduals(_Window):
     centered second differences in time.
 
     Requires uniformly spaced samples."""
-
-    uniform = True
 
     def derive(self, state):
         return derived_A0(state.lat, state.psi)
@@ -216,25 +219,28 @@ class SquaredDiracResiduals(_Window):
 
 
 class SmallComponentTrack(_Window):
-    """Series of ||Pi_-^eps psi(t)||_{H^m} plus the measured constant in
-    sup_t ||.|| <= C eps^order, with the eta-based surrogates."""
+    """Series of ||Pi_-^eps psi(t)||_{H^1} plus the measured constant in
+    sup_t ||.|| <= C eps^order, with the eta-based surrogates.  Order 2 adds
+    the L2 norm of the centered dt(eta) and so requires uniformly spaced
+    samples; order 1 takes no time difference."""
 
-    def __init__(self, order: int, m: int = 1):
+    def __init__(self, order: int):
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
         super().__init__()
-        self.order, self.m, self.pi_minus, self.eta = order, float(m), [], []
+        self.order, self.pi_minus, self.eta = order, [], []
+        if order == 1:
+            self.interior = None
 
     def derive(self, state):
         lat, self.eps = state.lat, state.eps
-        self.pi_minus.append(sobolev_norm(lat, sp.pi_eps(lat, state.psi, self.eps, -1), self.m))
+        self.pi_minus.append(sobolev_norm(lat, sp.pi_eps(lat, state.psi, self.eps, -1), 1.0))
         eta = sp.lower(np.exp(1j * state.t / self.eps**2) * state.psi)
-        self.eta.append(sobolev_norm(lat, eta, self.m))
+        self.eta.append(sobolev_norm(lat, eta, 1.0))
         return eta
 
     def interior(self, prev, mid, nxt):
-        if self.order == 2:
-            return sobolev_norm(mid[0].lat, (nxt[1] - prev[1]) / (2.0 * self.dt), self.m - 1.0)
+        return sobolev_norm(mid[0].lat, (nxt[1] - prev[1]) / (2.0 * self.dt), 0.0)
 
     def result(self) -> dict:
         series = np.array(self.pi_minus)
@@ -248,7 +254,8 @@ class NaiveExpansionResiduals(_Window):
     eta + (eps/2) i sigma.grad chi + (eps^2/2){i dt eta + A0 eta + A_j sigma^j chi}
     at interior samples.
 
-    dt(eta) is a centered difference over the run's sample spacing.
+    dt(eta) is a centered difference over the run's sample spacing, which
+    must be uniform.
     With the exact derivative the expansion is an identity; the quantity
     being probed is the textbook reading in which eta moves at an O(1) rate,
     so the samples must be spaced at an eps-independent O(1) interval that

@@ -41,11 +41,6 @@ for _j, _k, _l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     LEVI_CIVITA[_j, _l, _k] = -1.0
 
 
-def mat(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply a constant component matrix at every grid point."""
-    return np.einsum("ab,b...->a...", m, psi)
-
-
 # -- block forms: v is a 3-vector field, or a triple of broadcastable arrays ----
 
 
@@ -178,18 +173,18 @@ def pi_zero(psi: np.ndarray, sign: int) -> np.ndarray:
     return out
 
 
-def projection_remainders(lat: Lattice, f: np.ndarray, eps: float, sign: int = 1):
-    """L2 sizes of Pi^eps - Pi^0 and of the expansion through order eps.
+def projection_remainders(lat: Lattice, f: np.ndarray, eps: float):
+    """L2 sizes of Pi_+^eps - Pi_+^0 and of the expansion through order eps.
 
     The first remainder is O(eps), the second O(eps^2) for fixed band-limited
-    f; the first-order term of the expansion is -/+ (i eps/2) alpha.grad.
+    f; the first-order term of the expansion is -(i eps/2) alpha.grad.
     """
     fhat = lat.fft(f)
-    proj = pi_eps_hat(lat, fhat, eps, sign)
-    proj0 = pi_zero(fhat, sign)
+    proj = pi_eps_hat(lat, fhat, eps, 1)
+    proj0 = pi_zero(fhat, 1)
     rem1 = lat.ifft(proj - proj0)
-    # (-/+ i eps/2 alpha.grad) has mode matrix +/- (eps/2) alpha.k
-    first = 0.5 * eps * sign * alpha_dot((lat.kx, lat.ky, lat.kz), fhat)
+    # -(i eps/2) alpha.grad has mode matrix (eps/2) alpha.k
+    first = 0.5 * eps * alpha_dot((lat.kx, lat.ky, lat.kz), fhat)
     rem2 = lat.ifft(proj - proj0 - first)
     return l2_norm(lat, rem1), l2_norm(lat, rem2)
 

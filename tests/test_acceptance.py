@@ -134,15 +134,12 @@ def test_criterion_04_null_identity_two():
     )
     Aprof = df.gauge_profile(lat, 0.2)
     om = 1.3
+    A_t = np.cos(om * T) * Aprof
+    W_t = -eps * om * np.sin(om * T) * Aprof
     residuals = {}
     for dt in (2e-3, 1e-3):
-        times = np.arange(0, T + dt / 2, dt)
-        psis, dtpsis = dm.free_dirac_trajectory(lat, psi0, times, eps)
-        U, dtU = dm.build_U(lat, psis, dt, eps, dtpsi_series=dtpsis)
-        t_eval = times[-1]
-        A_t = np.cos(om * t_eval) * Aprof
-        W_t = -eps * om * np.sin(om * t_eval) * Aprof
-        _, r2 = hn.null_identity_check(lat, None, A_t, W_t, psis[-1], U[-1], dtU[-1], eps)
+        psi, U, dtU = dm.free_dirac_U(lat, psi0, T, dt, eps)
+        _, r2 = hn.null_identity_check(lat, A_t, W_t, psi, U, dtU, eps)
         residuals[dt] = r2
     ratio = residuals[2e-3] / residuals[1e-3]
     wall = time.time() - t0

@@ -376,9 +376,10 @@ class TestMultiplierCache:
             assert np.array_equal(a, b)
 
     def test_bounded_after_many_times(self, lat):
-        psi0 = smooth_state(lat, 0.5).psi
+        psihat = lat.fft(smooth_state(lat, 0.5).psi)
         info = fc.mode_multipliers.cache_info()
-        dm.free_dirac_trajectory(lat, psi0, np.linspace(0.0, 1.0, 4 * info.maxsize), 0.5)
+        for t in np.linspace(0.0, 1.0, 4 * info.maxsize):
+            dm.free_flow_hat(lat, psihat, float(t), 0.5)
         assert fc.mode_multipliers.cache_info().currsize <= info.maxsize
 
 
@@ -586,40 +587,56 @@ class TestEBandU:
         assert np.abs(E3[1] + 0.7).max() < 1e-13
         assert fc.l2_norm(lat, fc.divergence(lat, B2)) < 1e-10
 
-    def test_build_U_zero(self, lat):
-        n = lat.n
-        zeros = [np.zeros((4, n, n, n), dtype=complex) for _ in range(5)]
-        U, dtU = dm.build_U(lat, zeros, 0.01, 0.5, dtpsi_series=zeros)
-        assert not U[-1].any() and not dtU[-1].any()
+    def test_free_dirac_U_zero(self, lat):
+        psi, U, dtU = dm.free_dirac_U(lat, np.zeros((4, lat.n, lat.n, lat.n), dtype=complex), 0.04, 0.01, 0.5)
+        assert not psi.any() and not U.any() and not dtU.any()
 
-    def test_build_U_constant_spinor(self, lat):
+    def test_free_dirac_U_zero_mode_closed_form(self, lat):
+        # constant upper data c: psi = exp(-it/eps^2) c, U(T) = eps (exp(-iT/eps^2) - 1) c,
+        # reached to second order in dt
         n = lat.n
-        eps, dt = 0.5, 0.02
-        c = np.array([0.3 + 0.1j, 0.0, 0.2, 0.0])
-        series = [np.zeros((4, n, n, n), dtype=complex) + c[:, None, None, None] for _ in range(11)]
-        zeros = [np.zeros((4, n, n, n), dtype=complex) for _ in range(11)]
-        U, _ = dm.build_U(lat, series, dt, eps, dtpsi_series=zeros)
-        expected = -1j * (10 * dt) * c[:, None, None, None] / eps
-        assert np.abs(U[-1] - expected).max() < 1e-12
+        eps, T = 0.5, 0.2
+        c = np.array([0.3 + 0.1j, -0.2, 0.0, 0.0])[:, None, None, None]
+        phase = np.exp(-1j * T / eps**2)
+        errors = []
+        for dt in (0.02, 0.01):
+            psi, U, _ = dm.free_dirac_U(lat, np.zeros((4, n, n, n), dtype=complex) + c, T, dt, eps)
+            assert np.abs(psi - phase * c).max() < 1e-13
+            errors.append(np.abs(U - eps * (phase - 1.0) * c).max())
+        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
 
     def test_reconstruction_identity_free_solution(self, lat):
         eps, dt, T = 0.5, 1e-3, 0.25
         psi0 = sp.pi_eps(lat, sp.embed_upper(v_plus_profile(lat, 0.5)), eps, +1) + sp.pi_eps(
             lat, sp.embed_lower(v_minus_profile(lat, 0.3)), eps, -1
         )
-        times = np.arange(0, T + dt / 2, dt)
-        psis, dtpsis = dm.free_dirac_trajectory(lat, psi0, times, eps)
-        U, dtU = dm.build_U(lat, psis, dt, eps, dtpsi_series=dtpsis)
-        rec = dm.reconstruct_from_U(lat, U[-1], dtU[-1], eps)
-        assert fc.l2_norm(lat, rec - psis[-1]) < 1e-4
+        psi, U, dtU = dm.free_dirac_U(lat, psi0, T, dt, eps)
+        rec = dm.reconstruct_from_U(lat, U, dtU, eps)
+        assert fc.l2_norm(lat, rec - psi) < 1e-4
 
     def test_insufficient_sampling_flagged(self, lat):
         eps = 0.25
         psi0 = sp.pi_eps(lat, sp.embed_upper(v_plus_profile(lat, 0.5)), eps, +1)
-        times = np.arange(0, 0.2, 0.05)  # hopelessly coarse vs the 1/eps^2 phase
-        psis, dtpsis = dm.free_dirac_trajectory(lat, psi0, times, eps)
-        with pytest.raises(ValueError):
-            dm.build_U(lat, psis, 0.05, eps, dtpsi_series=dtpsis)
+        with pytest.raises(ValueError):  # dt hopelessly coarse vs the 1/eps^2 phase
+            dm.free_dirac_U(lat, psi0, 0.15, 0.05, eps)
+
+    def test_free_dirac_U_memory_does_not_grow_with_steps(self):
+        # the list-returning builder kept two spinors per level, here 96 more
+        # for the 4x longer run
+        lat8 = fc.make_lattice(8, TWO_PI)
+        psi0 = smooth_state(lat8, 0.5).psi
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                dm.free_dirac_U(lat8, psi0, steps * 1e-2, 1e-2, 0.5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(16)  # warms the per-mode multiplier caches
+        short, long = peak(16), peak(64)
+        assert long <= short + psi0.nbytes, f"peak {short} -> {long} bytes"
 
 
 class TestRemainder:

@@ -1,5 +1,8 @@
 import collections
+import inspect
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,7 +107,7 @@ class TestNullIdentityOne:
         psi = random_spinor(lat, 10)
         U = np.zeros_like(psi)
         with pytest.raises(ValueError):
-            hn.null_identity_check(lat, None, A, np.zeros_like(A), psi, U, U, 0.5)
+            hn.null_identity_check(lat, A, np.zeros_like(A), psi, U, U, 0.5)
 
 
 class TestNullIdentityTwo:
@@ -117,14 +120,11 @@ class TestNullIdentityTwo:
         Aprof = gauge_profile(lat, 0.2)
         om = 1.3
         residuals = []
+        A_t = np.cos(om * T) * Aprof
+        W_t = -eps * om * np.sin(om * T) * Aprof
         for dt in (2e-3, 1e-3):
-            times = np.arange(0, T + dt / 2, dt)
-            psis, dtpsis = dm.free_dirac_trajectory(lat, psi0, times, eps)
-            U, dtU = dm.build_U(lat, psis, dt, eps, dtpsi_series=dtpsis)
-            t = times[-1]
-            A_t = np.cos(om * t) * Aprof
-            W_t = -eps * om * np.sin(om * t) * Aprof
-            r1, r2 = hn.null_identity_check(lat, None, A_t, W_t, psis[-1], U[-1], dtU[-1], eps)
+            psi, U, dtU = dm.free_dirac_U(lat, psi0, T, dt, eps)
+            r1, r2 = hn.null_identity_check(lat, A_t, W_t, psi, U, dtU, eps)
             assert r1 < 1e-10
             residuals.append(r2)
         assert residuals[0] / residuals[1] == pytest.approx(4.0, rel=0.5)
@@ -133,7 +133,7 @@ class TestNullIdentityTwo:
         psi = random_spinor(lat, 11)
         U = random_spinor(lat, 12)
         A = np.zeros((3, lat.n, lat.n, lat.n))
-        r1, r2 = hn.null_identity_check(lat, None, A, A.copy(), psi, U, U.copy(), 0.5)
+        r1, r2 = hn.null_identity_check(lat, A, A.copy(), psi, U, U.copy(), 0.5)
         assert r1 == 0.0 and r2 == 0.0
 
 
@@ -189,12 +189,10 @@ class TestSmallComponent:
     def test_free_flow_preserves_zero_positron_part(self, lat):
         eps = 0.25
         psi0 = spinor_data(lat, "upper_projected", eps, {"amplitude": 0.5})
-        times = np.arange(0, 0.1, 0.01)
-        psis, _ = dm.free_dirac_trajectory(lat, psi0, times, eps)
         track = hn.SmallComponentTrack(order=1)
         zero = np.zeros((3, lat.n, lat.n, lat.n))
-        for t, psi in zip(times, psis):
-            track(dm.DMState(lat, t, psi, zero, zero, eps))
+        for t in np.arange(0, 0.1, 0.01):
+            track(dm.DMState(lat, t, dm.free_dirac_step(lat, psi0, float(t), eps), zero, zero, eps))
         out = track.result()
         assert out["pi_minus"].max() < 1e-12
 
@@ -252,15 +250,20 @@ class TestNaiveExpansion:
         assert res[0.2] / res[0.1] < 3.0  # not shrinking like eps^2
 
 
-def squared_dirac_reference(lat, eps, times, psis, As, Ws):
-    """The list-based squared-Dirac check that the window observer replaced."""
-    times = np.asarray(times)
-    if len(times) < 3:
-        raise ValueError("need at least three samples")
-    dts = np.diff(times)
+def uniform_dt(times):
+    """The spacing of sample times that must be uniform: a check that takes
+    centered differences over one spacing needs every spacing to match it."""
+    dts = np.diff(np.asarray(times))
     if not np.allclose(dts, dts[0], rtol=1e-8):
         raise ValueError("samples must be uniformly spaced")
-    dt = float(dts[0])
+    return float(dts[0])
+
+
+def squared_dirac_reference(lat, eps, times, psis, As, Ws):
+    """The list-based squared-Dirac check that the window observer replaced."""
+    if len(times) < 3:
+        raise ValueError("need at least three samples")
+    dt = uniform_dt(times)
     A0_series = [dm.derived_A0(lat, p) for p in psis]
     out = []
     for i in range(1, len(times) - 1):
@@ -284,29 +287,31 @@ def squared_dirac_reference(lat, eps, times, psis, As, Ws):
     return np.array(out)
 
 
-def small_component_reference(lat, eps, times, psis, order, m=1):
-    """The list-based small-component track that the window observer replaced."""
-    series = np.array([fc.sobolev_norm(lat, sp.pi_eps(lat, p, eps, -1), float(m)) for p in psis])
+def small_component_reference(lat, eps, times, psis, order):
+    """The list-based small-component track that the window observer replaced
+    (order 2 requires uniform spacing)."""
+    series = np.array([fc.sobolev_norm(lat, sp.pi_eps(lat, p, eps, -1), 1.0) for p in psis])
     etas = [sp.lower(np.exp(1j * t / eps**2) * p) for t, p in zip(times, psis)]
     result = {
         "times": np.asarray(times),
         "pi_minus": series,
-        "eta": np.array([fc.sobolev_norm(lat, e, float(m)) for e in etas]),
+        "eta": np.array([fc.sobolev_norm(lat, e, 1.0) for e in etas]),
         "constant": float(series.max() / eps**order),
         "order": order,
     }
     if order == 2:
-        dt = float(np.asarray(times)[1] - np.asarray(times)[0])
+        dt = uniform_dt(times)
         result["dt_eta"] = np.array([
-            fc.sobolev_norm(lat, (etas[i + 1] - etas[i - 1]) / (2.0 * dt), float(m - 1))
+            fc.sobolev_norm(lat, (etas[i + 1] - etas[i - 1]) / (2.0 * dt), 0.0)
             for i in range(1, len(etas) - 1)
         ])
     return result
 
 
 def naive_expansion_reference(lat, eps, times, psis, As):
-    """The list-based naive-expansion check that the window observer replaced."""
-    dt = float(np.asarray(times)[1] - np.asarray(times)[0])
+    """The list-based naive-expansion check that the window observer replaced
+    (it requires uniform spacing)."""
+    dt = uniform_dt(times)
     phis = [np.exp(1j * t / eps**2) * p for t, p in zip(times, psis)]
     out = []
     for i in range(1, len(times) - 1):
@@ -331,34 +336,41 @@ class TestWindowChecks:
     def test_bit_identical_to_list_reference(self, lat, every):
         init, T, dt = self._gauged(lat), 0.04, 2e-3
         kept = collections.defaultdict(list)
-        checks = (hn.SmallComponentTrack(order=1), hn.SmallComponentTrack(order=2), hn.NaiveExpansionResiduals())
+        order_one = hn.SmallComponentTrack(order=1)
 
         def observe(s):
             for key, value in (("times", s.t), ("psis", s.psi.copy()), ("As", s.A.copy()), ("Ws", s.eps_dtA.copy())):
                 kept[key].append(value)
-            for check in checks:
-                check(s)
+            order_one(s)
 
         dm.run_dm(init, T, dm.StepConfig(dt=dt), every, observe)
-        times, psis = kept["times"], kept["psis"]
+        times, psis, As, Ws = kept["times"], kept["psis"], kept["As"], kept["Ws"]
         assert len(times) == (21 if every == 1 else 8)
-        for order, check in ((1, checks[0]), (2, checks[1])):
-            got, want = check.result(), small_component_reference(lat, init.eps, times, psis, order)
-            assert got.keys() == want.keys()
-            for key in want:
-                assert np.array_equal(got[key], want[key]), key
-        assert np.array_equal(checks[2].result(), naive_expansion_reference(lat, init.eps, times, psis, kept["As"]))
+        got, want = order_one.result(), small_component_reference(lat, init.eps, times, psis, 1)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
 
-        squared = hn.SquaredDiracResiduals()
+        # the checks that difference in time, with their list references
+        differenced = (
+            (hn.SmallComponentTrack(order=2), lambda: small_component_reference(lat, init.eps, times, psis, 2)),
+            (hn.NaiveExpansionResiduals(), lambda: naive_expansion_reference(lat, init.eps, times, psis, As)),
+            (hn.SquaredDiracResiduals(), lambda: squared_dirac_reference(lat, init.eps, times, psis, As, Ws)),
+        )
         if every == 1:
-            got = checked_run(init, T, dt, every, squared)[0]
-            want = squared_dirac_reference(lat, init.eps, times, psis, kept["As"], kept["Ws"])
-            assert len(got) == 19 and np.array_equal(got, want)
+            results = checked_run(init, T, dt, every, *(check for check, _ in differenced))
+            for got, (_, reference) in zip(results, differenced):
+                want = reference()
+                if isinstance(want, dict):
+                    assert got.keys() == want.keys()
+                    assert all(np.array_equal(got[key], want[key]) for key in want)
+                else:
+                    assert len(got) == 19 and np.array_equal(got, want)
         else:
-            for run in (lambda: checked_run(init, T, dt, every, squared),
-                        lambda: squared_dirac_reference(lat, init.eps, times, psis, kept["As"], kept["Ws"])):
-                with pytest.raises(ValueError, match="samples must be uniformly spaced"):
-                    run()
+            for check, reference in differenced:
+                for run in (lambda: checked_run(init, T, dt, every, check), reference):
+                    with pytest.raises(ValueError, match="samples must be uniformly spaced"):
+                        run()
 
     def test_window_memory_does_not_grow_with_samples(self):
         # a check that kept its run would add psi, A and eps dt A (7/4 of a
@@ -378,6 +390,17 @@ class TestWindowChecks:
         peak(8)  # warms the per-mode multiplier caches
         short, long = peak(8), peak(32)
         assert long <= short + init.psi.nbytes, f"peak {short} -> {long} bytes"
+
+
+class TestNullTwoPath:
+    def test_no_matrix_or_series_path(self):
+        # U comes from the streaming free_dirac_U, spinor matrices act in block form
+        retired = re.compile(r"einsum|free_dirac_trajectory|build_U|def mat\b")
+        files = sorted(Path(hn.__file__).parent.rglob("*.py"))
+        assert [p.name for p in files if retired.search(p.read_text())] == []
+
+    def test_null_identity_check_takes_no_A0(self):
+        assert "A0" not in inspect.signature(hn.null_identity_check).parameters
 
 
 class TestCounterexampleGap:
