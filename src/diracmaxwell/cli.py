@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Commands: run-dm, run-sp, run-pauli, converge, seminonrel, probe-dyadic,
-check <suite>.  Configs are JSON files or ``preset:<name>``; every command
-writes a manifest with the config hash and seed so reruns are comparable
-byte for byte (wall-clock fields aside).
+check <suite>.  A run is its config: every run command takes only
+``--config`` (a JSON file or ``preset:<name>``) and ``--out``, and writes a
+manifest with the config hash, so reruns of one config are comparable byte
+for byte (wall-clock fields aside).
 """
 
 from __future__ import annotations
@@ -32,8 +33,12 @@ class ConfigError(Exception):
 
 
 def _need(cfg: dict, key: str, path: str = ""):
+    path = path or key
+    if not isinstance(cfg, dict):
+        parent = path.rpartition(".")[0] or "top level"
+        raise ConfigError(f"config error at {parent}: must be an object, got {cfg!r}")
     if key not in cfg:
-        raise ConfigError(f"config error at {path or key}: missing required field {key!r}")
+        raise ConfigError(f"config error at {path}: missing required field {key!r}")
     return cfg[key]
 
 
@@ -43,9 +48,19 @@ def _validate_grid(cfg: dict) -> tuple:
     if not isinstance(n, int) or n % 2 != 0 or n < 4:
         raise ConfigError(f"config error at grid.n: must be an even integer >= 4, got {n!r}")
     period = _need(grid, "period", "grid.period")
-    if not (period > 0):
-        raise ConfigError(f"config error at grid.period: must be positive, got {period!r}")
+    if not (isinstance(period, (int, float)) and period > 0):
+        raise ConfigError(f"config error at grid.period: must be a positive number, got {period!r}")
     return n, float(period)
+
+
+def _data(cfg: dict) -> tuple:
+    """The data family and its params."""
+    data = _need(cfg, "data")
+    family = _need(data, "family", "data.family")
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"config error at data.params: must be an object, got {params!r}")
+    return family, params
 
 
 def load_config(spec: str) -> dict:
@@ -67,17 +82,14 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def write_manifest(out_dir: Path, cfg: dict, seed: int, stages: dict, outputs: list):
+def write_manifest(out_dir: Path, cfg: dict, stages: dict, outputs: list) -> None:
     manifest = {
         "config_hash": config_hash(cfg),
-        "seed": seed,
         "code_version": __version__,
         "wall_clock": {k: round(v, 6) for k, v in stages.items()},
         "outputs": sorted(Path(p).name for p in outputs),
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header, rows):
@@ -131,63 +143,63 @@ def _run_times(cfg: dict) -> tuple:
     return T, dt, _sample_every(cfg, 1)
 
 
-def _dm_init(cfg: dict) -> DMState:
+def _dm_init(cfg: dict, dt: float) -> tuple:
+    """The initial DMState and the StepConfig of a DM run."""
+    dealias = cfg.get("dealias", False)
+    if not isinstance(dealias, bool):
+        raise ConfigError(f"config error at dealias: must be true or false, got {dealias!r}")
     n, period = _validate_grid(cfg)
     eps = float(_need(cfg, "eps"))
     if not (eps > 0):
         raise ConfigError(f"config error at eps: must be positive, got {eps}")
-    data = _need(cfg, "data")
+    family, params = _data(cfg)
     lat = make_lattice(n, period)
-    psi0 = df.spinor_data(lat, _need(data, "family", "data.family"), eps, data.get("params"))
-    a0, a1 = df.gauge_data(lat, cfg.get("gauge", "zero"), data.get("params"))
-    return DMState(lat, 0.0, psi0, a0, a1, eps)
+    psi0 = df.spinor_data(lat, family, eps, params)
+    a0, a1 = df.gauge_data(lat, cfg.get("gauge", "zero"), params)
+    return DMState(lat, 0.0, psi0, a0, a1, eps), StepConfig(dt=dt, dealias=dealias)
 
 
-def _finish(command: str, out_dir: Path, cfg: dict, seed: int, t0: float, writer: _SampleWriter,
-            extra: tuple = ()) -> int:
-    outputs = [*writer.snapshots, *extra, writer.csv_path]
+def _finish(command: str, out_dir: Path, cfg: dict, t0: float, writer: _SampleWriter, extra: tuple = ()) -> int:
     total = time.time() - t0
     stages = {"simulate": total - writer.write_seconds, "write": writer.write_seconds}
-    outputs.append(write_manifest(out_dir, cfg, seed, stages, outputs))
+    write_manifest(out_dir, cfg, stages, [*writer.snapshots, *extra, writer.csv_path])
     print(f"{command}: {len(writer.snapshots)} samples -> {out_dir}")
     return 0
 
 
-def cmd_run_dm(cfg: dict, out_dir: Path, seed: int, dealias: bool) -> int:
+def cmd_run_dm(cfg: dict, out_dir: Path) -> int:
     T, dt, every = _run_times(cfg)
     t0 = time.time()
-    init = _dm_init(cfg)
-    step_cfg = StepConfig(dt=dt, dealias=dealias)
+    init, step_cfg = _dm_init(cfg, dt)
     writer = _SampleWriter(out_dir, "psi", init.lat, lambda s: s.psi,
                            lambda s: checked_diagnostics(s, step_cfg))
     final = run_dm(init, T, step_cfg, every, writer)
     a_path = out_dir / "A_final.fld"
     write_fld(a_path, init.lat, final.A, final.t)
-    return _finish("run-dm", out_dir, cfg, seed, t0, writer, (a_path,))
+    return _finish("run-dm", out_dir, cfg, t0, writer, (a_path,))
 
 
-def cmd_run_sp(cfg: dict, out_dir: Path, seed: int) -> int:
+def cmd_run_sp(cfg: dict, out_dir: Path) -> int:
     T, dt, every = _run_times(cfg)
     n, period = _validate_grid(cfg)
-    data = _need(cfg, "data")
+    family, params = _data(cfg)
     lat = make_lattice(n, period)
     t0 = time.time()
-    v0p, v0m = df.limit_data(lat, _need(data, "family", "data.family"), data.get("params"))
+    v0p, v0m = df.limit_data(lat, family, params)
     writer = _SampleWriter(out_dir, "vplus", lat, lambda s: s.v_plus, sp_diagnostics)
     integrate(SPState(lat, 0.0, v0p, v0m), lambda s: sp_step(s, dt), n_steps_for(T, dt), every, writer)
-    return _finish("run-sp", out_dir, cfg, seed, t0, writer)
+    return _finish("run-sp", out_dir, cfg, t0, writer)
 
 
-def cmd_run_pauli(cfg: dict, out_dir: Path, seed: int) -> int:
+def cmd_run_pauli(cfg: dict, out_dir: Path) -> int:
     """Advances the Pauli spinor in lockstep with a DM run, in its fields."""
     T, dt, every = _run_times(cfg)
     t0 = time.time()
-    init = _dm_init(cfg)
-    step_cfg = StepConfig(dt=dt)
+    init, step_cfg = _dm_init(cfg, dt)
     writer = _SampleWriter(out_dir, "chi", init.lat, lambda s: s.pauli.chi, lambda s: pauli_diagnostics(s.pauli))
     integrate(DMPauliState.start(init, sp.upper(init.psi)), lambda s: dm_pauli_step(s, step_cfg),
               n_steps_for(T, dt), every, writer)
-    return _finish("run-pauli", out_dir, cfg, seed, t0, writer)
+    return _finish("run-pauli", out_dir, cfg, t0, writer)
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
@@ -197,7 +209,7 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
         raise ConfigError(
             f"config error at eps_list: rate fits need >= 3 eps values, got {len(eps_list)}"
         )
-    data = _need(cfg, "data")
+    family, params = _data(cfg)
     return ExperimentConfig(
         n=n,
         period=period,
@@ -206,14 +218,14 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
         dt_ref=float(_need(cfg, "dt_ref")),
         eps_ref=float(cfg.get("eps_ref", eps_list[0])),
         dt_schedule=cfg.get("dt_schedule", "eps_linear"),
-        family=_need(data, "family", "data.family"),
-        params=data.get("params", {}),
+        family=family,
+        params=params,
         gauge=cfg.get("gauge", "zero"),
         sample_every=_sample_every(cfg, 10),
     )
 
 
-def cmd_converge(cfg: dict, out_dir: Path, seed: int, study) -> int:
+def cmd_converge(cfg: dict, out_dir: Path, study) -> int:
     t0 = time.time()
     try:
         exp_cfg = _experiment_config(cfg)
@@ -221,20 +233,17 @@ def cmd_converge(cfg: dict, out_dir: Path, seed: int, study) -> int:
         raise ConfigError(f"config error: {exc}") from None
     report = study(exp_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    json_path = out_dir / "rate_report.json"
+    json_path, csv_path = out_dir / "rate_report.json", out_dir / "rate_report.csv"
     json_path.write_text(report.to_json() + "\n")
-    outputs.append(json_path)
-    csv_path = out_dir / "rate_report.csv"
-    _write_csv(csv_path, report.to_csv_rows()[0], report.to_csv_rows()[1:])
-    outputs.append(csv_path)
-    outputs.append(write_manifest(out_dir, cfg, seed, {"study": time.time() - t0}, outputs))
-    print(f"rates: { {k: v for k, v in report.rates.items()} }")
+    rows = report.to_csv_rows()
+    _write_csv(csv_path, rows[0], rows[1:])
+    write_manifest(out_dir, cfg, {"study": time.time() - t0}, [json_path, csv_path])
+    print(f"rates: {report.rates}")
     print(f"report -> {json_path}")
     return 0
 
 
-def cmd_probe(cfg: dict, out_dir: Path, seed: int) -> int:
+def cmd_probe(cfg: dict, out_dir: Path) -> int:
     n, period = _validate_grid(cfg)
     case = _need(cfg, "case")
     t0 = time.time()
@@ -245,17 +254,15 @@ def cmd_probe(cfg: dict, out_dir: Path, seed: int) -> int:
         float(_need(cfg, "eps")),
         [float(m) for m in _need(cfg, "mu_list")],
         [float(m) for m in _need(cfg, "lam_list")],
-        trials=int(cfg.get("trials", 8)),
-        seed=seed,
-        T=float(cfg.get("T", 1.0)),
-        dt=float(cfg.get("dt", 0.02)),
+        int(cfg.get("trials", 8)),
+        int(cfg.get("seed", 0)),
+        float(cfg.get("T", 1.0)),
+        float(cfg.get("dt", 0.02)),
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
     csv_path = out_dir / "sweep.csv"
     _write_csv(csv_path, ("mu", "lambda", "eps", "trial", "ratio"), rows)
-    outputs.append(csv_path)
-    outputs.append(write_manifest(out_dir, cfg, seed, {"probe": time.time() - t0}, outputs))
+    write_manifest(out_dir, cfg, {"probe": time.time() - t0}, [csv_path])
     ratios = np.array([r[-1] for r in rows])
     print(f"probe case {case}: {len(rows)} cells, max ratio {ratios.max():.4f}")
     return 0
@@ -283,9 +290,9 @@ def _suite_matrices() -> list:
     return results
 
 
-def _suite_projections(seed: int = 0) -> list:
+def _suite_projections() -> list:
     lat = make_lattice(16, 6.283185307179586)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     psi = rng.standard_normal((4, 16, 16, 16)) + 1j * rng.standard_normal((4, 16, 16, 16))
     from .fourier import lambda_eps
 
@@ -331,12 +338,12 @@ def _suite_symbols() -> list:
     return results
 
 
-def _suite_null1(seed: int = 0) -> list:
+def _suite_null1() -> list:
     from .fourier import dealias, leray_project
     from .harness import null_identity_one_residual
 
     lat = make_lattice(24, 6.283185307179586)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     results = []
     for trial in range(3):
         A = np.stack([rng.standard_normal((24, 24, 24)) for _ in range(3)])
@@ -395,14 +402,12 @@ CHECK_SUITES = {
 }
 
 
-def cmd_check(suite: str, seed: int = 0) -> int:
+def cmd_check(suite: str) -> int:
     if suite not in CHECK_SUITES:
         print(f"unknown suite {suite!r}; have {sorted(CHECK_SUITES)}", file=sys.stderr)
         return 2
-    fn = CHECK_SUITES[suite]
-    results = fn(seed) if suite in ("projections", "null-1") else fn()
     failed = 0
-    for name, residual, tol in results:
+    for name, residual, tol in CHECK_SUITES[suite]():
         ok = residual <= tol
         failed += 0 if ok else 1
         print(f"{'PASS' if ok else 'FAIL'} {name}: residual {residual:.3e} (tol {tol:.1e})")
@@ -413,47 +418,35 @@ def cmd_check(suite: str, seed: int = 0) -> int:
 
 
 def main(argv=None) -> int:
+    # built per call, so a handler rebound on the module after import is the one called
+    commands = {
+        "run-dm": cmd_run_dm,
+        "run-sp": cmd_run_sp,
+        "run-pauli": cmd_run_pauli,
+        "converge": lambda cfg, out_dir: cmd_converge(cfg, out_dir, nonrel_convergence_study),
+        "seminonrel": lambda cfg, out_dir: cmd_converge(cfg, out_dir, seminonrel_study),
+        "probe-dyadic": cmd_probe,
+    }
     parser = argparse.ArgumentParser(prog="dmx", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("run-dm", "run-sp", "run-pauli", "converge", "seminonrel", "probe-dyadic"):
+    for name in commands:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path or preset:<name>")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        if name == "run-dm":
-            p.add_argument("--dealias", action="store_true", help="2/3-rule dealiasing of the charge and current")
-    check_p = sub.add_parser("check")
-    check_p.add_argument("suite")
-    check_p.add_argument("--seed", type=int, default=0)
+    sub.add_parser("check").add_argument("suite")
 
     args = parser.parse_args(argv)
     if args.command == "check":
-        return cmd_check(args.suite, args.seed)
-
+        return cmd_check(args.suite)
     try:
-        cfg = load_config(args.config)
-        out_dir = Path(args.out)
-        if args.command == "run-dm":
-            return cmd_run_dm(cfg, out_dir, args.seed, args.dealias)
-        if args.command == "run-sp":
-            return cmd_run_sp(cfg, out_dir, args.seed)
-        if args.command == "run-pauli":
-            return cmd_run_pauli(cfg, out_dir, args.seed)
-        if args.command == "converge":
-            return cmd_converge(cfg, out_dir, args.seed, nonrel_convergence_study)
-        if args.command == "seminonrel":
-            return cmd_converge(cfg, out_dir, args.seed, seminonrel_study)
-        if args.command == "probe-dyadic":
-            return cmd_probe(cfg, out_dir, args.seed)
+        return commands[args.command](load_config(args.config), Path(args.out))
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

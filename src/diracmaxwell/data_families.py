@@ -59,49 +59,43 @@ def sigma_grad(lat: Lattice, v: np.ndarray) -> np.ndarray:
     return lat.ifft(1j * sp.sigma_dot((lat.kx, lat.ky, lat.kz), lat.fft(v)))
 
 
-def spinor_data(lat: Lattice, family: str, eps: float, params: dict | None = None) -> np.ndarray:
-    """The eps-dependent Dirac datum psi0^eps of the requested family."""
-    params = dict(params or {})
+# psi0^eps from the limit profiles (v0+, v0-), by family; v0- is None where
+# it is zero, so no zero array is made that the datum does not use
+_DIRAC_DATA = {
+    "zero": lambda lat, vp, vm, eps: sp.embed_upper(vp),
+    "stationary": lambda lat, vp, vm, eps: sp.embed_upper(vp),
+    "upper_lower": lambda lat, vp, vm, eps: np.concatenate([vp, vm]),
+    "upper_projected": lambda lat, vp, vm, eps: sp.pi_eps(lat, sp.embed_upper(vp), eps, +1),
+    "constrained": lambda lat, vp, vm, eps: np.concatenate([vp, -0.5j * eps * sigma_grad(lat, vp)]),
+    "counterexample": lambda lat, vp, vm, eps: np.concatenate([vp, eps * vp]),
+}
+
+
+def _profiles(lat: Lattice, family: str, params: dict | None) -> tuple:
+    """v0+ of the family, and v0- or None where it is zero."""
+    if family not in _DIRAC_DATA:
+        raise ValueError(f"unknown data family {family!r}")
+    params = params or {}
     amp = float(params.get("amplitude", 0.5))
-    n = lat.n
-    if family == "zero":
-        return np.zeros((4, n, n, n), dtype=complex)
+    zero_plus = family in ("zero", "stationary")
+    vp = np.zeros((2, lat.n, lat.n, lat.n), dtype=complex) if zero_plus else v_plus_profile(lat, amp)
     if family == "stationary":
-        psi = np.zeros((4, n, n, n), dtype=complex)
-        psi[0] = amp
-        return psi
-    vp = v_plus_profile(lat, amp)
-    if family == "upper_projected":
-        return sp.pi_eps(lat, sp.embed_upper(vp), eps, +1)
+        vp[0] = amp
     if family == "upper_lower":
-        vm = v_minus_profile(lat, float(params.get("minus_amplitude", 0.3)))
-        return sp.embed_upper(vp) + sp.embed_lower(vm)
-    if family == "constrained":
-        eta = -0.5j * eps * sigma_grad(lat, vp)
-        return sp.embed_upper(vp) + sp.embed_lower(eta)
-    if family == "counterexample":
-        return sp.embed_upper(vp) + sp.embed_lower(eps * vp)
-    raise ValueError(f"unknown data family {family!r}")
+        return vp, v_minus_profile(lat, float(params.get("minus_amplitude", 0.3)))
+    return vp, None
 
 
 def limit_data(lat: Lattice, family: str, params: dict | None = None):
     """The limit profiles (v0+, v0-) the family converges to."""
-    params = dict(params or {})
-    amp = float(params.get("amplitude", 0.5))
-    n = lat.n
-    zero2 = np.zeros((2, n, n, n), dtype=complex)
-    if family == "zero":
-        return zero2, zero2.copy()
-    if family == "stationary":
-        v = np.zeros((2, n, n, n), dtype=complex)
-        v[0] = amp
-        return v, zero2.copy()
-    vp = v_plus_profile(lat, amp)
-    if family in ("upper_projected", "constrained", "counterexample"):
-        return vp, zero2.copy()
-    if family == "upper_lower":
-        return vp, v_minus_profile(lat, float(params.get("minus_amplitude", 0.3)))
-    raise ValueError(f"unknown data family {family!r}")
+    vp, vm = _profiles(lat, family, params)
+    return vp, np.zeros_like(vp) if vm is None else vm
+
+
+def spinor_data(lat: Lattice, family: str, eps: float, params: dict | None = None) -> np.ndarray:
+    """The eps-dependent Dirac datum psi0^eps of the requested family."""
+    vp, vm = _profiles(lat, family, params)
+    return _DIRAC_DATA[family](lat, vp, vm, eps)
 
 
 def gauge_data(lat: Lattice, kind: str, params: dict | None = None):

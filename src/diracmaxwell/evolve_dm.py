@@ -70,8 +70,9 @@ class DMState:
     """State of the coupled system: spinor, magnetic potential, eps*dt(A).
 
     Frozen.  Only dm_strang_step sets ``carried``, on states whose arrays it
-    makes read-only; a state built any other way (constructor, copy(),
-    dataclasses.replace) has none, and its first step derives the values."""
+    makes read-only; a state built any other way (constructor,
+    dataclasses.replace, coulomb_gauge) has none, and its first step derives
+    the values."""
 
     lat: Lattice
     t: float
@@ -80,9 +81,6 @@ class DMState:
     eps_dtA: np.ndarray        # (3, n, n, n) real, stores eps * dt(A)
     eps: float
     carried: Carried | None = field(default=None, init=False, repr=False)
-
-    def copy(self) -> "DMState":
-        return DMState(self.lat, self.t, self.psi.copy(), self.A.copy(), self.eps_dtA.copy(), self.eps)
 
     def spinors(self) -> tuple:
         return (self.psi,)
@@ -116,11 +114,6 @@ def free_flow_hat(lat: Lattice, psihat: np.ndarray, dt: float, eps: float) -> np
     and V = -i h k, h = eps sin(theta)/lam."""
     d, h = mode_multipliers(lat, eps, dt).dirac
     return sp.block_apply(psihat, d, np.conj(d), sp.sigma_entries((-1j * lat.kx, -1j * lat.ky, -1j * lat.kz)), h)
-
-
-def free_dirac_step(lat: Lattice, psi: np.ndarray, dt: float, eps: float) -> np.ndarray:
-    """Exact free flow: exp(-i dt lam/eps^2) Pi_+ + exp(+i dt lam/eps^2) Pi_-."""
-    return lat.ifft(free_flow_hat(lat, lat.fft(psi), dt, eps))
 
 
 def potential_kick(lat: Lattice, psi: np.ndarray, A0: np.ndarray, A: np.ndarray, dt: float, eps: float) -> np.ndarray:

@@ -340,7 +340,7 @@ def lp_localized_data(lat: Lattice, scale: float, seed_key: tuple) -> np.ndarray
 
 
 def dyadic_probe(lat: Lattice, mu: float, lam: float, eps: float, trials: int,
-                 case: str, T: float = 1.0, dt: float = 0.02, seed: int = 0) -> list:
+                 case: str, T: float, dt: float, seed: int) -> list:
     """Ratio statistics for the spacetime product estimates.
 
     u solves box_eps u = 0 with data (f, 0); v solves the modulated-Dirac
@@ -352,7 +352,7 @@ def dyadic_probe(lat: Lattice, mu: float, lam: float, eps: float, trials: int,
         raise ValueError(f"case must be 'i', 'ii' or 'iii', got {case}")
     if max(mu, lam) > float(np.max(lat.k_abs)) / 2.0:
         raise ValueError("dyadic scale beyond lattice resolution")
-    steps = int(round(T / dt))
+    steps = n_steps_for(T, dt)
     times = np.arange(steps + 1) * dt
     omega = lat.k_abs / eps
     h_sym = h_eps_symbol(lat, eps)
@@ -389,7 +389,7 @@ def dyadic_probe(lat: Lattice, mu: float, lam: float, eps: float, trials: int,
 
 
 def dyadic_sweep(case: str, n: int, period: float, eps: float, mu_list, lam_list,
-                 trials: int = 8, seed: int = 0, T: float = 1.0, dt: float = 0.02) -> list:
+                 trials: int, seed: int, T: float, dt: float) -> list:
     """Run a (mu, lambda) sweep; returns rows (mu, lambda, eps, trial, ratio)."""
     lat = make_lattice(n, period)
     rows = []
@@ -397,7 +397,7 @@ def dyadic_sweep(case: str, n: int, period: float, eps: float, mu_list, lam_list
         for lam in lam_list:
             if case in ("i", "ii") and mu > lam:
                 continue
-            ratios = dyadic_probe(lat, mu, lam, eps, trials, case, T=T, dt=dt, seed=seed)
+            ratios = dyadic_probe(lat, mu, lam, eps, trials, case, T, dt, seed)
             for trial, r in enumerate(ratios):
                 rows.append((float(mu), float(lam), float(eps), trial, float(r)))
     return rows

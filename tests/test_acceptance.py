@@ -286,8 +286,8 @@ def test_criterion_12_picard_cross_validation():
     tail_ratios = [res.cauchy[i + 1] / res.cauchy[i] for i in range(3, len(res.cauchy) - 1)]
     cauchy_ok = all(r < 0.7 for r in tail_ratios) and not res.contraction_failed
     cfg_a, cfg_b = dm.StepConfig(dt=1e-3), dm.StepConfig(dt=5e-4)
-    final_a = dm.run_dm(init.copy(), T, cfg_a, 100, lambda s: dm.checked_diagnostics(s, cfg_a))
-    final_b = dm.run_dm(init.copy(), T, cfg_b, 200, lambda s: dm.checked_diagnostics(s, cfg_b))
+    final_a = dm.run_dm(init, T, cfg_a, 100, lambda s: dm.checked_diagnostics(s, cfg_a))
+    final_b = dm.run_dm(init, T, cfg_b, 200, lambda s: dm.checked_diagnostics(s, cfg_b))
     self_err = fc.sobolev_norm(lat, final_a.psi - final_b.psi, 1.0)
     pic_err = fc.sobolev_norm(lat, res.psis[-1] - final_a.psi, 1.0)
     match_ok = pic_err < 5.0 * self_err

@@ -27,6 +27,41 @@ def digest_dir(d, skip_wall_clock=True):
     return out
 
 
+def write_config(tmp_path, cfg, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def dm_config(**changes):
+    """A short run-dm config whose charge and current carry modes that the
+    2/3 rule removes at n = 8."""
+    cfg = {
+        "grid": {"n": 8, "period": 6.283185307179586},
+        "eps": 0.5,
+        "T": 0.02,
+        "dt": 0.01,
+        "data": {"family": "upper_projected", "params": {"amplitude": 0.5, "gauge_amplitude": 0.3}},
+        "gauge": "bandlimited_divfree",
+        "sample_every": 1,
+    }
+    return {**cfg, **changes}
+
+
+def probe_config(**changes):
+    cfg = {
+        "grid": {"n": 16, "period": 6.283185307179586},
+        "case": "iii",
+        "eps": 0.5,
+        "mu_list": [1.0],
+        "lam_list": [2.0],
+        "trials": 1,
+        "T": 0.1,
+        "dt": 0.05,
+    }
+    return {**cfg, **changes}
+
+
 class TestRunDM:
     def test_minimal_zero_config(self, tmp_path):
         out = tmp_path / "run"
@@ -37,7 +72,7 @@ class TestRunDM:
             for col in ("charge", "h1_psi", "h1dot_A", "eps_l2_dtA", "h1_pi_minus_psi"):
                 assert float(row[col]) == 0.0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "config_hash" in manifest and "seed" in manifest
+        assert "config_hash" in manifest and "seed" not in manifest
 
     def test_stationary_charge_constant(self, tmp_path):
         out = tmp_path / "run"
@@ -101,6 +136,12 @@ class TestRunDM:
         header, psi = read_fld(out / "psi_0000.fld")
         assert header["components"] == 4
         assert psi.shape == (4, 8, 8, 8)
+
+    @pytest.mark.parametrize("command", ["run-dm", "run-sp"])
+    def test_unknown_data_family_exits_1(self, command, tmp_path, capsys):
+        path = write_config(tmp_path, dm_config(data={"family": "nope"}))
+        assert run_cli([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert "unknown data family 'nope'" in capsys.readouterr().err
 
 
 class TestConverge:
@@ -199,9 +240,68 @@ class TestOptions:
         assert exc.value.code == 2
 
     def test_dealias_accepted_by_run_dm(self, tmp_path):
+        cfg = {**cli.load_config("preset:stationary"), "dealias": True}
         out = tmp_path / "run"
-        assert run_cli(["run-dm", "--config", "preset:stationary", "--out", str(out), "--dealias"]) == 0
+        assert run_cli(["run-dm", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         assert (out / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run-dm", "run-sp", "run-pauli", "converge", "seminonrel",
+                                         "probe-dyadic", "check"])
+    @pytest.mark.parametrize("flag", [["--seed", "0"], ["--dealias"]])
+    def test_run_is_its_config(self, command, flag, tmp_path):
+        args = ["matrices"] if command == "check" else ["--config", "preset:stationary", "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, *args, *flag])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["run-dm", "run-pauli"])
+    def test_dealias_key_changes_the_run_and_its_hash(self, command, tmp_path):
+        runs = {}
+        for flag in (False, True):
+            out = tmp_path / str(flag)
+            path = write_config(tmp_path, dm_config(dealias=flag), f"{flag}.json")
+            assert run_cli([command, "--config", path, "--out", str(out)]) == 0
+            runs[flag] = (digest_dir(out), json.loads((out / "manifest.json").read_text())["config_hash"])
+        assert runs[True][1] != runs[False][1]
+        assert runs[True][0]["diagnostics.csv"] != runs[False][0]["diagnostics.csv"]
+        rerun = tmp_path / "rerun"
+        assert run_cli([command, "--config", str(tmp_path / "True.json"), "--out", str(rerun)]) == 0
+        assert digest_dir(rerun) == runs[True][0]
+
+    def test_dealias_key_runs_the_dealiased_step(self, tmp_path):
+        from diracmaxwell import data_families as df
+        from diracmaxwell import evolve_dm as dm
+        from diracmaxwell.fourier import make_lattice
+
+        cfg = dm_config(dealias=True)
+        out = tmp_path / "o"
+        assert run_cli(["run-dm", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        lat = make_lattice(8, cfg["grid"]["period"])
+        params = cfg["data"]["params"]
+        a0, a1 = df.gauge_data(lat, cfg["gauge"], params)
+        init = dm.DMState(lat, 0.0, df.spinor_data(lat, "upper_projected", 0.5, params), a0, a1, 0.5)
+        step_cfg = dm.StepConfig(dt=0.01, dealias=True)
+        rows = []
+        dm.run_dm(init, 0.02, step_cfg, 1, lambda s: rows.append(dm.checked_diagnostics(s, step_cfg)))
+        written = list(csv.DictReader(open(out / "diagnostics.csv")))
+        assert [[float(v) for v in r.values()] for r in written] == [list(r.values()) for r in rows]
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("command, changes, field", [
+        ("run-dm", {"grid": 5}, "grid"),
+        ("run-dm", {"grid": {"n": 8, "period": "x"}}, "grid.period"),
+        ("run-dm", {"data": {"family": "zero", "params": 5}}, "data.params"),
+        ("run-dm", {"data": 5}, "data"),
+        ("run-dm", {"dealias": 1}, "dealias"),
+        ("run-pauli", {"dealias": "yes"}, "dealias"),
+        ("run-sp", {"data": {"family": "zero", "params": [1]}}, "data.params"),
+    ])
+    def test_wrong_type_exits_2_naming_the_field(self, command, changes, field, tmp_path, capsys):
+        path = write_config(tmp_path, dm_config(**changes))
+        assert run_cli([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error at {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestProbe:
@@ -241,6 +341,24 @@ class TestProbe:
         run_cli(["probe-dyadic", "--config", str(path), "--out", str(a)])
         run_cli(["probe-dyadic", "--config", str(path), "--out", str(b)])
         assert digest_dir(a) == digest_dir(b)
+
+    def test_seed_key_changes_the_sweep(self, tmp_path):
+        sweeps = []
+        for seed in (0, 1):
+            out = tmp_path / str(seed)
+            path = write_config(tmp_path, probe_config(seed=seed), f"{seed}.json")
+            assert run_cli(["probe-dyadic", "--config", path, "--out", str(out)]) == 0
+            sweeps.append((out / "sweep.csv").read_text())
+        assert sweeps[0] != sweeps[1]
+
+    @pytest.mark.parametrize("T, dt, message", [(0.1, 0.03, "not an integer multiple of dt"),
+                                                 (0.0, 0.05, "T and dt must be positive")])
+    def test_steps_must_fill_T(self, T, dt, message, tmp_path, capsys):
+        out = tmp_path / "o"
+        path = write_config(tmp_path, probe_config(T=T, dt=dt))
+        assert run_cli(["probe-dyadic", "--config", path, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCheckSuites:

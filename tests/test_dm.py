@@ -53,6 +53,11 @@ def random_spinor(lat, seed):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def free_step(lat, psi, dt, eps):
+    """The exact free flow of a real-space spinor, through free_flow_hat."""
+    return lat.ifft(dm.free_flow_hat(lat, lat.fft(psi), dt, eps))
+
+
 def real_wave_step(lat, A, W, J, dt, eps):
     """wave_step on real fields: A and W = eps*dt(A) in and out in real space."""
     A_hat, W_hat = dm.wave_step(lat, lat.rfft(A), lat.rfft(W), J, dt, eps)
@@ -64,11 +69,11 @@ class TestFreeDiracStep:
         eps, dt = 0.5, 0.02
         psi = np.zeros((4, lat.n, lat.n, lat.n), dtype=complex)
         psi[0] = 1.0
-        out = dm.free_dirac_step(lat, psi, dt, eps)
+        out = free_step(lat, psi, dt, eps)
         assert np.abs(out[0] - np.exp(-1j * dt / eps**2)).max() < 1e-13
         psi2 = np.zeros_like(psi)
         psi2[2] = 1.0
-        out2 = dm.free_dirac_step(lat, psi2, dt, eps)
+        out2 = free_step(lat, psi2, dt, eps)
         assert np.abs(out2[2] - np.exp(1j * dt / eps**2)).max() < 1e-13
 
     def test_eigenwave_phase(self, lat):
@@ -76,7 +81,7 @@ class TestFreeDiracStep:
         psi = np.zeros((4, lat.n, lat.n, lat.n), dtype=complex)
         psi[0] = np.exp(1j * X1) + np.zeros((lat.n,) * 3)
         proj = sp.pi_eps(lat, psi, 1.0, +1)
-        out = dm.free_dirac_step(lat, proj, 0.1, 1.0)
+        out = free_step(lat, proj, 0.1, 1.0)
         assert np.abs(out - np.exp(-1j * 0.1 * np.sqrt(2)) * proj).max() < 1e-13
 
     def test_unitary(self, lat):
@@ -85,7 +90,7 @@ class TestFreeDiracStep:
             (4, lat.n, lat.n, lat.n)
         )
         q0 = sp.total_charge(lat, psi)
-        out = dm.free_dirac_step(lat, psi, 0.31, 0.5)
+        out = free_step(lat, psi, 0.31, 0.5)
         assert sp.total_charge(lat, out) == pytest.approx(q0, rel=1e-12)
 
     def test_commutes_with_projections(self, lat):
@@ -93,8 +98,8 @@ class TestFreeDiracStep:
         psi = rng.standard_normal((4, lat.n, lat.n, lat.n)) + 1j * rng.standard_normal(
             (4, lat.n, lat.n, lat.n)
         )
-        a = sp.pi_eps(lat, dm.free_dirac_step(lat, psi, 0.2, 0.5), 0.5, +1)
-        b = dm.free_dirac_step(lat, sp.pi_eps(lat, psi, 0.5, +1), 0.2, 0.5)
+        a = sp.pi_eps(lat, free_step(lat, psi, 0.2, 0.5), 0.5, +1)
+        b = free_step(lat, sp.pi_eps(lat, psi, 0.5, +1), 0.2, 0.5)
         assert np.abs(a - b).max() < 1e-12
 
     @pytest.mark.parametrize("dt", [0.013, -0.013])
@@ -252,13 +257,12 @@ class TestCarried:
             assert np.abs(want).max() > 1e-6
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    @pytest.mark.parametrize("rebuild", ["constructor", "copy", "replace", "coulomb_gauge"])
+    @pytest.mark.parametrize("rebuild", ["constructor", "replace", "coulomb_gauge"])
     def test_state_without_carry_steps_the_same(self, lat12, rebuild):
         cfg = dm.StepConfig(dt=2e-3)
         s1 = dm.dm_strang_step(smooth_state(lat12, 0.25, gauge_amp=0.1), cfg)
         bare = {
             "constructor": lambda s: dm.DMState(s.lat, s.t, s.psi.copy(), s.A.copy(), s.eps_dtA.copy(), s.eps),
-            "copy": lambda s: s.copy(),
             "replace": lambda s: dataclasses.replace(s, t=s.t),
             "coulomb_gauge": dm.coulomb_gauge,
         }[rebuild](s1)
@@ -270,7 +274,7 @@ class TestCarried:
     def test_carry_under_the_other_dealias_flag_is_not_used(self, lat12):
         s1 = dm.dm_strang_step(smooth_state(lat12, 0.25, gauge_amp=0.1), dm.StepConfig(dt=2e-3))
         cfg = dm.StepConfig(dt=2e-3, dealias=True)
-        assert np.array_equal(dm.dm_strang_step(s1, cfg).psi, dm.dm_strang_step(s1.copy(), cfg).psi)
+        assert np.array_equal(dm.dm_strang_step(s1, cfg).psi, dm.dm_strang_step(dataclasses.replace(s1), cfg).psi)
 
     def test_stepped_state_cannot_be_edited(self, lat):
         s1 = dm.dm_strang_step(smooth_state(lat, 0.25, gauge_amp=0.1), dm.StepConfig(dt=2e-3))
@@ -424,7 +428,7 @@ class TestSimulate:
         state = smooth_state(lat12, eps, gauge_amp=0.1)
 
         def run(dt):
-            return diagnosed_run(state.copy(), 0.2, dm.StepConfig(dt=dt), int(round(0.2 / dt)))[0]
+            return diagnosed_run(state, 0.2, dm.StepConfig(dt=dt), int(round(0.2 / dt)))[0]
 
         e1 = fc.sobolev_norm(lat12, run(0.02).psi - run(0.01).psi, 1.0)
         e2 = fc.sobolev_norm(lat12, run(0.01).psi - run(0.005).psi, 1.0)
@@ -477,7 +481,7 @@ class TestOneRunPath:
 
 def picard_reference(init, T, m_max, cfg):
     """The real-space Picard loop that the spectral picard_solve replaced:
-    every level goes through free_dirac_step, wave_step and sobolev_norm."""
+    every level goes through the real-space free flow, wave_step and sobolev_norm."""
     lat, eps, dt = init.lat, init.eps, cfg.dt
     steps = dm.n_steps_for(T, dt)
     a0, a1 = fc.leray_project(lat, init.A), fc.leray_project(lat, init.eps_dtA)
@@ -490,8 +494,8 @@ def picard_reference(init, T, m_max, cfg):
         psi_next = [init.psi.copy()]
         for k in range(steps):
             f_mid = 0.5 * (forcing[k] + forcing[k + 1])
-            psi_next.append(dm.free_dirac_step(lat, psi_next[-1], dt, eps)
-                            - 1j * dt * dm.free_dirac_step(lat, f_mid, dt / 2.0, eps))
+            psi_next.append(free_step(lat, psi_next[-1], dt, eps)
+                            - 1j * dt * free_step(lat, f_mid, dt / 2.0, eps))
         J_prev = [sp.current_density(p, eps) for p in psi_prev]
         A_next, W = [a0], a1
         for k in range(steps):
@@ -562,8 +566,8 @@ class TestPicard:
         res = dm.picard_solve(state, 0.1, 6, dm.StepConfig(dt=1e-3))
         ratios = [res.cauchy[i + 1] / res.cauchy[i] for i in range(3, len(res.cauchy) - 1)]
         assert all(r < 0.7 for r in ratios)
-        final_a, _ = diagnosed_run(state.copy(), 0.1, dm.StepConfig(dt=1e-3), 100)
-        final_b, _ = diagnosed_run(state.copy(), 0.1, dm.StepConfig(dt=5e-4), 200)
+        final_a, _ = diagnosed_run(state, 0.1, dm.StepConfig(dt=1e-3), 100)
+        final_b, _ = diagnosed_run(state, 0.1, dm.StepConfig(dt=5e-4), 200)
         self_err = fc.sobolev_norm(lat12, final_a.psi - final_b.psi, 1.0)
         pic_err = fc.sobolev_norm(lat12, res.psis[-1] - final_a.psi, 1.0)
         assert pic_err < 5.0 * self_err

@@ -192,7 +192,7 @@ class TestSmallComponent:
         track = hn.SmallComponentTrack(order=1)
         zero = np.zeros((3, lat.n, lat.n, lat.n))
         for t in np.arange(0, 0.1, 0.01):
-            track(dm.DMState(lat, t, dm.free_dirac_step(lat, psi0, float(t), eps), zero, zero, eps))
+            track(dm.DMState(lat, t, lat.ifft(dm.free_flow_hat(lat, lat.fft(psi0), float(t), eps)), zero, zero, eps))
         out = track.result()
         assert out["pi_minus"].max() < 1e-12
 

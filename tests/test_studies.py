@@ -158,12 +158,12 @@ class TestDyadicProbe:
     def test_scale_beyond_lattice_rejected(self):
         lat = fc.make_lattice(8, TWO_PI)
         with pytest.raises(ValueError):
-            st.dyadic_probe(lat, 1.0, 64.0, 0.5, 1, "i")
+            st.dyadic_probe(lat, 1.0, 64.0, 0.5, 1, "i", 0.1, 0.05, 0)
 
     def test_unknown_case_rejected(self):
         lat = fc.make_lattice(8, TWO_PI)
         with pytest.raises(ValueError):
-            st.dyadic_probe(lat, 1.0, 2.0, 0.5, 1, "iv")
+            st.dyadic_probe(lat, 1.0, 2.0, 0.5, 1, "iv", 0.1, 0.05, 0)
 
     def test_deterministic_given_seed(self):
         lat = fc.make_lattice(16, TWO_PI)
