@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Commands: run-dm, run-sp, run-pauli, converge, seminonrel, probe-dyadic,
-check <suite>.  A run is its config: every run command takes only
-``--config`` (a JSON file or ``preset:<name>``) and ``--out``, and writes a
-manifest with the config hash, so reruns of one config are comparable byte
-for byte (wall-clock fields aside).
+check <suite>.  A run is what its command reads: every run command takes
+only ``--config`` (a JSON file or ``preset:<name>``) and ``--out``; KEYS
+lists the keys each command reads, and read_config checks them, fills in
+the defaults and names unread keys on stderr.  The manifest's config hash
+covers the command and the values read, so reruns of one config are
+comparable byte for byte (wall-clock fields aside).
 """
 
 from __future__ import annotations
@@ -32,35 +34,96 @@ class ConfigError(Exception):
     """Validation failure; the message names the offending field."""
 
 
-def _need(cfg: dict, key: str, path: str = ""):
-    path = path or key
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
+# key kinds: (what a value must be, its test, what the command gets)
+NUMBER = ("a number", _is_number, float)
+POSITIVE = ("a positive number", lambda v: _is_number(v) and v > 0, float)
+INTEGER = ("an integer", _is_int, int)
+COUNT = ("a positive integer", lambda v: _is_int(v) and v >= 1, int)
+GRID_N = ("an even integer >= 4", lambda v: _is_int(v) and v % 2 == 0 and v >= 4, int)
+BOOL = ("true or false", lambda v: isinstance(v, bool), bool)
+STRING = ("a string", lambda v: isinstance(v, str), str)
+OBJECT = ("an object", lambda v: isinstance(v, dict), dict)
+NUMBERS = ("a list of numbers", _is_numbers, lambda v: [float(x) for x in v])
+EPS_LIST = ("a list of >= 3 numbers (a rate fit needs 3 eps values)", lambda v: _is_numbers(v) and len(v) >= 3,
+            lambda v: [float(x) for x in v])
+REQUIRED = object()
+
+# every key each command reads, as (kind, default or REQUIRED); a callable
+# default is computed from the values read before it
+_GRID = {"grid.n": (GRID_N, REQUIRED), "grid.period": (POSITIVE, REQUIRED)}
+_DATA = {"data.family": (STRING, REQUIRED), "data.params": (OBJECT, {})}
+_RUN = {**_GRID, "T": (NUMBER, REQUIRED), "dt": (NUMBER, REQUIRED), "sample_every": (COUNT, 1), **_DATA}
+_DM_RUN = {**_RUN, "eps": (POSITIVE, REQUIRED), "gauge": (STRING, "zero"), "dealias": (BOOL, False)}
+# the study keys end in the ExperimentConfig field names
+_STUDY = {**_GRID, "eps_list": (EPS_LIST, REQUIRED), "T": (NUMBER, REQUIRED), "dt_ref": (NUMBER, REQUIRED),
+          "eps_ref": (NUMBER, lambda v: v["eps_list"][0]), "dt_schedule": (STRING, "eps_linear"),
+          **_DATA, "gauge": (STRING, "zero"), "sample_every": (COUNT, 10)}
+KEYS = {
+    "run-dm": _DM_RUN,
+    "run-sp": _RUN,
+    "run-pauli": _DM_RUN,
+    "converge": _STUDY,
+    "seminonrel": _STUDY,
+    "probe-dyadic": {**_GRID, "case": (STRING, REQUIRED), "eps": (POSITIVE, REQUIRED),
+                     "mu_list": (NUMBERS, REQUIRED), "lam_list": (NUMBERS, REQUIRED), "trials": (COUNT, 8),
+                     "seed": (INTEGER, 0), "T": (NUMBER, 1.0), "dt": (NUMBER, 0.02)},
+}
+
+
+def _lookup(cfg, path: str, default):
+    """The value at the dotted path, or default where it or a parent is missing."""
+    parent, _, name = path.rpartition(".")
+    if parent:
+        cfg = _lookup(cfg, parent, {})
     if not isinstance(cfg, dict):
-        parent = path.rpartition(".")[0] or "top level"
-        raise ConfigError(f"config error at {parent}: must be an object, got {cfg!r}")
-    if key not in cfg:
-        raise ConfigError(f"config error at {path}: missing required field {key!r}")
-    return cfg[key]
+        raise ConfigError(f"config error at {parent or 'top level'}: must be an object, got {cfg!r}")
+    return cfg.get(name, default)
 
 
-def _validate_grid(cfg: dict) -> tuple:
-    grid = _need(cfg, "grid")
-    n = _need(grid, "n", "grid.n")
-    if not isinstance(n, int) or n % 2 != 0 or n < 4:
-        raise ConfigError(f"config error at grid.n: must be an even integer >= 4, got {n!r}")
-    period = _need(grid, "period", "grid.period")
-    if not (isinstance(period, (int, float)) and period > 0):
-        raise ConfigError(f"config error at grid.period: must be a positive number, got {period!r}")
-    return n, float(period)
+def _unread(cfg: dict, keys, prefix: str = "") -> list:
+    """The paths in cfg that name no key in keys and hold none."""
+    paths = []
+    for name, value in cfg.items():
+        path = prefix + name
+        if any(k.startswith(path + ".") for k in keys):
+            paths += _unread(value, keys, path + ".")
+        elif path not in keys:
+            paths.append(path)
+    return paths
 
 
-def _data(cfg: dict) -> tuple:
-    """The data family and its params."""
-    data = _need(cfg, "data")
-    family = _need(data, "family", "data.family")
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"config error at data.params: must be an object, got {params!r}")
-    return family, params
+def read_config(command: str, cfg) -> dict:
+    """The values of the keys ``command`` reads (KEYS), checked, converted
+    and with defaults filled in, under their dotted paths, plus the command
+    name.  A missing required key or a value of the wrong kind raises
+    ConfigError naming it; keys the command does not read are named once on
+    stderr."""
+    values = {"command": command}
+    for path, ((must, ok, convert), default) in KEYS[command].items():
+        value = _lookup(cfg, path, default)
+        if value is REQUIRED:
+            raise ConfigError(f"config error at {path}: missing required field")
+        if callable(value):
+            value = value(values)
+        if not ok(value):
+            raise ConfigError(f"config error at {path}: must be {must}, got {value!r}")
+        values[path] = convert(value)
+    unread = _unread(cfg, KEYS[command])
+    if unread:
+        print(f"{command}: config keys not read: {', '.join(sorted(unread))}", file=sys.stderr)
+    return values
 
 
 def load_config(spec: str) -> dict:
@@ -78,13 +141,15 @@ def load_config(spec: str) -> dict:
         raise ConfigError(f"config error: invalid JSON in {spec}: {exc}")
 
 
-def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
+def config_hash(values: dict) -> str:
+    """Hash of the values read_config returns: the command and every key it
+    reads, defaults filled in."""
+    return hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def write_manifest(out_dir: Path, cfg: dict, stages: dict, outputs: list) -> None:
+def write_manifest(out_dir: Path, values: dict, stages: dict, outputs: list) -> None:
     manifest = {
-        "config_hash": config_hash(cfg),
+        "config_hash": config_hash(values),
         "code_version": __version__,
         "wall_clock": {k: round(v, 6) for k, v in stages.items()},
         "outputs": sorted(Path(p).name for p in outputs),
@@ -130,141 +195,76 @@ class _SampleWriter:
         self.write_seconds += time.time() - t0
 
 
-def _sample_every(cfg: dict, default: int) -> int:
-    every = cfg.get("sample_every", default)
-    if not isinstance(every, int) or every < 1:
-        raise ConfigError(f"config error at sample_every: must be a positive integer, got {every!r}")
-    return every
-
-
-def _run_times(cfg: dict) -> tuple:
-    T = float(_need(cfg, "T"))
-    dt = float(_need(cfg, "dt"))
-    return T, dt, _sample_every(cfg, 1)
-
-
-def _dm_init(cfg: dict, dt: float) -> tuple:
+def _dm_init(v: dict) -> tuple:
     """The initial DMState and the StepConfig of a DM run."""
-    dealias = cfg.get("dealias", False)
-    if not isinstance(dealias, bool):
-        raise ConfigError(f"config error at dealias: must be true or false, got {dealias!r}")
-    n, period = _validate_grid(cfg)
-    eps = float(_need(cfg, "eps"))
-    if not (eps > 0):
-        raise ConfigError(f"config error at eps: must be positive, got {eps}")
-    family, params = _data(cfg)
-    lat = make_lattice(n, period)
-    psi0 = df.spinor_data(lat, family, eps, params)
-    a0, a1 = df.gauge_data(lat, cfg.get("gauge", "zero"), params)
-    return DMState(lat, 0.0, psi0, a0, a1, eps), StepConfig(dt=dt, dealias=dealias)
+    lat = make_lattice(v["grid.n"], v["grid.period"])
+    init = df.initial_dm_state(lat, v["data.family"], v["gauge"], v["eps"], v["data.params"])
+    return init, StepConfig(dt=v["dt"], dealias=v["dealias"])
 
 
-def _finish(command: str, out_dir: Path, cfg: dict, t0: float, writer: _SampleWriter, extra: tuple = ()) -> int:
+def _finish(out_dir: Path, v: dict, t0: float, writer: _SampleWriter, extra: tuple = ()) -> int:
     total = time.time() - t0
     stages = {"simulate": total - writer.write_seconds, "write": writer.write_seconds}
-    write_manifest(out_dir, cfg, stages, [*writer.snapshots, *extra, writer.csv_path])
-    print(f"{command}: {len(writer.snapshots)} samples -> {out_dir}")
+    write_manifest(out_dir, v, stages, [*writer.snapshots, *extra, writer.csv_path])
+    print(f"{v['command']}: {len(writer.snapshots)} samples -> {out_dir}")
     return 0
 
 
-def cmd_run_dm(cfg: dict, out_dir: Path) -> int:
-    T, dt, every = _run_times(cfg)
+def cmd_run_dm(v: dict, out_dir: Path) -> int:
     t0 = time.time()
-    init, step_cfg = _dm_init(cfg, dt)
+    init, step_cfg = _dm_init(v)
     writer = _SampleWriter(out_dir, "psi", init.lat, lambda s: s.psi,
                            lambda s: checked_diagnostics(s, step_cfg))
-    final = run_dm(init, T, step_cfg, every, writer)
+    final = run_dm(init, v["T"], step_cfg, v["sample_every"], writer)
     a_path = out_dir / "A_final.fld"
     write_fld(a_path, init.lat, final.A, final.t)
-    return _finish("run-dm", out_dir, cfg, t0, writer, (a_path,))
+    return _finish(out_dir, v, t0, writer, (a_path,))
 
 
-def cmd_run_sp(cfg: dict, out_dir: Path) -> int:
-    T, dt, every = _run_times(cfg)
-    n, period = _validate_grid(cfg)
-    family, params = _data(cfg)
-    lat = make_lattice(n, period)
+def cmd_run_sp(v: dict, out_dir: Path) -> int:
+    lat = make_lattice(v["grid.n"], v["grid.period"])
     t0 = time.time()
-    v0p, v0m = df.limit_data(lat, family, params)
+    v0p, v0m = df.limit_data(lat, v["data.family"], v["data.params"])
     writer = _SampleWriter(out_dir, "vplus", lat, lambda s: s.v_plus, sp_diagnostics)
-    integrate(SPState(lat, 0.0, v0p, v0m), lambda s: sp_step(s, dt), n_steps_for(T, dt), every, writer)
-    return _finish("run-sp", out_dir, cfg, t0, writer)
+    integrate(SPState(lat, 0.0, v0p, v0m), lambda s: sp_step(s, v["dt"]), n_steps_for(v["T"], v["dt"]),
+              v["sample_every"], writer)
+    return _finish(out_dir, v, t0, writer)
 
 
-def cmd_run_pauli(cfg: dict, out_dir: Path) -> int:
+def cmd_run_pauli(v: dict, out_dir: Path) -> int:
     """Advances the Pauli spinor in lockstep with a DM run, in its fields."""
-    T, dt, every = _run_times(cfg)
     t0 = time.time()
-    init, step_cfg = _dm_init(cfg, dt)
+    init, step_cfg = _dm_init(v)
     writer = _SampleWriter(out_dir, "chi", init.lat, lambda s: s.pauli.chi, lambda s: pauli_diagnostics(s.pauli))
     integrate(DMPauliState.start(init, sp.upper(init.psi)), lambda s: dm_pauli_step(s, step_cfg),
-              n_steps_for(T, dt), every, writer)
-    return _finish("run-pauli", out_dir, cfg, t0, writer)
+              n_steps_for(v["T"], v["dt"]), v["sample_every"], writer)
+    return _finish(out_dir, v, t0, writer)
 
 
-def _experiment_config(cfg: dict) -> ExperimentConfig:
-    n, period = _validate_grid(cfg)
-    eps_list = _need(cfg, "eps_list")
-    if len(eps_list) < 3:
-        raise ConfigError(
-            f"config error at eps_list: rate fits need >= 3 eps values, got {len(eps_list)}"
-        )
-    family, params = _data(cfg)
-    return ExperimentConfig(
-        n=n,
-        period=period,
-        eps_list=[float(e) for e in eps_list],
-        T=float(_need(cfg, "T")),
-        dt_ref=float(_need(cfg, "dt_ref")),
-        eps_ref=float(cfg.get("eps_ref", eps_list[0])),
-        dt_schedule=cfg.get("dt_schedule", "eps_linear"),
-        family=family,
-        params=params,
-        gauge=cfg.get("gauge", "zero"),
-        sample_every=_sample_every(cfg, 10),
-    )
-
-
-def cmd_converge(cfg: dict, out_dir: Path, study) -> int:
+def cmd_converge(v: dict, out_dir: Path, study) -> int:
     t0 = time.time()
-    try:
-        exp_cfg = _experiment_config(cfg)
-    except ValueError as exc:
-        raise ConfigError(f"config error: {exc}") from None
-    report = study(exp_cfg)
+    report = study(ExperimentConfig(**{p.rpartition(".")[2]: x for p, x in v.items() if p != "command"}))
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path, csv_path = out_dir / "rate_report.json", out_dir / "rate_report.csv"
     json_path.write_text(report.to_json() + "\n")
     rows = report.to_csv_rows()
     _write_csv(csv_path, rows[0], rows[1:])
-    write_manifest(out_dir, cfg, {"study": time.time() - t0}, [json_path, csv_path])
+    write_manifest(out_dir, v, {"study": time.time() - t0}, [json_path, csv_path])
     print(f"rates: {report.rates}")
     print(f"report -> {json_path}")
     return 0
 
 
-def cmd_probe(cfg: dict, out_dir: Path) -> int:
-    n, period = _validate_grid(cfg)
-    case = _need(cfg, "case")
+def cmd_probe(v: dict, out_dir: Path) -> int:
     t0 = time.time()
-    rows = dyadic_sweep(
-        case,
-        n,
-        period,
-        float(_need(cfg, "eps")),
-        [float(m) for m in _need(cfg, "mu_list")],
-        [float(m) for m in _need(cfg, "lam_list")],
-        int(cfg.get("trials", 8)),
-        int(cfg.get("seed", 0)),
-        float(cfg.get("T", 1.0)),
-        float(cfg.get("dt", 0.02)),
-    )
+    rows = dyadic_sweep(v["case"], v["grid.n"], v["grid.period"], v["eps"], v["mu_list"], v["lam_list"],
+                        v["trials"], v["seed"], v["T"], v["dt"])
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     _write_csv(csv_path, ("mu", "lambda", "eps", "trial", "ratio"), rows)
-    write_manifest(out_dir, cfg, {"probe": time.time() - t0}, [csv_path])
+    write_manifest(out_dir, v, {"probe": time.time() - t0}, [csv_path])
     ratios = np.array([r[-1] for r in rows])
-    print(f"probe case {case}: {len(rows)} cells, max ratio {ratios.max():.4f}")
+    print(f"probe case {v['case']}: {len(rows)} cells, max ratio {ratios.max():.4f}")
     return 0
 
 
@@ -423,8 +423,8 @@ def main(argv=None) -> int:
         "run-dm": cmd_run_dm,
         "run-sp": cmd_run_sp,
         "run-pauli": cmd_run_pauli,
-        "converge": lambda cfg, out_dir: cmd_converge(cfg, out_dir, nonrel_convergence_study),
-        "seminonrel": lambda cfg, out_dir: cmd_converge(cfg, out_dir, seminonrel_study),
+        "converge": lambda v, out_dir: cmd_converge(v, out_dir, nonrel_convergence_study),
+        "seminonrel": lambda v, out_dir: cmd_converge(v, out_dir, seminonrel_study),
         "probe-dyadic": cmd_probe,
     }
     parser = argparse.ArgumentParser(prog="dmx", description=__doc__)
@@ -440,7 +440,7 @@ def main(argv=None) -> int:
     if args.command == "check":
         return cmd_check(args.suite)
     try:
-        return commands[args.command](load_config(args.config), Path(args.out))
+        return commands[args.command](read_config(args.command, load_config(args.config)), Path(args.out))
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

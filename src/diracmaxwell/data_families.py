@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import spinors as sp
+from .evolve_dm import DMState
 from .fourier import Lattice, leray_project
 
 
@@ -109,3 +110,8 @@ def gauge_data(lat: Lattice, kind: str, params: dict | None = None):
         amp = float(params.get("gauge_amplitude", 0.1))
         return gauge_profile(lat, amp), zero3.copy()
     raise ValueError(f"unknown gauge data kind {kind!r}")
+
+
+def initial_dm_state(lat: Lattice, family: str, gauge: str, eps: float, params: dict | None) -> DMState:
+    """The DM state at t = 0: the family's Dirac datum and the gauge data."""
+    return DMState(lat, 0.0, spinor_data(lat, family, eps, params), *gauge_data(lat, gauge, params), eps)

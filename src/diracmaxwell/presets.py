@@ -13,7 +13,6 @@ TWO_PI = 6.283185307179586
 PRESETS: dict[str, dict] = {
     # sanity: nothing happens, quickly
     "minimal-zero": {
-        "kind": "run-dm",
         "grid": {"n": 8, "period": TWO_PI},
         "eps": 0.5,
         "T": 0.1,
@@ -24,7 +23,6 @@ PRESETS: dict[str, dict] = {
     },
     # closed-form: psi(t) = exp(-i t / eps^2) (amp, 0, 0, 0)
     "stationary": {
-        "kind": "run-dm",
         "grid": {"n": 8, "period": TWO_PI},
         "eps": 0.5,
         "T": 1.0,
@@ -35,7 +33,6 @@ PRESETS: dict[str, dict] = {
     },
     # Theorem 2 regime: eps-independent data with both components
     "thm2": {
-        "kind": "converge",
         "grid": {"n": 24, "period": TWO_PI},
         "eps_list": [0.4, 0.2, 0.1],
         "T": 0.5,
@@ -48,7 +45,6 @@ PRESETS: dict[str, dict] = {
     },
     # Theorem 3 regime: positron part exactly zero, band-limited v0+
     "thm3": {
-        "kind": "converge",
         "grid": {"n": 24, "period": TWO_PI},
         "eps_list": [0.4, 0.2, 0.1],
         "T": 0.5,
@@ -62,7 +58,6 @@ PRESETS: dict[str, dict] = {
     # Theorem 4 regime: same spinor data plus O(1) magnetic data, which makes
     # the O(eps) current defect visible
     "thm4": {
-        "kind": "seminonrel",
         "grid": {"n": 24, "period": TWO_PI},
         "eps_list": [0.4, 0.2, 0.1],
         "T": 0.5,
@@ -78,7 +73,6 @@ PRESETS: dict[str, dict] = {
     },
     # data (v0+, eps v0+): strong current convergence fails at t = 0
     "counterexample": {
-        "kind": "converge",
         "grid": {"n": 24, "period": TWO_PI},
         "eps_list": [0.4, 0.2, 0.1],
         "T": 0.5,
@@ -92,7 +86,6 @@ PRESETS: dict[str, dict] = {
     # dyadic spacetime-estimate sweeps; grids sized so products are alias-free
     # inside the measured band
     "dyadic-i": {
-        "kind": "probe-dyadic",
         "case": "i",
         "grid": {"n": 32, "period": TWO_PI},
         "eps": 0.25,
@@ -103,7 +96,6 @@ PRESETS: dict[str, dict] = {
         "dt": 0.02,
     },
     "dyadic-ii": {
-        "kind": "probe-dyadic",
         "case": "ii",
         "grid": {"n": 64, "period": TWO_PI},
         "eps": 0.5,
@@ -114,7 +106,6 @@ PRESETS: dict[str, dict] = {
         "dt": 0.04,
     },
     "dyadic-iii": {
-        "kind": "probe-dyadic",
         "case": "iii",
         "grid": {"n": 32, "period": TWO_PI},
         "eps": 0.25,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import data_families as df
 from . import spinors as sp
-from .evolve_dm import DMState, StepConfig, derived_A0, integrate, n_steps_for, run_dm, sample_steps
+from .evolve_dm import StepConfig, derived_A0, integrate, n_steps_for, run_dm, sample_steps
 from .evolve_limits import DMPauliState, SPState, dm_pauli_step, sp_step
 from .fourier import (Lattice, bump_profile, curl, h_eps_symbol, littlewood_paley, lp_norm, make_lattice,
                       poisson_solve, sobolev_norm)
@@ -128,11 +128,9 @@ def _integrate_dm(cfg: ExperimentConfig, lat: Lattice, eps: float, observe, with
     lockstep (the modulation is the identity at t = 0)."""
     dt, steps, every = _dm_schedule(cfg, eps)
     step_cfg = StepConfig(dt=dt)
-    psi0 = df.spinor_data(lat, cfg.family, eps, cfg.params)
-    a0, a1 = df.gauge_data(lat, cfg.gauge, cfg.params)
-    init = DMState(lat, 0.0, psi0, a0, a1, eps)
+    init = df.initial_dm_state(lat, cfg.family, cfg.gauge, eps, cfg.params)
     if with_pauli:
-        integrate(DMPauliState.start(init, sp.upper(psi0)),
+        integrate(DMPauliState.start(init, sp.upper(init.psi)),
                   lambda s: dm_pauli_step(s, step_cfg), steps, every, observe)
     else:
         run_dm(init, cfg.T, step_cfg, every, observe)
@@ -390,14 +388,16 @@ def dyadic_probe(lat: Lattice, mu: float, lam: float, eps: float, trials: int,
 
 def dyadic_sweep(case: str, n: int, period: float, eps: float, mu_list, lam_list,
                  trials: int, seed: int, T: float, dt: float) -> list:
-    """Run a (mu, lambda) sweep; returns rows (mu, lambda, eps, trial, ratio)."""
+    """Run a (mu, lambda) sweep; returns rows (mu, lambda, eps, trial, ratio).
+    Cases 'i' and 'ii' skip the cells with mu > lambda."""
+    cells = [(mu, lam) for mu in mu_list for lam in lam_list if case not in ("i", "ii") or mu <= lam]
+    if not cells:
+        raise ValueError(f"probe case {case}: no (mu, lambda) cell to run for mu_list {list(mu_list)} "
+                         f"and lam_list {list(lam_list)}; cases i and ii need mu <= lambda")
     lat = make_lattice(n, period)
     rows = []
-    for mu in mu_list:
-        for lam in lam_list:
-            if case in ("i", "ii") and mu > lam:
-                continue
-            ratios = dyadic_probe(lat, mu, lam, eps, trials, case, T, dt, seed)
-            for trial, r in enumerate(ratios):
-                rows.append((float(mu), float(lam), float(eps), trial, float(r)))
+    for mu, lam in cells:
+        ratios = dyadic_probe(lat, mu, lam, eps, trials, case, T, dt, seed)
+        for trial, r in enumerate(ratios):
+            rows.append((float(mu), float(lam), float(eps), trial, float(r)))
     return rows

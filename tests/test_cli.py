@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from diracmaxwell import cli
+from diracmaxwell.presets import PRESETS
 
 
 def run_cli(args):
@@ -60,6 +62,36 @@ def probe_config(**changes):
         "dt": 0.05,
     }
     return {**cfg, **changes}
+
+
+def study_config(**changes):
+    cfg = {
+        "grid": {"n": 8, "period": 6.283185307179586},
+        "eps_list": [0.4, 0.2, 0.1],
+        "T": 0.05,
+        "dt_ref": 5e-3,
+        "data": {"family": "zero"},
+    }
+    return {**cfg, **changes}
+
+
+def sp_config():
+    return {k: v for k, v in dm_config().items() if k not in ("eps", "gauge")}
+
+
+CONFIGS = {"run-dm": dm_config, "run-sp": sp_config, "run-pauli": dm_config, "converge": study_config,
+           "seminonrel": study_config, "probe-dyadic": probe_config}
+
+
+def with_value(cfg, path, value):
+    """A copy of cfg with the dotted path set to value."""
+    cfg = copy.deepcopy(cfg)
+    *parents, name = path.split(".")
+    node = cfg
+    for parent in parents:
+        node = node.setdefault(parent, {})
+    node[name] = value
+    return cfg
 
 
 class TestRunDM:
@@ -304,6 +336,96 @@ class TestConfigTypes:
         assert not (tmp_path / "o").exists()
 
 
+class TestConfigReader:
+    @pytest.mark.parametrize("command, path, value", [
+        *((command, path, None) for command in cli.KEYS for path in cli.KEYS[command]),
+        ("run-dm", "T", [1]), ("run-dm", "sample_every", True), ("run-dm", "eps", "0.5"),
+        ("probe-dyadic", "trials", "2"), ("converge", "eps_list", [0.4, "0.2", 0.1]),
+    ])
+    def test_wrong_type_exits_2_naming_the_key(self, command, path, value, tmp_path, capsys):
+        out = tmp_path / "o"
+        config = write_config(tmp_path, with_value(CONFIGS[command](), path, value))
+        assert run_cli([command, "--config", config, "--out", str(out)]) == 2
+        assert f"config error at {path}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, path", [(command, path) for command in cli.KEYS
+                                               for path, (_, default) in cli.KEYS[command].items()
+                                               if default is not cli.REQUIRED])
+    def test_default_written_out_or_left_out_hashes_the_same(self, command, path):
+        left_out = cli.read_config(command, CONFIGS[command]())
+        written = cli.read_config(command, with_value(CONFIGS[command](), path, left_out[path]))
+        assert cli.config_hash(written) == cli.config_hash(left_out)
+
+    @pytest.mark.parametrize("command, path", [(command, path) for command in cli.KEYS for path in cli.KEYS[command]])
+    def test_every_value_read_changes_the_hash(self, command, path):
+        def other(value):
+            if isinstance(value, bool):
+                return not value
+            if isinstance(value, (int, float)):
+                return value + 2
+            if isinstance(value, str):
+                return value + "x"
+            if isinstance(value, list):
+                return value + [value[-1] / 2]
+            return {**value, "amplitude": 0.25}
+
+        values = cli.read_config(command, CONFIGS[command]())
+        changed = cli.read_config(command, with_value(CONFIGS[command](), path, other(values[path])))
+        assert cli.config_hash(changed) != cli.config_hash(values)
+
+    def test_run_dm_and_run_pauli_hash_apart(self):
+        assert (cli.config_hash(cli.read_config("run-dm", dm_config()))
+                != cli.config_hash(cli.read_config("run-pauli", dm_config())))
+
+    def test_dealias_false_or_missing_runs_the_same(self, tmp_path):
+        runs = []
+        for name, cfg in (("off", dm_config(dealias=False)), ("missing", dm_config())):
+            out = tmp_path / name
+            assert run_cli(["run-dm", "--config", write_config(tmp_path, cfg, f"{name}.json"), "--out", str(out)]) == 0
+            runs.append(digest_dir(out))
+        assert runs[0] == runs[1]
+
+    def test_integer_period_runs_as_its_float(self, tmp_path):
+        runs = []
+        for period in (6, 6.0):
+            out = tmp_path / str(period)
+            cfg = dm_config(grid={"n": 8, "period": period})
+            path = write_config(tmp_path, cfg, f"{period}.json")
+            assert run_cli(["run-dm", "--config", path, "--out", str(out)]) == 0
+            runs.append(digest_dir(out))
+        assert runs[0] == runs[1]
+
+    def test_unread_keys_are_named_and_change_nothing(self, tmp_path, capsys):
+        runs = []
+        for name, cfg in (("clean", cli.load_config("preset:minimal-zero")),
+                          ("noisy", {**cli.load_config("preset:minimal-zero"), "dealias": True, "sample_evry": 2,
+                                     "grid": {"n": 8, "period": 6.283185307179586, "m": 4}})):
+            out = tmp_path / "runs" / name
+            assert run_cli(["run-sp", "--config", write_config(tmp_path, cfg, f"{name}.json"), "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            runs.append((digest_dir(out), captured.out.replace(name, "<out>"), captured.err))
+        assert runs[0][:2] == runs[1][:2]
+        assert runs[0][2] == "run-sp: config keys not read: eps, gauge\n"
+        assert runs[1][2] == "run-sp: config keys not read: dealias, eps, gauge, grid.m, sample_evry\n"
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets_read_every_key(self, name, capsys):
+        command = {"minimal-zero": "run-dm", "stationary": "run-dm", "thm4": "seminonrel"}.get(
+            name, "probe-dyadic" if name.startswith("dyadic-") else "converge")
+        cli.read_config(command, cli.load_config(f"preset:{name}"))
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("changes, message", [({"dt_schedule": "nope"}, "unknown dt_schedule 'nope'"),
+                                                  ({"eps_list": [0.1, 0.2, 0.4]}, "strictly decreasing")])
+    def test_study_range_checks_exit_1(self, changes, message, tmp_path, capsys):
+        out = tmp_path / "o"
+        path = write_config(tmp_path, study_config(**changes))
+        assert run_cli(["converge", "--config", path, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestProbe:
     def test_single_cell_csv(self, tmp_path):
         cfg = {
@@ -358,6 +480,15 @@ class TestProbe:
         path = write_config(tmp_path, probe_config(T=T, dt=dt))
         assert run_cli(["probe-dyadic", "--config", path, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_sweep_without_cells_exits_1_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        path = write_config(tmp_path, probe_config(case="i", mu_list=[4.0], lam_list=[2.0]))
+        assert run_cli(["probe-dyadic", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "probe case i: no (mu, lambda) cell to run for mu_list [4.0] and lam_list [2.0]" in err
         assert not out.exists()
 
 
