@@ -222,6 +222,7 @@ def cmd_run_dm(v: dict, out_dir: Path) -> int:
 
 
 def cmd_run_sp(v: dict, out_dir: Path) -> int:
+    df.check_params(v["data.params"], v["data.family"])
     lat = make_lattice(v["grid.n"], v["grid.period"])
     t0 = time.time()
     v0p, v0m = df.limit_data(lat, v["data.family"], v["data.params"])

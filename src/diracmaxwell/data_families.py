@@ -72,6 +72,27 @@ _DIRAC_DATA = {
 }
 
 
+# the data.params keys each family and each gauge reads
+PARAMS_READ = {
+    "family": {"zero": (), "stationary": ("amplitude",), "upper_lower": ("amplitude", "minus_amplitude"),
+               "upper_projected": ("amplitude",), "constrained": ("amplitude",), "counterexample": ("amplitude",)},
+    "gauge": {"zero": (), "bandlimited_divfree": ("gauge_amplitude",)},
+}
+
+
+def check_params(params: dict | None, family: str, gauge: str | None = None) -> None:
+    """Raise ValueError naming every key of params that neither the family
+    nor the gauge (None: a run without gauge data) reads."""
+    if family not in PARAMS_READ["family"]:
+        raise ValueError(f"unknown data family {family!r}")
+    if gauge is not None and gauge not in PARAMS_READ["gauge"]:
+        raise ValueError(f"unknown gauge data kind {gauge!r}")
+    unread = sorted(set(params or {}) - {*PARAMS_READ["family"][family], *PARAMS_READ["gauge"].get(gauge, ())})
+    if unread:
+        raise ValueError(f"data.params key(s) not read by family {family!r}"
+                         + ("" if gauge is None else f" or gauge {gauge!r}") + f": {', '.join(unread)}")
+
+
 def _profiles(lat: Lattice, family: str, params: dict | None) -> tuple:
     """v0+ of the family, and v0- or None where it is zero."""
     if family not in _DIRAC_DATA:
@@ -113,5 +134,7 @@ def gauge_data(lat: Lattice, kind: str, params: dict | None = None):
 
 
 def initial_dm_state(lat: Lattice, family: str, gauge: str, eps: float, params: dict | None) -> DMState:
-    """The DM state at t = 0: the family's Dirac datum and the gauge data."""
+    """The DM state at t = 0: the family's Dirac datum and the gauge data,
+    which read one params dict between them."""
+    check_params(params, family, gauge)
     return DMState(lat, 0.0, spinor_data(lat, family, eps, params), *gauge_data(lat, gauge, params), eps)

@@ -20,9 +20,12 @@ spinors.block_apply.  A stepped DMState carries A0 (the kick is
 pointwise unitary, so the closing A0 of a step opens the next) and the
 spectra of A and eps*dt(A): a step moves 4 complex components forward and 8
 back, 4 real forward and 7 back; a sample, one spectrum of psi and one real
-one of A.  Not done: scipy.fft (its import costs ~0.3 s and 27 MB per
-process) and merging consecutive half kicks (first same as last: the step
-would depend on the sample times).
+one of A.  From n = 32 the multi-component transforms run one chunk of
+components per core (fourier.Lattice), which leaves their bits unchanged;
+the kicks, products and derivatives stay on the calling thread.  Not done:
+scipy.fft (its import costs ~0.3 s and 27 MB per process) and merging
+consecutive half kicks (first same as last: the step would depend on the
+sample times).
 
 The Picard reference solve keeps its iterates as spectra (A as real-transform
 spectra).  A time level takes one inverse and one forward 4-component
@@ -40,8 +43,9 @@ DMPauliState.start).  Nothing keeps a run: the observer reduces or writes
 each sample when it is taken (the harness checks hold a window of three
 frozen states), and free_dirac_U advances the free spinor and the
 null-identity field U together as spectra and returns them at the end time
-only.  Distinct runs share no mutable state and the results are
-independent of thread scheduling for a fixed configuration.
+only.  Distinct runs share no mutable state, and the results are
+independent of thread scheduling and of the core count for a fixed
+configuration: a split transform gives the batched transform's bits.
 """
 
 from __future__ import annotations

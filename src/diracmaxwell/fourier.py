@@ -27,17 +27,29 @@ fixed once and for all:
   do not, act on complex spinors only.
 * Derivatives (``partial``, and ``gradient``, ``divergence`` and ``curl`` on
   it) take one 1-D transform pair along the derivative axis, not a 3-D pair.
+* The four 3-D transforms of ``Lattice`` spread a multi-component field over
+  the usable cores when a component has at least 32**3 points: one chunk of
+  the leading axis per core, the first on the calling thread and the others
+  in a pool of cores - 1 threads started on first use (pocketfft releases
+  the GIL).  Each component takes the 1-D passes of the batched ``np.fft``
+  call, so the result is the same bit for bit.  A job writes into its slice
+  of an output the caller allocates and submits no further job.  Scalar
+  fields, smaller grids and a one-core host make one batched call, as do
+  ``partial`` and the per-mode and pointwise products.
 
 Everything here is a pure function of immutable inputs (the Lattice caches
 are computed once and never mutated, and ``mode_multipliers`` and
-``kinetic_multipliers`` hand out read-only arrays), so concurrent use from
-multiple threads is safe.
+``kinetic_multipliers`` hand out read-only arrays), and a split transform
+writes only into the output of its own call, so concurrent use from multiple
+threads is safe.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,18 +140,36 @@ class Lattice:
 
     # -- transforms ---------------------------------------------------------
 
+    def _splits(self, f: np.ndarray) -> bool:
+        """Whether f's transform is spread over the cores, by component."""
+        return (_CORES > 1 and self.n**3 >= _SPLIT_POINTS and f.ndim > 3 and len(f) > 1
+                and f.dtype in (np.float64, np.complex128))
+
     def fft(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(np.asarray(f), axes=_SPATIAL_AXES)
+        f = np.asarray(f)
+        if not self._splits(f):
+            return np.fft.fftn(f, axes=_SPATIAL_AXES)
+        return _by_component(_fftn, f.astype(complex, copy=False), np.empty(f.shape, complex))
 
     def ifft(self, fhat: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(fhat, axes=_SPATIAL_AXES)
+        fhat = np.asarray(fhat)
+        if not self._splits(fhat):
+            return np.fft.ifftn(fhat, axes=_SPATIAL_AXES)
+        return _by_component(_ifftn, fhat.astype(complex, copy=False), np.empty(fhat.shape, complex))
 
     def rfft(self, f: np.ndarray) -> np.ndarray:
         """Transform of a real field: the modes with last-axis index <= n/2."""
-        return np.fft.rfftn(f, axes=_SPATIAL_AXES)
+        f = np.asarray(f)
+        if not self._splits(f):
+            return np.fft.rfftn(f, axes=_SPATIAL_AXES)
+        return _by_component(_rfftn, f, np.empty((*f.shape[:-1], self.n // 2 + 1), complex))
 
     def irfft(self, fhat: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(fhat, s=(self.n,) * 3, axes=_SPATIAL_AXES)
+        fhat = np.asarray(fhat)
+        if not self._splits(fhat):
+            return np.fft.irfftn(fhat, s=(self.n,) * 3, axes=_SPATIAL_AXES)
+        # the passes of irfftn, the first two in place on a copy
+        return _by_component(_irfftn, fhat.astype(complex), np.empty((*fhat.shape[:-1], self.n)))
 
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: True on modes kept (|index| <= n/3 per axis)."""
@@ -150,6 +180,70 @@ class Lattice:
             & keep.reshape(1, self.n, 1)
             & keep.reshape(1, 1, self.n)
         )
+
+
+# -- component-parallel transforms ---------------------------------------------
+
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# the grid points per component from which a multi-component transform is
+# split across the cores; smaller ones make one batched np.fft call
+_SPLIT_POINTS = 32**3
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _workers():
+    """The transform pool, _CORES - 1 threads started on first use; runs
+    that never split do not import concurrent.futures (~8 ms)."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_CORES - 1, thread_name_prefix="fourier")
+        return _pool
+
+
+def _forget_workers():
+    """A forked child has none of its parent's threads: it starts its own pool."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _fftn(f, out):
+    np.fft.fftn(f, axes=_SPATIAL_AXES, out=out)
+
+
+def _ifftn(fhat, out):
+    np.fft.ifftn(fhat, axes=_SPATIAL_AXES, out=out)
+
+
+def _rfftn(f, out):
+    np.fft.rfftn(f, axes=_SPATIAL_AXES, out=out)
+
+
+def _irfftn(fhat, out):
+    np.fft.ifft(fhat, axis=-3, out=fhat)
+    np.fft.ifft(fhat, axis=-2, out=fhat)
+    np.fft.irfft(fhat, out.shape[-1], axis=-1, out=out)
+
+
+def _by_component(transform, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """transform(f[c], out[c]) over one chunk c of the leading axis per core:
+    the calling thread takes the first chunk and the pool the others.  A job
+    writes into its slice of out and allocates no full-grid array."""
+    k = min(_CORES, len(f))
+    edges = [-(-len(f) * i // k) for i in range(k + 1)]
+    jobs = [_workers().submit(transform, f[a:b], out[a:b]) for a, b in zip(edges[1:-1], edges[2:])]
+    try:
+        transform(f[: edges[1]], out[: edges[1]])
+    finally:
+        for job in jobs:
+            job.result()
+    return out
 
 
 def make_lattice(n: int, L: float) -> Lattice:

@@ -45,6 +45,7 @@ class ExperimentConfig:
             raise ValueError("eps_list must be strictly decreasing")
         if self.dt_schedule not in ("fixed", "eps_linear", "eps_squared"):
             raise ValueError(f"unknown dt_schedule {self.dt_schedule!r}")
+        df.check_params(self.params, self.family, self.gauge)
 
     def dt_for(self, eps: float) -> float:
         if self.dt_schedule == "fixed":

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from diracmaxwell import cli
+from diracmaxwell import cli, fourier
 from diracmaxwell.presets import PRESETS
 
 
@@ -174,6 +174,28 @@ class TestRunDM:
         path = write_config(tmp_path, dm_config(data={"family": "nope"}))
         assert run_cli([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert "unknown data family 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, data, gauge, key", [
+        ("run-dm", {"family": "upper_projected", "params": {"amplitud": 0.3}}, "zero", "amplitud"),
+        ("run-dm", {"family": "upper_projected", "params": {"gauge_amplitude": 0.3}}, "zero", "gauge_amplitude"),
+        ("run-pauli", {"family": "zero", "params": {"amplitude": 0.3}}, "bandlimited_divfree", "amplitude"),
+        ("run-sp", {"family": "upper_projected", "params": {"gauge_amplitude": 0.3}}, "zero", "gauge_amplitude"),
+        ("converge", {"family": "upper_lower", "params": {"minus_amplitud": 0.3}}, "zero", "minus_amplitud"),
+    ])
+    def test_param_read_by_neither_family_nor_gauge_exits_1(self, command, data, gauge, key, tmp_path, capsys):
+        cfg = CONFIGS[command]()
+        cfg = {**cfg, "data": data, **({"gauge": gauge} if "gauge" in cli.KEYS[command] else {})}
+        out = tmp_path / "o"
+        assert run_cli([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"not read by family {data['family']!r}" in err and err.rstrip().endswith(f": {key}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gauge, params", [("zero", {"amplitude": 0.5}),
+                                               ("bandlimited_divfree", {"amplitude": 0.5, "gauge_amplitude": 0.3})])
+    def test_params_read_by_family_and_gauge_run(self, gauge, params, tmp_path):
+        cfg = dm_config(gauge=gauge, data={"family": "upper_projected", "params": params})
+        assert run_cli(["run-dm", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 class TestConverge:
@@ -531,12 +553,37 @@ class TestDeterminism:
         assert digest_dir(a) == digest_dir(b)
 
 
+    def test_split_transforms_write_the_serial_bytes(self, tmp_path, monkeypatch):
+        # n = 32 is the smallest grid whose multi-component transforms are
+        # spread over the cores; two are assumed so the pool runs on any host
+        cfg = dm_config(grid={"n": 32, "period": 6.283185307179586}, dealias=True)
+        path = write_config(tmp_path, cfg)
+        runs = {}
+        for cores in (2, 1):
+            monkeypatch.setattr(fourier, "_CORES", cores)
+            assert run_cli(["run-dm", "--config", path, "--out", str(tmp_path / str(cores))]) == 0
+            runs[cores] = digest_dir(tmp_path / str(cores))
+        assert len(runs[1]) == 6 and runs[2] == runs[1]
+
+
 class TestImportCost:
+    def _python(self, code):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              check=True).stdout.splitlines()[-1]
+
     def test_cli_and_studies_leave_scipy_unimported(self):
         # importing scipy.fft adds about 0.3 s and 27 MB RSS to every process
         # (measured on a 2-vCPU host), so the package keeps to numpy.fft
-        src = str(Path(cli.__file__).resolve().parents[1])
         code = "import sys, diracmaxwell.cli, diracmaxwell.studies; print('scipy' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert self._python(code) == "False"
+
+    def test_small_runs_start_no_thread(self, tmp_path):
+        # below the split cutover every transform is one batched call on the
+        # calling thread, so no transform pool is started
+        path = write_config(tmp_path, dm_config(grid={"n": 24, "period": 6.283185307179586}))
+        code = ("import threading, diracmaxwell.cli as cli; "
+                f"cli.main(['run-dm', '--config', {path!r}, '--out', {str(tmp_path / 'out')!r}]); "
+                "print(threading.active_count())")
+        assert self._python(code) == "1"

@@ -1,4 +1,6 @@
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +62,70 @@ class TestLattice:
         idx = (-np.arange(n)) % n
         mirrored = np.conj(fhat[np.ix_(idx, idx, idx)])
         assert np.abs(fhat - mirrored).max() < 1e-12 * np.abs(fhat).max()
+
+
+class TestSplitTransforms:
+    """From n = 32 a multi-component transform is split by component across
+    the cores; each component takes the 1-D passes of the batched call, so
+    the result equals np.fft's bit for bit.  Three cores are assumed, so
+    chunks of one and of two components run in the pool on any host."""
+
+    AXES = (-3, -2, -1)
+
+    @pytest.fixture(autouse=True)
+    def three_cores(self, monkeypatch):
+        monkeypatch.setattr(fc, "_CORES", 3)
+
+    @staticmethod
+    def fields(n, c):
+        f = random_complex(fc.make_lattice(n, TWO_PI), 50 + c, shape=(c, n, n, n))
+        return {"complex": f, "complex strided": f.transpose(0, 1, 3, 2), "leading slice": f[: max(1, c - 1)],
+                "real": f.real.copy(), "real strided": f.imag.transpose(0, 2, 1, 3)}
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_forward_and_inverse_equal_numpy(self, n, c):
+        lat = fc.make_lattice(n, TWO_PI)
+        for name, f in self.fields(n, c).items():
+            assert np.array_equal(lat.fft(f), np.fft.fftn(f, axes=self.AXES)), name
+            assert np.array_equal(lat.ifft(f), np.fft.ifftn(f, axes=self.AXES)), name
+            if np.isrealobj(f):
+                assert np.array_equal(lat.rfft(f), np.fft.rfftn(f, axes=self.AXES)), name
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_real_inverse_equals_numpy(self, n, c):
+        lat = fc.make_lattice(n, TWO_PI)
+        f = self.fields(n, c)["real"]
+        half = lat.rfft(f)
+        # a carried half spectrum, and one cut from a full spectrum (strided)
+        for fhat in (half, half[::-1], lat.fft(f)[..., : n // 2 + 1]):
+            got = lat.irfft(fhat)
+            assert np.array_equal(got, np.fft.irfftn(fhat, s=(n,) * 3, axes=self.AXES))
+            assert got.dtype == np.float64
+        assert np.array_equal(lat.rfft(f), half)  # the input spectrum is left as it was
+
+    def test_small_grids_and_scalars_stay_serial(self, monkeypatch):
+        monkeypatch.setattr(fc, "_by_component", None)  # a split would fail
+        for n, shape in ((24, (4, 24, 24, 24)), (32, (32, 32, 32)), (32, (1, 32, 32, 32))):
+            lat = fc.make_lattice(n, TWO_PI)
+            f = random_complex(lat, 7, shape=shape)
+            assert np.array_equal(lat.ifft(lat.fft(f)), np.fft.ifftn(np.fft.fftn(f, axes=self.AXES), axes=self.AXES))
+            assert np.array_equal(lat.irfft(lat.rfft(f.real)), np.fft.irfftn(np.fft.rfftn(f.real, axes=self.AXES),
+                                                                             s=(n,) * 3, axes=self.AXES))
+
+    def test_concurrent_callers_get_their_own_results(self):
+        # more callers than cores, switching often, all sharing the pool
+        lat = fc.make_lattice(32, TWO_PI)
+        fields = [random_complex(lat, s, shape=(3, 32, 32, 32)) for s in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(6) as callers:
+                got = [job.result(timeout=60) for job in [callers.submit(lat.fft, f) for f in fields]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, np.fft.fftn(f, axes=self.AXES)) for g, f in zip(got, fields))
 
 
 class TestSymbols:

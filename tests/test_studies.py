@@ -103,7 +103,7 @@ class TestRateReportSerialization:
 
 class TestZeroDataStudies:
     def test_all_errors_zero_rate_undefined(self):
-        cfg = small_cfg(family="zero", T=0.05, sample_every=5)
+        cfg = small_cfg(family="zero", params={}, T=0.05, sample_every=5)
         rep = st.nonrel_convergence_study(cfg)
         assert all(max(v) == 0.0 for v in rep.errors.values())
         assert np.isnan(rep.rates["h1_spinor"])
