@@ -20,9 +20,10 @@ spinors.block_apply.  A stepped DMState carries A0 (the kick is
 pointwise unitary, so the closing A0 of a step opens the next) and the
 spectra of A and eps*dt(A): a step moves 4 complex components forward and 8
 back, 4 real forward and 7 back; a sample, one spectrum of psi and one real
-one of A.  From n = 32 the multi-component transforms run one chunk of
-components per core (fourier.Lattice), which leaves their bits unchanged;
-the kicks, products and derivatives stay on the calling thread.  Not done:
+one of A.  Every transform writes its passes into one output allocated per
+call, and from n = 32 the multi-component transforms run one chunk of
+components per core (fourier.Lattice); neither changes their bits.  The
+kicks, products and derivatives stay on the calling thread.  Not done:
 scipy.fft (its import costs ~0.3 s and 27 MB per process) and merging
 consecutive half kicks (first same as last: the step would depend on the
 sample times).
@@ -73,8 +74,9 @@ class Carried(NamedTuple):
 class DMState:
     """State of the coupled system: spinor, magnetic potential, eps*dt(A).
 
-    Frozen.  Only dm_strang_step sets ``carried``, on states whose arrays it
-    makes read-only; a state built any other way (constructor,
+    Frozen.  dm_strang_step sets ``carried`` on the states it makes, whose
+    arrays it makes read-only, and dm_pauli_step on the copy of a state it
+    hands to its DM step; a state built any other way (constructor,
     dataclasses.replace, coulomb_gauge) has none, and its first step derives
     the values."""
 

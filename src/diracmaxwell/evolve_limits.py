@@ -5,20 +5,21 @@ with the Dirac-Maxwell evolver.
 The Schrodinger-Poisson pair carries the electron branch (+Delta/2) and the
 negative-mass positron branch (-Delta/2) coupled through one Coulomb
 potential.  The Pauli spinor is advanced in lockstep with a Dirac-Maxwell
-run (``DMPauliState``, ``dm_pauli_step``) and driven by that run's fields.
+run (``DMPauliState``, ``dm_pauli_step``) and driven by that run's fields,
+with B from the spectra of A that the DM step carries.
 Runs of either system are driven by ``evolve_dm.integrate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import spinors as sp
 from .evolve_dm import DMState, StepConfig, carried_values, coulomb_gauge, dm_strang_step
-from .fourier import (Lattice, apply_symbol, curl, divergence, kinetic_multipliers, l2_norm, partial, poisson_solve,
-                      sobolev_norm)
+from .fourier import (Lattice, apply_symbol, curl, curl_hat, divergence, kinetic_multipliers, l2_norm, partial,
+                      poisson_solve, sobolev_norm)
 
 
 @dataclass
@@ -104,24 +105,30 @@ def _advect_apply(lat: Lattice, A: np.ndarray, eps: float, dt: float, chi: np.nd
     each A_j d_j taken by one 1-D transform pair along axis j (``partial``).
 
     Converges to roundoff in a handful of terms since dt*|M| << 1 at the
-    resolutions used here; unitarity error is at the truncation level.  The
-    series stops at the first term below 1e-16 max|chi|, and raises
-    FloatingPointError if 24 terms do not get there.  A non-finite chi raises
-    FloatingPointError before any term is taken.
+    resolutions used here; unitarity error is at the truncation level.  In L2,
+    |A.grad f| <= (sum_j max|A_j|) k_max |f| with k_max = max|lat.kx| (the
+    Nyquist mode is zeroed), so term k + 1 is at most rho / (k + 1) times term
+    k, rho = |dt eps| k_max sum_j max|A_j|.  The series stops after the first
+    term k with max|term_k| rho / (k + 1) below 1e-16 max|chi|, a bound on the
+    next term (after Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011),
+    and raises FloatingPointError if 24 terms do not get there.  A non-finite
+    chi raises FloatingPointError before any term is taken.
     """
     scale = float(np.max(np.abs(chi)))
     if not np.isfinite(scale):
         raise FloatingPointError("non-finite Pauli spinor entering the mixed-term exponential")
-    scale += 1e-300
+    tol = 1e-16 * (scale + 1e-300)
+    rho = abs(dt * eps) * float(np.max(np.abs(lat.kx))) * sum(float(np.max(np.abs(a))) for a in A)
     term = chi
     out = chi.copy()
     for k in range(1, 25):
         m = A[0] * partial(lat, term, 0)
         m += A[1] * partial(lat, term, 1)
         m += A[2] * partial(lat, term, 2)
-        term = m * (dt * eps / k)
+        m *= dt * eps / k
+        term = m
         out += term
-        if float(np.max(np.abs(term))) < 1e-16 * scale:
+        if float(np.max(np.abs(term))) * rho / (k + 1) < tol:
             return out
     raise FloatingPointError("mixed-term exponential did not converge; reduce dt")
 
@@ -129,16 +136,18 @@ def _advect_apply(lat: Lattice, A: np.ndarray, eps: float, dt: float, chi: np.nd
 def pauli_step(state: PauliState, A0: np.ndarray, A: np.ndarray, dt: float,
                B: np.ndarray | None = None) -> PauliState:
     """Strang step of the Pauli equation in the supplied (midpoint) fields.
-    A with max |div A| above 1e-8 raises ValueError."""
+    Without B, B = curl A, and an A with max |div A| above 1e-8 raises
+    ValueError; a caller that passes B vouches for A (dm_pauli_step: the
+    Coulomb-gauge A of a DM run)."""
     lat, eps = state.lat, state.eps
     advect = eps > 0 and bool(np.any(A))
-    if advect:
-        div_max = float(np.max(np.abs(divergence(lat, A))))
-        if not np.isfinite(div_max):
-            raise FloatingPointError("non-finite gauge field A entering the Pauli step")
-        if div_max > 1e-8:
-            raise ValueError(f"A is not divergence-free (max |div A| = {div_max:.2e})")
     if B is None:
+        if advect:
+            div_max = float(np.max(np.abs(divergence(lat, A))))
+            if not np.isfinite(div_max):
+                raise FloatingPointError("non-finite gauge field A entering the Pauli step")
+            if div_max > 1e-8:
+                raise ValueError(f"A is not divergence-free (max |div A| = {div_max:.2e})")
         B = curl(lat, A)
     kick = _kick_coefficients(A0, A, B, eps, dt / 2.0)
     chi = sp.sigma_block_apply(state.chi, *kick)
@@ -179,9 +188,15 @@ class DMPauliState:
 
 def dm_pauli_step(state: DMPauliState, cfg: StepConfig) -> DMPauliState:
     """One DM step, and one Pauli step in the endpoint averages of A0 and A
-    (the midpoint values of their linear interpolation).  A0 at either end
-    is the one the DM step carries, so only the first step derives it here."""
-    dm = dm_strang_step(state.dm, cfg)
-    A0_open = carried_values(state.dm, cfg).A0
-    pauli = pauli_step(state.pauli, 0.5 * (A0_open + dm.carried.A0), 0.5 * (state.dm.A + dm.A), cfg.dt)
+    (the midpoint values of their linear interpolation), B the curl of the
+    average carried spectrum of A.  A state without carried values (the
+    first step) is copied with them, so that they are derived once."""
+    opening = state.dm
+    c = carried_values(opening, cfg)
+    if c is not opening.carried:
+        opening = replace(opening)
+        object.__setattr__(opening, "carried", c)
+    dm = dm_strang_step(opening, cfg)
+    B = dm.lat.irfft(curl_hat(dm.lat, 0.5 * (c.A_hat + dm.carried.A_hat)))
+    pauli = pauli_step(state.pauli, 0.5 * (c.A0 + dm.carried.A0), 0.5 * (opening.A + dm.A), cfg.dt, B=B)
     return DMPauliState(dm, pauli)

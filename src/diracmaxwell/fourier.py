@@ -27,15 +27,17 @@ fixed once and for all:
   do not, act on complex spinors only.
 * Derivatives (``partial``, and ``gradient``, ``divergence`` and ``curl`` on
   it) take one 1-D transform pair along the derivative axis, not a 3-D pair.
-* The four 3-D transforms of ``Lattice`` spread a multi-component field over
-  the usable cores when a component has at least 32**3 points: one chunk of
-  the leading axis per core, the first on the calling thread and the others
-  in a pool of cores - 1 threads started on first use (pocketfft releases
-  the GIL).  Each component takes the 1-D passes of the batched ``np.fft``
-  call, so the result is the same bit for bit.  A job writes into its slice
-  of an output the caller allocates and submits no further job.  Scalar
-  fields, smaller grids and a one-core host make one batched call, as do
-  ``partial`` and the per-mode and pointwise products.
+* The four 3-D transforms of ``Lattice`` run the 1-D passes of the batched
+  ``np.fft`` call, every pass writing into one output allocated per call
+  (``irfft`` takes the first two in place on a copy), so the result is
+  ``np.fft``'s, bit for bit and dtype included.  A multi-component
+  float64/complex128 field with at least 32**3 points per component is
+  spread over the usable cores: one chunk of the leading axis per core, the
+  first on the calling thread and the others in a pool of cores - 1 threads
+  started on first use (pocketfft releases the GIL); a job writes into its
+  slice of the output and submits no further job.  Everything else,
+  ``partial`` and the per-mode and pointwise products included, runs on the
+  calling thread.
 
 Everything here is a pure function of immutable inputs (the Lattice caches
 are computed once and never mutated, and ``mode_multipliers`` and
@@ -140,36 +142,35 @@ class Lattice:
 
     # -- transforms ---------------------------------------------------------
 
-    def _splits(self, f: np.ndarray) -> bool:
-        """Whether f's transform is spread over the cores, by component."""
-        return (_CORES > 1 and self.n**3 >= _SPLIT_POINTS and f.ndim > 3 and len(f) > 1
-                and f.dtype in (np.float64, np.complex128))
+    def _run(self, transform, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """transform(f, out), split by component over the cores for a multi-component
+        float64/complex128 field with at least 32**3 points per component."""
+        if (_CORES > 1 and self.n**3 >= _SPLIT_POINTS and f.ndim > 3 and len(f) > 1
+                and f.dtype in (np.float64, np.complex128)):
+            return _by_component(transform, f, out)
+        transform(f, out)
+        return out
 
     def fft(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f)
-        if not self._splits(f):
-            return np.fft.fftn(f, axes=_SPATIAL_AXES)
-        return _by_component(_fftn, f.astype(complex, copy=False), np.empty(f.shape, complex))
+        return self._run(_fftn, f, np.empty(f.shape, np.result_type(f.dtype, 1j)))
 
     def ifft(self, fhat: np.ndarray) -> np.ndarray:
         fhat = np.asarray(fhat)
-        if not self._splits(fhat):
-            return np.fft.ifftn(fhat, axes=_SPATIAL_AXES)
-        return _by_component(_ifftn, fhat.astype(complex, copy=False), np.empty(fhat.shape, complex))
+        return self._run(_ifftn, fhat, np.empty(fhat.shape, np.result_type(fhat.dtype, 1j)))
 
     def rfft(self, f: np.ndarray) -> np.ndarray:
         """Transform of a real field: the modes with last-axis index <= n/2."""
         f = np.asarray(f)
-        if not self._splits(f):
-            return np.fft.rfftn(f, axes=_SPATIAL_AXES)
-        return _by_component(_rfftn, f, np.empty((*f.shape[:-1], self.n // 2 + 1), complex))
+        return self._run(_rfftn, f, np.empty((*f.shape[:-1], self.n // 2 + 1), np.result_type(f.dtype, 1j)))
 
     def irfft(self, fhat: np.ndarray) -> np.ndarray:
+        # the passes of irfftn, the first two in place on a copy; the output
+        # goes first, since allocated after the copy it raised the peak RSS of
+        # an n = 64 run-dm by 4 MB (heap layout)
         fhat = np.asarray(fhat)
-        if not self._splits(fhat):
-            return np.fft.irfftn(fhat, s=(self.n,) * 3, axes=_SPATIAL_AXES)
-        # the passes of irfftn, the first two in place on a copy
-        return _by_component(_irfftn, fhat.astype(complex), np.empty((*fhat.shape[:-1], self.n)))
+        out = np.empty((*fhat.shape[:-1], self.n), np.result_type(fhat.real.dtype, 1.0))
+        return self._run(_irfftn, fhat.astype(np.result_type(fhat.dtype, 1j)), out)
 
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: True on modes kept (|index| <= n/3 per axis)."""
@@ -186,7 +187,7 @@ class Lattice:
 
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # the grid points per component from which a multi-component transform is
-# split across the cores; smaller ones make one batched np.fft call
+# split across the cores; smaller ones run on the calling thread
 _SPLIT_POINTS = 32**3
 _pool = None
 _pool_lock = threading.Lock()
@@ -379,12 +380,14 @@ def h_eps(lat: Lattice, f: np.ndarray, eps: float) -> np.ndarray:
 
 def partial(lat: Lattice, f: np.ndarray, j: int) -> np.ndarray:
     """d/dx_j of f (j = 0, 1, 2) by one 1-D transform pair along spatial axis j,
-    the real pair for real f: the symbol i k_j varies along that axis only."""
-    axis, ik = j - 3, 1j * (lat.kx, lat.ky, lat.kz)[j]
-    if np.isrealobj(f):
+    the real pair for real f: the symbol i k_j varies along that axis only.
+    The product, and a complex inverse, reuse the forward pass's array."""
+    axis, ik, real = j - 3, 1j * (lat.kx, lat.ky, lat.kz)[j], np.isrealobj(f)
+    if real:
         ik = ik.take(range(lat.n // 2 + 1), axis=j)
-        return np.fft.irfft(ik * np.fft.rfft(f, axis=axis), n=lat.n, axis=axis)
-    return np.fft.ifft(ik * np.fft.fft(f, axis=axis), axis=axis)
+    fhat = np.fft.rfft(f, axis=axis) if real else np.fft.fft(f, axis=axis)
+    fhat = np.multiply(fhat, ik, out=fhat if fhat.dtype == ik.dtype else None)  # single precision: upcast
+    return np.fft.irfft(fhat, n=lat.n, axis=axis) if real else np.fft.ifft(fhat, axis=axis, out=fhat)
 
 
 def gradient(lat: Lattice, f: np.ndarray) -> np.ndarray:
@@ -413,6 +416,13 @@ def leray_hat(lat: Lattice, uhat: np.ndarray) -> np.ndarray:
     kx, ky, kz, inv_lap = (on_modes(a, uhat) for a in (lat.kx, lat.ky, lat.kz, lat.inv_laplacian))
     c = (kx * uhat[0] + ky * uhat[1] + kz * uhat[2]) * inv_lap  # -(k.u)/|k|^2
     return np.stack([uhat[0] + kx * c, uhat[1] + ky * c, uhat[2] + kz * c])
+
+
+def curl_hat(lat: Lattice, uhat: np.ndarray) -> np.ndarray:
+    """Spectrum of curl u from the spectrum of a vector field u (full or
+    real-transform): i k x uhat per mode."""
+    ikx, iky, ikz = (on_modes(1j * k, uhat) for k in (lat.kx, lat.ky, lat.kz))
+    return np.stack([iky * uhat[2] - ikz * uhat[1], ikz * uhat[0] - ikx * uhat[2], ikx * uhat[1] - iky * uhat[0]])
 
 
 def leray_project(lat: Lattice, u: np.ndarray) -> np.ndarray:

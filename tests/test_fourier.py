@@ -1,5 +1,6 @@
 import re
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -295,6 +296,77 @@ def derivative_3d(lat, f, j):
         fhat = lat.rfft(f)
         return lat.irfft(1j * k[..., : fhat.shape[-1]] * fhat)
     return lat.ifft(1j * k * lat.fft(f))
+
+
+class TestSerialTransforms:
+    """Below 32**3 points per component, and for scalars, a transform runs
+    np.fft's passes in one call on the calling thread, each pass writing into
+    one preallocated output: the result equals np.fft's, dtype included."""
+
+    AXES = (-3, -2, -1)
+
+    @staticmethod
+    def fields(n):
+        z = random_complex(fc.make_lattice(n, TWO_PI), 60 + n, shape=(4, n, n, n))
+        out = {"scalar": z[0], "strided": z[:2], "reversed": z[::-1], "transposed": z[:3].swapaxes(-1, -2)}
+        out.update({f"{c} components": z[:c].copy() for c in range(1, 5)})
+        out.update({f"real {name}": f.real for name, f in list(out.items())})
+        return out
+
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_equal_numpy_bit_for_bit(self, n):
+        lat = fc.make_lattice(n, TWO_PI)
+        for name, f in self.fields(n).items():
+            for got, want in ((lat.fft(f), np.fft.fftn(f, axes=self.AXES)),
+                              (lat.ifft(f), np.fft.ifftn(f, axes=self.AXES))):
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            if np.isrealobj(f):
+                half = np.fft.rfftn(f, axes=self.AXES)
+                assert np.array_equal(lat.rfft(f), half), name
+                for h in (half, half[::-1]):
+                    got = lat.irfft(h)
+                    assert got.dtype == np.float64, name
+                    assert np.array_equal(got, np.fft.irfftn(h, s=(n,) * 3, axes=self.AXES)), name
+
+    def test_single_precision_keeps_its_dtype(self, lat):
+        f = random_complex(lat, 61, shape=(2, lat.n, lat.n, lat.n)).astype(np.complex64)
+        assert lat.fft(f).dtype == lat.ifft(f).dtype == lat.rfft(f.real).dtype == np.complex64
+        assert np.array_equal(lat.fft(f), np.fft.fftn(f, axes=self.AXES))
+        assert lat.irfft(lat.rfft(f.real)).dtype == np.float32
+        for g in (f, f.real):
+            assert fc.partial(lat, g, 1).dtype == partial_by_formula(lat, g, 1).dtype
+
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_partial_equals_the_formula_bit_for_bit(self, n):
+        lat = fc.make_lattice(n, TWO_PI)
+        f = random_complex(lat, 62, shape=(2, n, n, n))
+        for g in (f, f.real.copy(), f[1], f.real[::-1]):
+            for j in range(3):
+                got, want = fc.partial(lat, g, j), partial_by_formula(lat, g, j)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (g.dtype, j)
+
+    def test_one_output_array_per_transform(self, monkeypatch):
+        # a pass that returned a fresh array would hold two outputs at its peak
+        lat = fc.make_lattice(24, TWO_PI)
+        f = random_complex(lat, 63, shape=(4, 24, 24, 24))
+        monkeypatch.setattr(fc, "_CORES", 1)
+        for transform, arg in ((lat.fft, f), (lat.ifft, f), (lambda g: fc.partial(lat, g, 1), f)):
+            tracemalloc.start()
+            try:
+                out = transform(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * out.nbytes
+
+
+def partial_by_formula(lat, f, j):
+    """d/dx_j by the 1-D pair with a fresh array for each pass and the product."""
+    axis, ik = j - 3, 1j * (lat.kx, lat.ky, lat.kz)[j]
+    if np.isrealobj(f):
+        ik = ik.take(range(lat.n // 2 + 1), axis=j)
+        return np.fft.irfft(ik * np.fft.rfft(f, axis=axis), n=lat.n, axis=axis)
+    return np.fft.ifft(ik * np.fft.fft(f, axis=axis), axis=axis)
 
 
 def assert_rel_close(out, ref, rtol):

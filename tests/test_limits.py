@@ -5,7 +5,8 @@ from diracmaxwell import evolve_dm as dm
 from diracmaxwell import evolve_limits as lim
 from diracmaxwell import fourier as fc
 from diracmaxwell import spinors as sp
-from diracmaxwell.data_families import gauge_profile, v_minus_profile, v_plus_profile
+from diracmaxwell.data_families import gauge_profile, initial_dm_state, v_minus_profile, v_plus_profile
+from diracmaxwell.presets import get_preset
 
 TWO_PI = 2 * np.pi
 
@@ -152,7 +153,7 @@ class TestPauliStep:
         chi = random_two_spinor(lat, 5)
         X1, _, _ = lat.grid()
         A = np.zeros((3, lat.n, lat.n, lat.n))
-        A[0] = np.sin(X1) + np.zeros((lat.n,) * 3)  # div A = cos x1 != 0
+        A[0] = np.sin(X1) + np.zeros((lat.n,) * 3)  # div A = cos x1 != 0; no B, so the guard runs
         with pytest.raises(ValueError):
             lim.pauli_step(lim.PauliState(lat, 0.0, chi, 0.4), np.zeros((lat.n,) * 3), A, 0.02)
 
@@ -218,6 +219,41 @@ class TestAdvectApply:
         before = chi.copy()
         lim._advect_apply(lat, gauge_profile(lat, 0.3), 0.4, 0.01, chi)
         assert np.array_equal(chi, before)
+
+    @staticmethod
+    def terms_under_the_old_rule(lat, A, eps, dt, chi):
+        """Terms the series took when it stopped only after adding a term
+        below 1e-16 max|chi|."""
+        scale = float(np.max(np.abs(chi))) + 1e-300
+        term = chi
+        for k in range(1, 25):
+            term = (dt * eps / k) * sum(A[j] * fc.partial(lat, term, j) for j in range(3))
+            if float(np.max(np.abs(term))) < 1e-16 * scale:
+                return k
+        raise AssertionError("the old rule did not converge")
+
+    @pytest.mark.parametrize("eps", [0.4, 0.2, 0.1])
+    def test_stop_rule_takes_one_term_fewer_on_thm4_data(self, eps, monkeypatch):
+        # the Theorem 4 preset's gauge data and spinor at eps, half its dt there
+        cfg = get_preset("thm4")
+        lat = fc.make_lattice(cfg["grid"]["n"], cfg["grid"]["period"])
+        init = initial_dm_state(lat, cfg["data"]["family"], cfg["gauge"], eps, cfg["data"]["params"])
+        state = lim.DMPauliState.start(init, sp.upper(init.psi))
+        dt = cfg["dt_ref"] * eps / cfg["eps_ref"] / 2.0
+        old_terms = self.terms_under_the_old_rule(lat, state.dm.A, eps, dt, state.pauli.chi)
+        calls = []
+        real_partial = lim.partial
+        monkeypatch.setattr(lim, "partial", lambda *a: calls.append(a[2]) or real_partial(*a))
+        out = lim._advect_apply(lat, state.dm.A, eps, dt, state.pauli.chi)
+        assert len(calls) == 3 * old_terms - 3
+        ref = advect_reference(lat, state.dm.A, eps, dt, state.pauli.chi)
+        assert np.abs(out - ref).max() < 1e-13 * np.abs(ref).max()
+
+    def test_series_that_cannot_converge_raises(self, lat8):
+        # dt eps k_max sum max|A_j| ~ 14: term 24 is still ~1e-3 max|chi|
+        chi = random_two_spinor(lat8, 9)
+        with pytest.raises(FloatingPointError, match="mixed-term exponential did not converge"):
+            lim._advect_apply(lat8, gauge_profile(lat8, 3.0), 0.4, 1.0, chi)
 
 
 class TestSimulatePauli:
@@ -307,6 +343,42 @@ class TestSimulatePauli:
             dm.integrate(state, lambda s: lim.dm_pauli_step(s, cfg), 3, 1, lambda s: None)
         assert "step 0" in str(info.value)
         assert "did not converge" not in str(info.value)
+
+    def test_B_is_the_curl_of_the_midpoint_A(self, lat, monkeypatch):
+        # B comes from the carried spectra of A; the first step opens from a
+        # state that carries none
+        eps = 0.4
+        init = self._dm_init(lat, eps)
+        cfg = dm.StepConfig(dt=0.01)
+        passed = []
+        real_step = lim.pauli_step
+        monkeypatch.setattr(lim, "pauli_step",
+                            lambda state, A0, A, dt, B=None: passed.append(B) or real_step(state, A0, A, dt, B))
+        states = [lim.DMPauliState.start(init, sp.upper(init.psi))]
+        assert states[0].dm.carried is None
+        for _ in range(3):
+            states.append(lim.dm_pauli_step(states[-1], cfg))
+        assert len(passed) == 3
+        for B, opening, closing in zip(passed, states, states[1:]):
+            want = fc.curl(lat, 0.5 * (opening.dm.A + closing.dm.A))
+            assert np.abs(B - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_first_step_derives_the_opening_values_once(self, lat, monkeypatch):
+        eps = 0.4
+        init = self._dm_init(lat, eps)
+        cfg = dm.StepConfig(dt=0.01)
+        state = lim.DMPauliState.start(init, sp.upper(init.psi))
+        alone = dm.dm_strang_step(state.dm, cfg)
+        solves = []
+        real_A0 = dm.derived_A0
+        monkeypatch.setattr(dm, "derived_A0", lambda *a: solves.append(1) or real_A0(*a))
+        first = lim.dm_pauli_step(state, cfg)
+        assert len(solves) == 2  # opening and closing A0
+        lim.dm_pauli_step(first, cfg)
+        assert len(solves) == 3  # the closing A0 only
+        assert state.dm.carried is None  # the input state is left as it was
+        for name in ("psi", "A", "eps_dtA"):
+            assert np.array_equal(getattr(first.dm, name), getattr(alone, name))
 
 
 class TestNonFiniteGuard:
