@@ -13,10 +13,12 @@ exact; see the tests.
 
 One transform of the kicked spinor feeds both free half-steps, the real
 fields use real transforms, and per-mode multipliers come from the bounded
-cache fourier.mode_multipliers.  Every spinor matrix, the free flow per mode
-(d, conj(d), V = -i h k from the cached d and h), the potential kick per
-point and the Picard forcing, goes through the 2x2-block kernel
-spinors.block_apply.  A stepped DMState carries A0 (the kick is
+cache fourier.mode_multipliers.  Every spinor matrix goes through the
+2x2-block kernel spinors.block_apply: the potential kick per point, the
+Picard forcing, and per mode the free flow and reconstruct_from_U's
+i alpha.k, both in the a + bQ form of the free Dirac symbol
+(spinors.dirac_symbol_apply; the flow's d, conj(d) and h are cached).  A
+stepped DMState carries A0 (the kick is
 pointwise unitary, so the closing A0 of a step opens the next) and the
 spectra of A and eps*dt(A): a step moves 4 complex components forward and 8
 back, 4 real forward and 7 back; a sample, one spectrum of psi and one real
@@ -115,11 +117,11 @@ def derived_A0(lat: Lattice, psi: np.ndarray, dealias_flag: bool = False) -> np.
 
 def free_flow_hat(lat: Lattice, psihat: np.ndarray, dt: float, eps: float) -> np.ndarray:
     """Exact free flow of a spinor spectrum: exp(-i dt Q / eps^2) per mode,
-    cos(theta) - i sin(theta)/lam Q with theta = dt lam / eps^2, in block form
-    [[d, V.sigma], [V.sigma, conj(d)]] with d = cos(theta) - i sin(theta)/lam
-    and V = -i h k, h = eps sin(theta)/lam."""
+    a + b Q with a = cos(theta), b = -i sin(theta)/lam, theta = dt lam / eps^2;
+    its d_+/- = a +/- b are the cached d and conj(d), its scale i eps b the
+    cached real h = eps sin(theta)/lam (spinors.dirac_symbol_apply)."""
     d, h = mode_multipliers(lat, eps, dt).dirac
-    return sp.block_apply(psihat, d, np.conj(d), sp.sigma_entries((-1j * lat.kx, -1j * lat.ky, -1j * lat.kz)), h)
+    return sp.dirac_symbol_apply(lat, psihat, d, np.conj(d), h)
 
 
 def potential_kick(lat: Lattice, psi: np.ndarray, A0: np.ndarray, A: np.ndarray, dt: float, eps: float) -> np.ndarray:
@@ -418,7 +420,7 @@ def free_dirac_U(lat: Lattice, psi0: np.ndarray, T: float, dt: float, eps: float
 
 def reconstruct_from_U(lat: Lattice, U: np.ndarray, dtU: np.ndarray, eps: float) -> np.ndarray:
     """i (eps dt - alpha.grad) U; equals psi when U solves its wave equation."""
-    grad_part = 1j * sp.alpha_dot((lat.kx, lat.ky, lat.kz), lat.fft(U))
+    grad_part = sp.dirac_symbol_apply(lat, lat.fft(U), None, None, -1.0)  # i alpha.k per mode
     return 1j * (eps * dtU - lat.ifft(grad_part))
 
 

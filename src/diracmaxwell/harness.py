@@ -30,7 +30,7 @@ from . import spinors as sp
 from .data_families import sigma_grad
 from .evolve_dm import compute_EB, derived_A0
 from .fourier import (Lattice, curl, divergence, gradient, inv_abs_nabla, l2_norm, laplacian, partial,
-                      riesz_transform, sobolev_norm)
+                      riesz_transform, sobolev_norm, sobolev_norm_hat)
 
 
 # -- null bilinear forms --------------------------------------------------------
@@ -234,7 +234,7 @@ class SmallComponentTrack(_Window):
 
     def derive(self, state):
         lat, self.eps = state.lat, state.eps
-        self.pi_minus.append(sobolev_norm(lat, sp.pi_eps(lat, state.psi, self.eps, -1), 1.0))
+        self.pi_minus.append(sobolev_norm_hat(lat, sp.pi_eps_hat(lat, lat.fft(state.psi), self.eps, -1), 1.0))
         eta = sp.lower(np.exp(1j * state.t / self.eps**2) * state.psi)
         self.eta.append(sobolev_norm(lat, eta, 1.0))
         return eta

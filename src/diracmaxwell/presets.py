@@ -10,6 +10,19 @@ from __future__ import annotations
 
 TWO_PI = 6.283185307179586
 
+# what the rate-study presets share; get_preset deep-copies, so the nested
+# values are never shared between returned configs
+_RATE_STUDY = {
+    "grid": {"n": 24, "period": TWO_PI},
+    "eps_list": [0.4, 0.2, 0.1],
+    "T": 0.5,
+    "dt_ref": 2e-3,
+    "eps_ref": 0.4,
+    "dt_schedule": "eps_linear",
+    "gauge": "zero",
+    "sample_every": 25,
+}
+
 PRESETS: dict[str, dict] = {
     # sanity: nothing happens, quickly
     "minimal-zero": {
@@ -32,57 +45,18 @@ PRESETS: dict[str, dict] = {
         "sample_every": 10,
     },
     # Theorem 2 regime: eps-independent data with both components
-    "thm2": {
-        "grid": {"n": 24, "period": TWO_PI},
-        "eps_list": [0.4, 0.2, 0.1],
-        "T": 0.5,
-        "dt_ref": 2e-3,
-        "eps_ref": 0.4,
-        "dt_schedule": "eps_linear",
-        "data": {"family": "upper_lower", "params": {"amplitude": 0.5, "minus_amplitude": 0.3}},
-        "gauge": "zero",
-        "sample_every": 25,
-    },
+    "thm2": {**_RATE_STUDY, "data": {"family": "upper_lower", "params": {"amplitude": 0.5, "minus_amplitude": 0.3}}},
     # Theorem 3 regime: positron part exactly zero, band-limited v0+
-    "thm3": {
-        "grid": {"n": 24, "period": TWO_PI},
-        "eps_list": [0.4, 0.2, 0.1],
-        "T": 0.5,
-        "dt_ref": 2e-3,
-        "eps_ref": 0.4,
-        "dt_schedule": "eps_linear",
-        "data": {"family": "upper_projected", "params": {"amplitude": 0.5}},
-        "gauge": "zero",
-        "sample_every": 25,
-    },
+    "thm3": {**_RATE_STUDY, "data": {"family": "upper_projected", "params": {"amplitude": 0.5}}},
     # Theorem 4 regime: same spinor data plus O(1) magnetic data, which makes
     # the O(eps) current defect visible
     "thm4": {
-        "grid": {"n": 24, "period": TWO_PI},
-        "eps_list": [0.4, 0.2, 0.1],
-        "T": 0.5,
-        "dt_ref": 2e-3,
-        "eps_ref": 0.4,
-        "dt_schedule": "eps_linear",
-        "data": {
-            "family": "upper_projected",
-            "params": {"amplitude": 0.5, "gauge_amplitude": 0.3},
-        },
+        **_RATE_STUDY,
+        "data": {"family": "upper_projected", "params": {"amplitude": 0.5, "gauge_amplitude": 0.3}},
         "gauge": "bandlimited_divfree",
-        "sample_every": 25,
     },
     # data (v0+, eps v0+): strong current convergence fails at t = 0
-    "counterexample": {
-        "grid": {"n": 24, "period": TWO_PI},
-        "eps_list": [0.4, 0.2, 0.1],
-        "T": 0.5,
-        "dt_ref": 2e-3,
-        "eps_ref": 0.4,
-        "dt_schedule": "eps_linear",
-        "data": {"family": "counterexample", "params": {"amplitude": 0.5}},
-        "gauge": "zero",
-        "sample_every": 25,
-    },
+    "counterexample": {**_RATE_STUDY, "data": {"family": "counterexample", "params": {"amplitude": 0.5}}},
     # dyadic spacetime-estimate sweeps; grids sized so products are alias-free
     # inside the measured band
     "dyadic-i": {

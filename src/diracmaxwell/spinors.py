@@ -8,6 +8,13 @@ The pointwise C^m inner product used throughout is conjugate-linear in the
 first slot, ``inner(u, v) = sum_a conj(u_a) v_a``.  Current-type quantities
 are written as ``Im inner(v, Dv)`` so that a plane wave exp(i k.x) carries
 current +k; spin densities ``inner(v, sigma v)`` are real either way.
+
+Per mode, the free Dirac symbol Q = gamma0 + eps alpha.k has Q^2 = lam^2, so
+each function of it is a + b Q: the block form [[a + b, V.sigma],
+[V.sigma, a - b]] with V = eps b k.  dirac_symbol_apply applies it; Q
+(free_dirac_apply), Pi_+/- (pi_eps_hat), the remainders of
+projection_remainders, the free flow (evolve_dm.free_flow_hat) and
+i alpha.k (evolve_dm.reconstruct_from_U) all go through it.
 """
 
 from __future__ import annotations
@@ -133,27 +140,28 @@ def embed_lower(eta: np.ndarray) -> np.ndarray:
 # -- free Dirac spectral data --------------------------------------------------
 
 
-def _q_hat_apply(lat: Lattice, psihat: np.ndarray, eps: float) -> np.ndarray:
-    """Per-mode action of the free Dirac symbol eps*alpha.k + gamma0."""
-    out = alpha_dot((eps * lat.kx, eps * lat.ky, eps * lat.kz), psihat)
-    out[:2] += psihat[:2]
-    out[2:] -= psihat[2:]
-    return out
+def dirac_symbol_apply(lat: Lattice, psihat: np.ndarray, d_plus, d_minus, scale) -> np.ndarray:
+    """a + b Q of a spinor spectrum, per mode, for the free Dirac symbol
+    Q = gamma0 + eps alpha.k: block_apply with d_+/- = a +/- b and
+    V = scale (-i k), scale = i eps b.  The only place that builds the
+    symbol's k.sigma entries."""
+    return block_apply(psihat, d_plus, d_minus, sigma_entries((-1j * lat.kx, -1j * lat.ky, -1j * lat.kz)), scale)
 
 
 def free_dirac_apply(lat: Lattice, psi: np.ndarray, eps: float) -> np.ndarray:
     """Apply Q^eps = -i eps alpha.grad + gamma0."""
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
-    return lat.ifft(_q_hat_apply(lat, lat.fft(psi), eps))
+    return lat.ifft(dirac_symbol_apply(lat, lat.fft(psi), 1.0, -1.0, 1j * eps))
 
 
 def pi_eps_hat(lat: Lattice, psihat: np.ndarray, eps: float, sign: int) -> np.ndarray:
-    """Energy projection of a spinor spectrum: per mode (I +/- (eps alpha.k + gamma0)/lambda)/2."""
+    """Energy projection of a spinor spectrum: per mode (I +/- (eps alpha.k + gamma0)/lambda)/2,
+    that is 1/2 + c Q with c = +/- 1/(2 lam)."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    qpsi = _q_hat_apply(lat, psihat, eps)
-    return 0.5 * (psihat + sign * qpsi / mode_multipliers(lat, eps, 0.0).lam)
+    c = (0.5 * sign) / mode_multipliers(lat, eps, 0.0).lam
+    return dirac_symbol_apply(lat, psihat, 0.5 + c, 0.5 - c, 1j * eps * c)
 
 
 def pi_eps(lat: Lattice, psi: np.ndarray, eps: float, sign: int) -> np.ndarray:
@@ -177,15 +185,15 @@ def projection_remainders(lat: Lattice, f: np.ndarray, eps: float):
     """L2 sizes of Pi_+^eps - Pi_+^0 and of the expansion through order eps.
 
     The first remainder is O(eps), the second O(eps^2) for fixed band-limited
-    f; the first-order term of the expansion is -(i eps/2) alpha.grad.
+    f; the first-order term of the expansion is -(i eps/2) alpha.grad.  With
+    c = 1/(2 lam), Pi_+^eps - Pi_+^0 has d_+/- = +/-(c - 1/2) and scale i eps c,
+    and the first-order term's mode matrix (eps/2) alpha.k takes 1/2 off c in
+    the scale.
     """
     fhat = lat.fft(f)
-    proj = pi_eps_hat(lat, fhat, eps, 1)
-    proj0 = pi_zero(fhat, 1)
-    rem1 = lat.ifft(proj - proj0)
-    # -(i eps/2) alpha.grad has mode matrix (eps/2) alpha.k
-    first = 0.5 * eps * alpha_dot((lat.kx, lat.ky, lat.kz), fhat)
-    rem2 = lat.ifft(proj - proj0 - first)
+    c = 0.5 / mode_multipliers(lat, eps, 0.0).lam
+    rem1 = lat.ifft(dirac_symbol_apply(lat, fhat, c - 0.5, 0.5 - c, 1j * eps * c))
+    rem2 = lat.ifft(dirac_symbol_apply(lat, fhat, c - 0.5, 0.5 - c, 1j * eps * (c - 0.5)))
     return l2_norm(lat, rem1), l2_norm(lat, rem2)
 
 

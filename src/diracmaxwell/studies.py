@@ -27,17 +27,20 @@ from .fourier import (Lattice, bump_profile, curl, h_eps_symbol, littlewood_pale
 
 @dataclass
 class ExperimentConfig:
+    """A rate study's settings; every field is required, and cli.KEYS holds
+    the defaults of the study commands."""
+
     n: int
     period: float
     eps_list: list
     T: float
     dt_ref: float                 # dt at eps_ref; scaled per the schedule
-    eps_ref: float = 0.4
-    dt_schedule: str = "eps_linear"    # "fixed" | "eps_linear" | "eps_squared"
-    family: str = "upper_projected"
-    params: dict = field(default_factory=dict)
-    gauge: str = "zero"
-    sample_every: int = 10
+    eps_ref: float
+    dt_schedule: str              # "fixed" | "eps_linear" | "eps_squared"
+    family: str
+    params: dict
+    gauge: str
+    sample_every: int
 
     def __post_init__(self):
         eps = list(self.eps_list)

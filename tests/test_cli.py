@@ -431,12 +431,21 @@ class TestConfigReader:
         assert runs[0][2] == "run-sp: config keys not read: eps, gauge\n"
         assert runs[1][2] == "run-sp: config keys not read: dealias, eps, gauge, grid.m, sample_evry\n"
 
+    @staticmethod
+    def preset_command(name):
+        return {"minimal-zero": "run-dm", "stationary": "run-dm", "thm4": "seminonrel"}.get(
+            name, "probe-dyadic" if name.startswith("dyadic-") else "converge")
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_presets_read_every_key(self, name, capsys):
-        command = {"minimal-zero": "run-dm", "stationary": "run-dm", "thm4": "seminonrel"}.get(
-            name, "probe-dyadic" if name.startswith("dyadic-") else "converge")
-        cli.read_config(command, cli.load_config(f"preset:{name}"))
+        cli.read_config(self.preset_command(name), cli.load_config(f"preset:{name}"))
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("name, digest", [("thm2", "eafd5b6ab02a0f1b"), ("thm3", "f2d7677409ee490f"),
+                                              ("thm4", "7c8d91994d40dec3"), ("counterexample", "90d6748ba19c21e0")])
+    def test_rate_study_presets_keep_their_hash(self, name, digest):
+        values = cli.read_config(self.preset_command(name), cli.load_config(f"preset:{name}"))
+        assert cli.config_hash(values) == digest
 
     @pytest.mark.parametrize("changes, message", [({"dt_schedule": "nope"}, "unknown dt_schedule 'nope'"),
                                                   ({"eps_list": [0.1, 0.2, 0.4]}, "strictly decreasing")])

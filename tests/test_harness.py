@@ -289,8 +289,9 @@ def squared_dirac_reference(lat, eps, times, psis, As, Ws):
 
 def small_component_reference(lat, eps, times, psis, order):
     """The list-based small-component track that the window observer replaced
-    (order 2 requires uniform spacing)."""
-    series = np.array([fc.sobolev_norm(lat, sp.pi_eps(lat, p, eps, -1), 1.0) for p in psis])
+    (order 2 requires uniform spacing); ||Pi_- psi||_H1 from one spectrum, as
+    the observer reads it."""
+    series = np.array([fc.sobolev_norm_hat(lat, sp.pi_eps_hat(lat, lat.fft(p), eps, -1), 1.0) for p in psis])
     etas = [sp.lower(np.exp(1j * t / eps**2) * p) for t, p in zip(times, psis)]
     result = {
         "times": np.asarray(times),
@@ -350,6 +351,8 @@ class TestWindowChecks:
         assert got.keys() == want.keys()
         for key in want:
             assert np.array_equal(got[key], want[key]), key
+        real_space = [fc.sobolev_norm(lat, sp.pi_eps(lat, p, init.eps, -1), 1.0) for p in psis]
+        np.testing.assert_allclose(got["pi_minus"], real_space, rtol=1e-12, atol=1e-14)
 
         # the checks that difference in time, with their list references
         differenced = (

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from diracmaxwell import cli
 from diracmaxwell import fourier as fc
 from diracmaxwell import studies as st
 
@@ -36,9 +37,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(dt_schedule="cubic")
 
-    def test_default_schedule_matches_cli(self):
-        cfg = st.ExperimentConfig(n=8, period=TWO_PI, eps_list=[0.4, 0.2, 0.1], T=0.1, dt_ref=2e-3)
-        assert cfg.dt_schedule == "eps_linear"
+    def test_default_schedule_matches_cli(self, tmp_path):
+        # cli.KEYS is the one default table: eps_ref defaults to eps_list[0],
+        # and the dataclass takes no default of its own
+        class Seen(Exception):
+            pass
+
+        def study(cfg):
+            raise Seen(cfg)
+
+        values = cli.read_config("converge", {"grid": {"n": 8, "period": TWO_PI}, "eps_list": [0.2, 0.1, 0.05],
+                                              "T": 0.1, "dt_ref": 2e-3, "data": {"family": "upper_projected"}})
+        with pytest.raises(Seen) as seen:
+            cli.cmd_converge(values, tmp_path / "o", study)
+        cfg = seen.value.args[0]
+        assert (cfg.eps_ref, cfg.dt_schedule, cfg.sample_every) == (0.2, "eps_linear", 10)
+        assert cfg.dt_for(0.2) == pytest.approx(2e-3, rel=1e-15)
+        with pytest.raises(TypeError, match="eps_ref"):
+            st.ExperimentConfig(n=8, period=TWO_PI, eps_list=[0.4, 0.2, 0.1], T=0.1, dt_ref=2e-3)
 
     def test_misaligned_sample_grid_rejected_before_stepping(self, monkeypatch):
         # eps = 0.3 takes 18 steps of 1/180 and samples every 2nd: t = k/90,
