@@ -15,11 +15,10 @@ One transform of the kicked spinor feeds both free half-steps, the real
 fields use real transforms, and per-mode multipliers come from the bounded
 cache fourier.mode_multipliers.  Every spinor matrix goes through the
 2x2-block kernel spinors.block_apply: the potential kick per point, the
-Picard forcing, and per mode the free flow and reconstruct_from_U's
-i alpha.k, both in the a + bQ form of the free Dirac symbol
-(spinors.dirac_symbol_apply; the flow's d, conj(d) and h are cached).  A
-stepped DMState carries A0 (the kick is
-pointwise unitary, so the closing A0 of a step opens the next) and the
+Picard forcing, and per mode the free flow (a + bQ of the free Dirac symbol,
+with d, conj(d) and h cached) and reconstruct_from_U's i alpha.k, both
+through spinors.dirac_symbol_apply.  A stepped DMState carries A0 (the kick
+is pointwise unitary, so the closing A0 of a step opens the next) and the
 spectra of A and eps*dt(A): a step moves 4 complex components forward and 8
 back, 4 real forward and 7 back; a sample, one spectrum of psi and one real
 one of A.  Every transform writes its passes into one output allocated per

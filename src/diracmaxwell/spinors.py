@@ -11,10 +11,11 @@ current +k; spin densities ``inner(v, sigma v)`` are real either way.
 
 Per mode, the free Dirac symbol Q = gamma0 + eps alpha.k has Q^2 = lam^2, so
 each function of it is a + b Q: the block form [[a + b, V.sigma],
-[V.sigma, a - b]] with V = eps b k.  dirac_symbol_apply applies it; Q
-(free_dirac_apply), Pi_+/- (pi_eps_hat), the remainders of
-projection_remainders, the free flow (evolve_dm.free_flow_hat) and
-i alpha.k (evolve_dm.reconstruct_from_U) all go through it.
+[V.sigma, a - b]] with V = eps b k.  dirac_symbol_apply applies that block
+form; Q (free_dirac_apply), Pi_+/- (pi_eps_hat), the remainders of
+projection_remainders and the free flow (evolve_dm.free_flow_hat) go through
+it as a + b Q, and i alpha.k (evolve_dm.reconstruct_from_U) as the block form
+with no diagonal.
 """
 
 from __future__ import annotations
@@ -141,10 +142,10 @@ def embed_lower(eta: np.ndarray) -> np.ndarray:
 
 
 def dirac_symbol_apply(lat: Lattice, psihat: np.ndarray, d_plus, d_minus, scale) -> np.ndarray:
-    """a + b Q of a spinor spectrum, per mode, for the free Dirac symbol
-    Q = gamma0 + eps alpha.k: block_apply with d_+/- = a +/- b and
-    V = scale (-i k), scale = i eps b.  The only place that builds the
-    symbol's k.sigma entries."""
+    """[[d_+, V.sigma], [V.sigma, d_-]] of a spinor spectrum, per mode, with
+    V = scale (-i k): the only place that builds the free Dirac symbol's
+    k.sigma entries.  Its main use is a + b Q, Q = gamma0 + eps alpha.k, with
+    d_+/- = a +/- b and scale = i eps b; scale -1 with no d_+/- gives i alpha.k."""
     return block_apply(psihat, d_plus, d_minus, sigma_entries((-1j * lat.kx, -1j * lat.ky, -1j * lat.kz)), scale)
 
 

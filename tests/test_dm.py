@@ -11,6 +11,7 @@ from diracmaxwell import evolve_dm as dm
 from diracmaxwell import fourier as fc
 from diracmaxwell import spinors as sp
 from diracmaxwell.data_families import gauge_profile, v_minus_profile, v_plus_profile
+from test_spinors import per_mode, symbol_matrices
 
 TWO_PI = 2 * np.pi
 
@@ -56,19 +57,6 @@ def random_spinor(lat, seed):
 def free_step(lat, psi, dt, eps):
     """The exact free flow of a real-space spinor, through free_flow_hat."""
     return lat.ifft(dm.free_flow_hat(lat, lat.fft(psi), dt, eps))
-
-
-def symbol_matrices(lat, eps):
-    """The free Dirac symbol gamma0 + eps sum_j alpha_j k_j per mode as explicit
-    4x4 matrices (axes a, b, then the grid), built from GAMMA0 and ALPHA alone,
-    and lam = sqrt(1 + eps^2 |k|^2)."""
-    k = np.stack(np.broadcast_arrays(lat.kx, lat.ky, lat.kz))
-    q = sp.GAMMA0[:, :, None, None, None] + eps * np.einsum("kab,k...->ab...", sp.ALPHA, k)
-    return q, np.sqrt(1.0 + eps**2 * np.sum(k**2, axis=0))
-
-
-def per_mode(m, psihat):
-    return np.einsum("ab...,b...->a...", m, psihat)
 
 
 def real_wave_step(lat, A, W, J, dt, eps):
@@ -125,45 +113,6 @@ class TestFreeDiracStep:
         want = np.cos(theta) * psihat - 1j * (np.sin(theta) / lam) * per_mode(q, psihat)
         got = dm.free_flow_hat(lat, psihat, dt, eps)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
-
-class TestFreeDiracSymbol:
-    """Q, Pi_+/- and the projection remainders against explicit per-mode 4x4
-    matrices on a small lattice (the free flow: test_matches_cos_sin_formula)."""
-
-    eps = 0.35
-
-    @pytest.fixture(scope="class")
-    def lat6(self):
-        return fc.make_lattice(6, TWO_PI)
-
-    @staticmethod
-    def assert_close(got, want):
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-    def test_free_dirac_apply(self, lat6):
-        psi = random_spinor(lat6, 21)
-        q, _ = symbol_matrices(lat6, self.eps)
-        want = np.fft.ifftn(per_mode(q, np.fft.fftn(psi, axes=(-3, -2, -1))), axes=(-3, -2, -1))
-        self.assert_close(sp.free_dirac_apply(lat6, psi, self.eps), want)
-
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_pi_eps_hat(self, lat6, sign):
-        psihat = np.fft.fftn(random_spinor(lat6, 22), axes=(-3, -2, -1))
-        q, lam = symbol_matrices(lat6, self.eps)
-        want = 0.5 * (psihat + sign * per_mode(q, psihat) / lam)
-        self.assert_close(sp.pi_eps_hat(lat6, psihat, self.eps, sign), want)
-
-    def test_projection_remainders(self, lat6):
-        f = random_spinor(lat6, 24)
-        fhat = np.fft.fftn(f, axes=(-3, -2, -1))
-        q, lam = symbol_matrices(lat6, self.eps)
-        k = np.stack(np.broadcast_arrays(lat6.kx, lat6.ky, lat6.kz))
-        proj = 0.5 * (fhat + per_mode(q, fhat) / lam)
-        rem1 = proj - fhat * np.array([1, 1, 0, 0])[:, None, None, None]
-        rem2 = rem1 - 0.5 * self.eps * per_mode(np.einsum("kab,k...->ab...", sp.ALPHA, k), fhat)
-        want = [float(np.sqrt(np.sum(np.abs(r) ** 2) * lat6.volume)) / lat6.n**3 for r in (rem1, rem2)]
-        assert sp.projection_remainders(lat6, f, self.eps) == pytest.approx(want, rel=1e-13)
 
 
 class TestPotentialKick:

@@ -5,16 +5,17 @@ A settable value is a parameter with a default (positional or keyword-only)
 of a function or method, or a class-level field with a default value (a
 dataclass or NamedTuple field) other than a ``field(init=False)``, which no
 caller sets.  Required parameters and the config keys of ``cli.KEYS`` are
-not counted.  Run from the repository root:
+not counted.  Run:
 
-    python tools/surface.py [package dir, default src/diracmaxwell]
+    python tools/surface.py
 """
 
 from __future__ import annotations
 
 import ast
-import sys
 from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diracmaxwell"
 
 
 def _init_false(value: ast.expr) -> bool:
@@ -37,17 +38,15 @@ def settable_values(tree: ast.AST) -> list:
     return found
 
 
-def main(argv: list) -> int:
-    root = Path(argv[1] if len(argv) > 1 else "src/diracmaxwell")
-    files = sorted(root.rglob("*.py"))
+def main() -> None:
+    files = sorted(PACKAGE.rglob("*.py"))
     lines = sum(len(f.read_bytes().splitlines()) for f in files)
     values = [(f.name, *v) for f in files for v in settable_values(ast.parse(f.read_text(), str(f)))]
     for name, line, what in sorted(values):
         print(f"  {name}:{line}: {what}")
     print(f"lines: {lines}")
     print(f"settable values: {len(values)}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    main()
