@@ -317,7 +317,7 @@ def _suite_projections() -> list:
 
 def _suite_symbols() -> list:
     """Bounds on the code's own symbols: 1 - 1/lambda from mode_multipliers
-    and the dispersion gap |k|/eps - h_eps from h_eps_symbol."""
+    and the dispersion gap |k|/eps - h_eps_symbol."""
     from .fourier import h_eps_symbol, mode_multipliers
 
     lat = make_lattice(16, 6.283185307179586)

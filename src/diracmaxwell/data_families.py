@@ -25,7 +25,7 @@ from .evolve_dm import DMState
 from .fourier import Lattice, leray_project
 
 
-def v_plus_profile(lat: Lattice, amplitude: float = 0.5) -> np.ndarray:
+def v_plus_profile(lat: Lattice, amplitude: float) -> np.ndarray:
     """Fixed non-real 2-spinor profile, modes |k| <= 2."""
     X1, X2, X3 = lat.grid()
     zero = np.zeros((lat.n, lat.n, lat.n))
@@ -35,7 +35,7 @@ def v_plus_profile(lat: Lattice, amplitude: float = 0.5) -> np.ndarray:
     return amplitude * v
 
 
-def v_minus_profile(lat: Lattice, amplitude: float = 0.3) -> np.ndarray:
+def v_minus_profile(lat: Lattice, amplitude: float) -> np.ndarray:
     X1, X2, X3 = lat.grid()
     zero = np.zeros((lat.n, lat.n, lat.n))
     v = np.zeros((2, lat.n, lat.n, lat.n), dtype=complex)
@@ -44,7 +44,7 @@ def v_minus_profile(lat: Lattice, amplitude: float = 0.3) -> np.ndarray:
     return amplitude * v
 
 
-def gauge_profile(lat: Lattice, amplitude: float = 0.1) -> np.ndarray:
+def gauge_profile(lat: Lattice, amplitude: float) -> np.ndarray:
     """Divergence-free real vector profile for magnetic data."""
     X1, X2, X3 = lat.grid()
     zero = np.zeros((lat.n, lat.n, lat.n))
@@ -80,24 +80,23 @@ PARAMS_READ = {
 }
 
 
-def check_params(params: dict | None, family: str, gauge: str | None = None) -> None:
+def check_params(params: dict, family: str, gauge: str | None = None) -> None:
     """Raise ValueError naming every key of params that neither the family
     nor the gauge (None: a run without gauge data) reads."""
     if family not in PARAMS_READ["family"]:
         raise ValueError(f"unknown data family {family!r}")
     if gauge is not None and gauge not in PARAMS_READ["gauge"]:
         raise ValueError(f"unknown gauge data kind {gauge!r}")
-    unread = sorted(set(params or {}) - {*PARAMS_READ["family"][family], *PARAMS_READ["gauge"].get(gauge, ())})
+    unread = sorted(set(params) - {*PARAMS_READ["family"][family], *PARAMS_READ["gauge"].get(gauge, ())})
     if unread:
         raise ValueError(f"data.params key(s) not read by family {family!r}"
                          + ("" if gauge is None else f" or gauge {gauge!r}") + f": {', '.join(unread)}")
 
 
-def _profiles(lat: Lattice, family: str, params: dict | None) -> tuple:
+def _profiles(lat: Lattice, family: str, params: dict) -> tuple:
     """v0+ of the family, and v0- or None where it is zero."""
     if family not in _DIRAC_DATA:
         raise ValueError(f"unknown data family {family!r}")
-    params = params or {}
     amp = float(params.get("amplitude", 0.5))
     zero_plus = family in ("zero", "stationary")
     vp = np.zeros((2, lat.n, lat.n, lat.n), dtype=complex) if zero_plus else v_plus_profile(lat, amp)
@@ -108,21 +107,20 @@ def _profiles(lat: Lattice, family: str, params: dict | None) -> tuple:
     return vp, None
 
 
-def limit_data(lat: Lattice, family: str, params: dict | None = None):
+def limit_data(lat: Lattice, family: str, params: dict):
     """The limit profiles (v0+, v0-) the family converges to."""
     vp, vm = _profiles(lat, family, params)
     return vp, np.zeros_like(vp) if vm is None else vm
 
 
-def spinor_data(lat: Lattice, family: str, eps: float, params: dict | None = None) -> np.ndarray:
+def spinor_data(lat: Lattice, family: str, eps: float, params: dict) -> np.ndarray:
     """The eps-dependent Dirac datum psi0^eps of the requested family."""
     vp, vm = _profiles(lat, family, params)
     return _DIRAC_DATA[family](lat, vp, vm, eps)
 
 
-def gauge_data(lat: Lattice, kind: str, params: dict | None = None):
+def gauge_data(lat: Lattice, kind: str, params: dict):
     """Magnetic data (a0, a1), both divergence-free."""
-    params = dict(params or {})
     n = lat.n
     zero3 = np.zeros((3, n, n, n))
     if kind == "zero":
@@ -133,7 +131,7 @@ def gauge_data(lat: Lattice, kind: str, params: dict | None = None):
     raise ValueError(f"unknown gauge data kind {kind!r}")
 
 
-def initial_dm_state(lat: Lattice, family: str, gauge: str, eps: float, params: dict | None) -> DMState:
+def initial_dm_state(lat: Lattice, family: str, gauge: str, eps: float, params: dict) -> DMState:
     """The DM state at t = 0: the family's Dirac datum and the gauge data,
     which read one params dict between them."""
     check_params(params, family, gauge)

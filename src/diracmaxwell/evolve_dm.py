@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spinors as sp
-from .fourier import (Lattice, curl, dealias, gradient, l2_norm, lambda_eps, leray_hat, leray_project,
+from .fourier import (Lattice, curl, dealias, gradient, l2_norm, leray_hat, leray_project,
                       mode_multipliers, on_modes, poisson_solve, sobolev_norm, sobolev_norm_hat)
 
 
@@ -421,23 +421,3 @@ def reconstruct_from_U(lat: Lattice, U: np.ndarray, dtU: np.ndarray, eps: float)
     """i (eps dt - alpha.grad) U; equals psi when U solves its wave equation."""
     grad_part = sp.dirac_symbol_apply(lat, lat.fft(U), None, None, -1.0)  # i alpha.k per mode
     return 1j * (eps * dtU - lat.ifft(grad_part))
-
-
-def commutator_A0_lambda(lat: Lattice, A0: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
-    """[A0, lambda^eps] g = A0 * lambda(g) - lambda(A0 * g)."""
-    return A0 * lambda_eps(lat, g, eps, 1) - lambda_eps(lat, A0 * g, eps, 1)
-
-
-def remainder_R(state: DMState, psi_plus: np.ndarray, psi_minus: np.ndarray) -> np.ndarray:
-    """The modified-system remainder: lambda R collects the eps-weighted field
-    couplings and the [A0, lambda] commutator; R applies lambda^-1 to that."""
-    lat, eps = state.lat, state.eps
-    A0 = derived_A0(lat, state.psi)
-    E, B = compute_EB(lat, A0, state.A, state.eps_dtA)
-    term = 2j * np.sum(state.A * gradient(lat, state.psi), axis=1)
-    term += 1j * sp.alpha_dot(E, state.psi)
-    term -= sp.spin_dot(B, state.psi)
-    lamR = eps * term
-    lamR += eps**2 * np.sum(state.A**2, axis=0) * state.psi
-    lamR -= commutator_A0_lambda(lat, A0, psi_plus - psi_minus, eps)
-    return lambda_eps(lat, lamR, eps, -1)

@@ -99,7 +99,8 @@ class Lattice:
             raise ValueError(f"grid size n must be even and >= 4, got {n}")
         if not (L > 0):
             raise ValueError(f"period must be positive, got {L}")
-        sym = self.axis_frequencies()  # unmatched Nyquist mode: zeroed in all symbols
+        sym = 2.0 * np.pi / L * np.fft.fftfreq(n, d=1.0 / n)
+        sym[n // 2] = 0.0  # unmatched Nyquist mode: zeroed in all symbols
         object.__setattr__(self, "kx", sym.reshape(n, 1, 1))
         object.__setattr__(self, "ky", sym.reshape(1, n, 1))
         object.__setattr__(self, "kz", sym.reshape(1, 1, n))
@@ -117,14 +118,6 @@ class Lattice:
     @property
     def volume(self) -> float:
         return self.period**3
-
-    def axis_frequencies(self, raw: bool = False) -> np.ndarray:
-        """Per-axis dual frequencies in FFT order; raw keeps the -n/2 mode."""
-        freq = 2.0 * np.pi / self.period * np.fft.fftfreq(self.n, d=1.0 / self.n)
-        if not raw:
-            freq = freq.copy()
-            freq[self.n // 2] = 0.0
-        return freq
 
     def grid(self):
         """Sparse physical coordinate arrays (X1, X2, X3)."""
@@ -355,7 +348,7 @@ def kinetic_multipliers(lat: Lattice, dt: float) -> tuple:
     return _read_only(kin, np.conj(kin))
 
 
-def lambda_eps(lat: Lattice, f: np.ndarray, eps: float, power: int = 1) -> np.ndarray:
+def lambda_eps(lat: Lattice, f: np.ndarray, eps: float, power: int) -> np.ndarray:
     """Apply (1 + eps^2 |k|^2)^(power/2), power in {+1, -1}."""
     if power not in (1, -1):
         raise ValueError(f"power must be +1 or -1, got {power}")
@@ -368,11 +361,6 @@ def h_eps_symbol(lat: Lattice, eps: float) -> np.ndarray:
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     return lat.k_sq / (1.0 + np.sqrt(1.0 + eps**2 * lat.k_sq))
-
-
-def h_eps(lat: Lattice, f: np.ndarray, eps: float) -> np.ndarray:
-    """Apply the nonrelativistic dispersion h_eps; tends to -Delta/2 symbol."""
-    return apply_symbol(lat, f, h_eps_symbol(lat, eps))
 
 
 # -- projections and inverses ------------------------------------------------
@@ -459,23 +447,6 @@ def littlewood_paley(lat: Lattice, f: np.ndarray, mu: float) -> np.ndarray:
     return apply_symbol(lat, f, beta)
 
 
-def dyadic_cover(lat: Lattice) -> list[float]:
-    """Dyadic scales whose blocks resum to the identity on nonzero modes."""
-    k_min = 2.0 * np.pi / lat.period
-    k_max = float(np.max(lat.k_abs))
-    j_lo = int(np.floor(np.log2(k_min)))
-    j_hi = int(np.ceil(np.log2(k_max))) + 1
-    return [2.0**j for j in range(j_lo, j_hi + 1)]
-
-
-def low_high_split(lat: Lattice, f: np.ndarray, eps: float):
-    """Smooth split at |k| ~ 1/eps (transition width factor 2); exact sum."""
-    if not (eps > 0):
-        raise ValueError(f"eps must be positive, got {eps}")
-    low = apply_symbol(lat, f, bump_profile(eps * lat.k_abs))
-    return low, f - low
-
-
 # -- norms --------------------------------------------------------------------
 
 
@@ -537,7 +508,7 @@ def lp_norm(lat: Lattice, f: np.ndarray, p: float) -> float:
 # -- snapshot format ----------------------------------------------------------
 
 
-def write_fld(path, lat: Lattice, values: np.ndarray, time: float = 0.0) -> None:
+def write_fld(path, lat: Lattice, values: np.ndarray, time: float) -> None:
     """Write a field snapshot: one-line JSON header + little-endian payload."""
     values = np.asarray(values)
     components = 1 if values.ndim == 3 else int(np.prod(values.shape[:-3]))

@@ -36,29 +36,9 @@ from .fourier import (Lattice, curl, divergence, gradient, inv_abs_nabla, l2_nor
 # -- null bilinear forms --------------------------------------------------------
 
 
-def q0(lat: Lattice, u, ut, v, vt, eps: float):
-    """Q0(u, v) = (eps dt u)(eps dt v) - grad u . grad v."""
-    if ut is None or vt is None:
-        raise ValueError("Q0 needs both time derivatives")
-    return eps**2 * ut * vt - np.sum(gradient(lat, u) * gradient(lat, v), axis=-4)
-
-
-def qab(lat: Lattice, a: int, b: int, u, v, ut=None, vt=None, eps: float = 1.0):
-    """Q_ab(u, v) = d_a u d_b v - d_b u d_a v with d_0 = eps dt.
-
-    Indices 0..3; index 0 requires the matching time derivative.
-    """
-    if a == b:
-        return np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v)), dtype=complex)
-
-    def d(f, ft, idx):
-        if idx == 0:
-            if ft is None:
-                raise ValueError("Q_0j needs time derivatives")
-            return eps * ft
-        return partial(lat, f, idx - 1)
-
-    return d(u, ut, a) * d(v, vt, b) - d(u, ut, b) * d(v, vt, a)
+def qab(lat: Lattice, a: int, b: int, u, v):
+    """Q_ab(u, v) = d_a u d_b v - d_b u d_a v, spatial indices a, b in 1..3."""
+    return partial(lat, u, a - 1) * partial(lat, v, b - 1) - partial(lat, u, b - 1) * partial(lat, v, a - 1)
 
 
 # -- identity (i): 2 A.grad psi as a null form ----------------------------------

@@ -4,10 +4,10 @@ Spinor fields are complex ndarrays with a leading component axis: 4-spinors
 ``(4, n, n, n)``, 2-spinors ``(2, n, n, n)``.  The upper/lower split of a
 4-spinor is ``psi[:2]`` / ``psi[2:]``.
 
-The pointwise C^m inner product used throughout is conjugate-linear in the
-first slot, ``inner(u, v) = sum_a conj(u_a) v_a``.  Current-type quantities
-are written as ``Im inner(v, Dv)`` so that a plane wave exp(i k.x) carries
-current +k; spin densities ``inner(v, sigma v)`` are real either way.
+The pointwise C^m product used throughout, ``<u, v> = sum_a conj(u_a) v_a``,
+is conjugate-linear in the first slot.  Current-type quantities are written
+as ``Im <v, Dv>`` so that a plane wave exp(i k.x) carries current +k; spin
+densities ``<v, sigma v>`` are real either way.
 
 Per mode, the free Dirac symbol Q = gamma0 + eps alpha.k has Q^2 = lam^2, so
 each function of it is a + b Q: the block form [[a + b, V.sigma],
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fourier import Lattice, curl, gradient, l2_norm, lambda_eps, mode_multipliers
+from .fourier import Lattice, curl, gradient, l2_norm, mode_multipliers
 
 # Pauli matrices and the 4x4 Dirac set (2x2 block form).
 SIGMA = np.array(
@@ -111,15 +111,10 @@ def spin_dot(v, psi: np.ndarray) -> np.ndarray:
 
 
 def sigma_inner(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The 3-vector field inner(u, sigma^k w) of two 2-spinor fields."""
+    """The 3-vector field <u, sigma^k w> of two 2-spinor fields."""
     u0, u1 = np.conj(u[0]), np.conj(u[1])
     a, b = u0 * w[1], u1 * w[0]
     return np.stack([a + b, 1j * (b - a), u0 * w[0] - u1 * w[1]])
-
-
-def inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pointwise C^m inner product, conjugate-linear first slot."""
-    return np.sum(np.conj(u) * v, axis=0)
 
 
 def upper(psi: np.ndarray) -> np.ndarray:
@@ -198,24 +193,6 @@ def projection_remainders(lat: Lattice, f: np.ndarray, eps: float):
     return l2_norm(lat, rem1), l2_norm(lat, rem2)
 
 
-# -- splittings and modulation -------------------------------------------------
-
-
-def kg_split(lat: Lattice, psi: np.ndarray, dtpsi: np.ndarray, A0: np.ndarray, eps: float):
-    """Klein-Gordon splitting psi_pm = (psi +/- eps^2 lam^-1 (i dtpsi + A0 psi))/2."""
-    aux = lambda_eps(lat, 1j * dtpsi + A0 * psi, eps, -1)
-    plus = 0.5 * (psi + eps**2 * aux)
-    minus = 0.5 * (psi - eps**2 * aux)
-    return plus, minus
-
-
-def modulate(psi_pm: np.ndarray, t: float, eps: float, sign: int) -> np.ndarray:
-    """Remove the rest-energy phase: phi_pm = exp(+/- i t / eps^2) psi_pm."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return np.exp(sign * 1j * t / eps**2) * psi_pm
-
-
 # -- densities -----------------------------------------------------------------
 
 
@@ -260,24 +237,3 @@ def pauli_current(lat: Lattice, chi: np.ndarray, A: np.ndarray, eps: float) -> n
     grad_chi = gradient(lat, chi)
     cov = grad_chi - 1j * eps * A[None] * chi[:, None]
     return np.imag(np.sum(np.conj(chi)[:, None] * cov, axis=0))
-
-
-def density_expansions(lat: Lattice, phi_plus: np.ndarray, phi_minus: np.ndarray, t: float, eps: float):
-    """Charge and current evaluated from the modulated splitting.
-
-    Agrees with charge_density / current_density applied to
-    psi = exp(-it/eps^2) phi_+ + exp(+it/eps^2) phi_- up to roundoff.
-    """
-    osc = np.exp(2j * t / eps**2)
-    rho = charge_density(phi_plus) + charge_density(phi_minus)
-    rho = rho + 2.0 * np.real(osc * inner(phi_plus, phi_minus))
-
-    chi_p, eta_p = phi_plus[:2], phi_plus[2:]
-    chi_m, eta_m = phi_minus[:2], phi_minus[2:]
-    J = 2.0 / eps * np.real(
-        sigma_inner(chi_p, eta_p)
-        + sigma_inner(chi_m, eta_m)
-        + osc * sigma_inner(chi_p, eta_m)
-        + np.conj(osc) * sigma_inner(chi_m, eta_p)
-    )
-    return rho, J

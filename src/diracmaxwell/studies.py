@@ -346,7 +346,7 @@ def dyadic_probe(lat: Lattice, mu: float, lam: float, eps: float, trials: int,
     """Ratio statistics for the spacetime product estimates.
 
     u solves box_eps u = 0 with data (f, 0); v solves the modulated-Dirac
-    scalar flow i dt v = h_eps v with data g.  Case 'i'/'ii' measures
+    scalar flow i dt v = h_eps_symbol(D) v with data g.  Case 'i'/'ii' measures
     ||LP_mu(u_lam v_lam)||_{L2_{t,x}}, case 'iii' measures ||u_mu v_lam||
     without outer localization; denominators follow the respective claims.
     """

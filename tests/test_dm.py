@@ -642,33 +642,3 @@ class TestEBandU:
         peak(16)  # warms the per-mode multiplier caches
         short, long = peak(16), peak(64)
         assert long <= short + psi0.nbytes, f"peak {short} -> {long} bytes"
-
-
-class TestRemainder:
-    def test_zero_potentials_give_zero(self, lat):
-        n = lat.n
-        eps = 0.5
-        psi0 = sp.pi_eps(lat, sp.embed_upper(v_plus_profile(lat, 0.3)), eps, +1)
-        # force a mean-free charge so A0 = 0: use the zero spinor
-        state = dm.DMState(
-            lat, 0.0, np.zeros((4, n, n, n), dtype=complex), np.zeros((3, n, n, n)), np.zeros((3, n, n, n)), eps
-        )
-        R = dm.remainder_R(state, state.psi, state.psi)
-        assert not np.abs(R).max() > 0
-
-    def test_constant_A0_commutator_vanishes(self, lat):
-        g = np.zeros((4, lat.n, lat.n, lat.n), dtype=complex)
-        g[0] = np.cos(lat.grid()[0]) + np.zeros((lat.n,) * 3)
-        A0 = np.full((lat.n,) * 3, 1.7)
-        comm = dm.commutator_A0_lambda(lat, A0, g, 0.5)
-        assert np.abs(comm).max() < 1e-12
-
-    def test_remainder_shrinks_with_eps(self, lat12):
-        # fixed fields, leading term linear in eps
-        norms = {}
-        for eps in (0.4, 0.2):
-            state = smooth_state(lat12, eps, gauge_amp=0.2)
-            plus, minus = sp.pi_eps(lat12, state.psi, eps, +1), sp.pi_eps(lat12, state.psi, eps, -1)
-            R = dm.remainder_R(state, plus, minus)
-            norms[eps] = fc.l2_norm(lat12, R)
-        assert norms[0.2] < norms[0.4]

@@ -268,46 +268,6 @@ class TestProjectionRemainders:
         assert norms[2] < 0.5 * norms[0]
 
 
-class TestKGSplit:
-    def test_eigenwave_goes_to_plus_branch(self, lat):
-        eps = 0.7
-        psi = sp.pi_eps(lat, random_spinor(lat, 5), eps, +1)
-        # free Dirac evolution on the + branch: i eps^2 dt psi = lam psi
-        dtpsi = -1j / eps**2 * fc.lambda_eps(lat, psi, eps, 1)
-        plus, minus = sp.kg_split(lat, psi, dtpsi, np.zeros((lat.n,) * 3), eps)
-        assert np.abs(plus - psi).max() < 1e-12
-        assert np.abs(minus).max() < 1e-12
-
-    def test_zero(self, lat):
-        z = np.zeros((4, lat.n, lat.n, lat.n), dtype=complex)
-        plus, minus = sp.kg_split(lat, z, z, np.zeros((lat.n,) * 3), 0.5)
-        assert not plus.any() and not minus.any()
-
-    def test_sum_recovers_input(self, lat):
-        psi = random_spinor(lat, 6)
-        dtpsi = random_spinor(lat, 7)
-        A0 = np.cos(lat.grid()[0]) + np.zeros((lat.n,) * 3)
-        plus, minus = sp.kg_split(lat, psi, dtpsi, A0, 0.4)
-        assert np.abs(plus + minus - psi).max() < 1e-12
-
-
-class TestModulate:
-    def test_t_zero_identity(self, lat):
-        psi = random_spinor(lat, 8)
-        assert np.array_equal(sp.modulate(psi, 0.0, 0.5, +1), psi)
-
-    def test_half_period_flips_sign(self, lat):
-        eps = 0.5
-        psi = random_spinor(lat, 9)
-        out = sp.modulate(psi, np.pi * eps**2, eps, +1)
-        assert np.abs(out + psi).max() < 1e-12
-
-    def test_norm_preserved(self, lat):
-        psi = random_spinor(lat, 10)
-        out = sp.modulate(psi, 0.37, 0.3, -1)
-        assert fc.l2_norm(lat, out) == pytest.approx(fc.l2_norm(lat, psi), rel=1e-14)
-
-
 class TestDensities:
     def test_unit_spinor_charge(self, lat):
         psi = np.zeros((4, lat.n, lat.n, lat.n), dtype=complex)
@@ -343,10 +303,9 @@ class TestDensities:
         with pytest.raises(ValueError):
             sp.current_density(random_spinor(lat, 12), 0.0)
 
-    def test_charge_invariant_under_modulation_and_projection_split(self, lat):
+    def test_charge_invariant_under_projection_split(self, lat):
         psi = random_spinor(lat, 13)
         q = sp.total_charge(lat, psi)
-        assert sp.total_charge(lat, sp.modulate(psi, 1.3, 0.5, +1)) == pytest.approx(q, rel=1e-13)
         rebuilt = sp.pi_eps(lat, psi, 0.5, +1) + sp.pi_eps(lat, psi, 0.5, -1)
         assert sp.total_charge(lat, rebuilt) == pytest.approx(q, rel=1e-12)
 
@@ -395,32 +354,6 @@ class TestPauliCurrent:
         A[2] = 1.5
         J = sp.pauli_current(lat, chi, A, 0.4)
         assert np.abs(J[2] + 0.4 * 0.64 * 1.5).max() < 1e-13
-
-
-class TestDensityExpansions:
-    def test_matches_direct_evaluation(self, lat):
-        eps, t = 0.5, 0.37
-        phi_p = random_spinor(lat, 16)
-        phi_m = random_spinor(lat, 17)
-        psi = np.exp(-1j * t / eps**2) * phi_p + np.exp(1j * t / eps**2) * phi_m
-        rho, J = sp.density_expansions(lat, phi_p, phi_m, t, eps)
-        assert np.abs(rho - sp.charge_density(psi)).max() < 1e-12
-        assert np.abs(J - sp.current_density(psi, eps)).max() < 1e-12
-
-    def test_single_branch_reduction(self, lat):
-        phi_p = random_spinor(lat, 18)
-        rho, _ = sp.density_expansions(lat, phi_p, np.zeros_like(phi_p), 0.2, 0.5)
-        assert np.abs(rho - sp.charge_density(phi_p)).max() < 1e-13
-
-    def test_orthogonal_components_kill_oscillation(self, lat):
-        # phi+ purely upper, phi- purely lower: the 2t/eps^2 charge term drops
-        chi = random_spinor(lat, 19, comps=2)
-        eta = random_spinor(lat, 20, comps=2)
-        phi_p = sp.embed_upper(chi)
-        phi_m = sp.embed_lower(eta)
-        rho_a, _ = sp.density_expansions(lat, phi_p, phi_m, 0.0, 0.5)
-        rho_b, _ = sp.density_expansions(lat, phi_p, phi_m, 0.5 * np.pi * 0.25, 0.5)
-        assert np.abs(rho_a - rho_b).max() < 1e-12
 
 
 class TestCounterexampleRemark:
