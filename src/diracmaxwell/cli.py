@@ -24,7 +24,7 @@ from . import __version__
 from . import data_families as df
 from . import spinors as sp
 from .evolve_dm import DMState, StepConfig, checked_diagnostics, integrate, n_steps_for, run_dm
-from .evolve_limits import DMPauliState, SPState, dm_pauli_step, pauli_diagnostics, sp_diagnostics, sp_step
+from .evolve_limits import SPState, pauli_diagnostics, run_pauli, sp_diagnostics, sp_step
 from .fourier import Lattice, make_lattice, write_fld
 from .presets import get_preset
 from .studies import ExperimentConfig, dyadic_sweep, nonrel_convergence_study, seminonrel_study
@@ -237,8 +237,7 @@ def cmd_run_pauli(v: dict, out_dir: Path) -> int:
     t0 = time.time()
     init, step_cfg = _dm_init(v)
     writer = _SampleWriter(out_dir, "chi", init.lat, lambda s: s.pauli.chi, lambda s: pauli_diagnostics(s.pauli))
-    integrate(DMPauliState.start(init, sp.upper(init.psi)), lambda s: dm_pauli_step(s, step_cfg),
-              n_steps_for(v["T"], v["dt"]), v["sample_every"], writer)
+    run_pauli(init, v["T"], step_cfg, v["sample_every"], writer)
     return _finish(out_dir, v, t0, writer)
 
 

@@ -17,17 +17,16 @@ cache fourier.mode_multipliers.  Every spinor matrix goes through the
 2x2-block kernel spinors.block_apply: the potential kick per point, the
 Picard forcing, and per mode the free flow (a + bQ of the free Dirac symbol,
 with d, conj(d) and h cached) and reconstruct_from_U's i alpha.k, both
-through spinors.dirac_symbol_apply.  A stepped DMState carries A0 (the kick
-is pointwise unitary, so the closing A0 of a step opens the next) and the
-spectra of A and eps*dt(A): a step moves 4 complex components forward and 8
-back, 4 real forward and 7 back; a sample, one spectrum of psi and one real
-one of A.  Every transform writes its passes into one output allocated per
-call, and from n = 32 the multi-component transforms run one chunk of
-components per core (fourier.Lattice); neither changes their bits.  The
-kicks, products and derivatives stay on the calling thread.  Not done:
-scipy.fft (its import costs ~0.3 s and 27 MB per process) and merging
-consecutive half kicks (first same as last: the step would depend on the
-sample times).
+through spinors.dirac_symbol_apply.  Every DMState of a run carries A0 (the
+kick is pointwise unitary, so the closing A0 of a step opens the next) and
+the spectra of A and eps*dt(A): a step moves 4 complex components forward
+and 8 back, 4 real forward and 7 back; a sample, one spectrum of psi.  Every
+transform writes its passes into one output allocated per call, and from
+n = 32 the multi-component transforms run one chunk of components per core
+(fourier.Lattice); neither changes their bits.  The kicks, products and
+derivatives stay on the calling thread.  Not done: scipy.fft (its import
+costs ~0.3 s and 27 MB per process) and merging consecutive half kicks
+(first same as last: the step would depend on the sample times).
 
 The Picard reference solve keeps its iterates as spectra (A as real-transform
 spectra).  A time level takes one inverse and one forward 4-component
@@ -39,27 +38,28 @@ so it stays an independent check of the splitting.
 
 Every run, of this system or of the limit systems, is driven by integrate():
 it applies a pure state-to-state step, samples on one schedule and guards
-against non-finite spinors.  Every DM run is run_dm(): the Coulomb gauge,
-then integrate() with dm_strang_step (the lockstep Pauli run gauges in
-DMPauliState.start).  Nothing keeps a run: the observer reduces or writes
-each sample when it is taken (the harness checks hold a window of three
-frozen states), and free_dirac_U advances the free spinor and the
-null-identity field U together as spectra and returns them at the end time
-only.  Distinct runs share no mutable state, and the results are
-independent of thread scheduling and of the core count for a fixed
-configuration: a split transform gives the batched transform's bits.
+against non-finite spinors.  Every DM run starts at coulomb_gauge(), which
+derives the carried values of its frozen start: run_dm() integrates
+dm_strang_step from it, evolve_limits.run_pauli() the lockstep Pauli step.
+Nothing keeps a run: the observer reduces or writes each sample when it is
+taken (the harness checks hold a window of three frozen states), and
+free_dirac_U advances the free spinor and the null-identity field U together
+as spectra and returns them at the end time only.  Distinct runs share no
+mutable state, and the results are independent of thread scheduling and of
+the core count for a fixed configuration: a split transform gives the
+batched transform's bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import spinors as sp
-from .fourier import (Lattice, curl, dealias, gradient, l2_norm, leray_hat, leray_project,
-                      mode_multipliers, on_modes, poisson_solve, sobolev_norm, sobolev_norm_hat)
+from .fourier import (Lattice, curl, dealias, gradient, leray_hat, leray_project, mode_multipliers, on_modes,
+                      poisson_solve, sobolev_norm_hat)
 
 
 class Carried(NamedTuple):
@@ -75,11 +75,9 @@ class Carried(NamedTuple):
 class DMState:
     """State of the coupled system: spinor, magnetic potential, eps*dt(A).
 
-    Frozen.  dm_strang_step sets ``carried`` on the states it makes, whose
-    arrays it makes read-only, and dm_pauli_step on the copy of a state it
-    hands to its DM step; a state built any other way (constructor,
-    dataclasses.replace, coulomb_gauge) has none, and its first step derives
-    the values."""
+    Frozen.  coulomb_gauge and dm_strang_step set ``carried`` on the states
+    they make, with read-only arrays, so every state of a run carries it; a
+    state built any other way has none, and carried_values derives it."""
 
     lat: Lattice
     t: float
@@ -169,6 +167,14 @@ def carried_values(state: DMState, cfg: StepConfig) -> Carried:
     return c
 
 
+def _frozen(state: DMState, carried: Carried) -> DMState:
+    """A new state of a run: its arrays made read-only, ``carried`` set."""
+    for a in (state.psi, state.A, state.eps_dtA):
+        a.flags.writeable = False
+    object.__setattr__(state, "carried", carried)
+    return state
+
+
 def dm_strang_step(state: DMState, cfg: StepConfig) -> DMState:
     """Half kick, free flight with the wave step in the midpoint current, half
     kick; the closing A0 and the new spectra of A and eps*dt(A) are carried."""
@@ -185,37 +191,33 @@ def dm_strang_step(state: DMState, cfg: StepConfig) -> DMState:
     A_new, W_new = lat.irfft(A_hat), lat.irfft(W_hat)
     A0_new = derived_A0(lat, psi_b, cfg.dealias)
     psi_new = potential_kick(lat, psi_b, A0_new, A_new, dt / 2.0, eps)
-    for a in (psi_new, A_new, W_new):
-        a.flags.writeable = False
-    new = DMState(lat, state.t + dt, psi_new, A_new, W_new, eps)
-    object.__setattr__(new, "carried", Carried(cfg.dealias, A0_new, A_hat, W_hat))
-    return new
+    return _frozen(DMState(lat, state.t + dt, psi_new, A_new, W_new, eps), Carried(cfg.dealias, A0_new, A_hat, W_hat))
 
 
 DIAGNOSTIC_COLUMNS = ("t", "charge", "h1_psi", "h1dot_A", "eps_l2_dtA", "h1_pi_minus_psi")
 H1_CEILING = 1e6  # checked_diagnostics raises above this h1_psi
 
 
-def _diagnose(state: DMState) -> dict:
-    """The DIAGNOSTIC_COLUMNS of a state.  The spinor columns come from one
-    spectrum of psi by Parseval (Pi_- per mode, no inverse transform) and
-    h1dot_A from a real transform of A."""
+def _diagnose(state: DMState, c: Carried) -> dict:
+    """The DIAGNOSTIC_COLUMNS of a state with its carried values c, all by
+    Parseval: the spinor columns from one spectrum of psi (Pi_- per mode, no
+    inverse transform), the field columns from the carried spectra."""
     lat = state.lat
     psihat = lat.fft(state.psi)
     return {
         "t": state.t,
         "charge": sobolev_norm_hat(lat, psihat, 0.0) ** 2,
         "h1_psi": sobolev_norm_hat(lat, psihat, 1.0),
-        "h1dot_A": sobolev_norm(lat, state.A, 1.0, homogeneous=True),
-        "eps_l2_dtA": l2_norm(lat, state.eps_dtA),
+        "h1dot_A": sobolev_norm_hat(lat, c.A_hat, 1.0, homogeneous=True),
+        "eps_l2_dtA": sobolev_norm_hat(lat, c.W_hat, 0.0),
         "h1_pi_minus_psi": sobolev_norm_hat(lat, sp.pi_eps_hat(lat, psihat, state.eps, -1), 1.0),
     }
 
 
 def checked_diagnostics(state: DMState, cfg: StepConfig) -> dict:
-    """_diagnose, with the blow-up guard: h1_psi above H1_CEILING raises
-    FloatingPointError (steps counted from t = 0)."""
-    row = _diagnose(state)
+    """_diagnose with carried_values, and the blow-up guard: h1_psi above
+    H1_CEILING raises FloatingPointError (steps counted from t = 0)."""
+    row = _diagnose(state, carried_values(state, cfg))
     if row["h1_psi"] > H1_CEILING:
         raise FloatingPointError(
             f"H1 blow-up guard tripped at step {round(state.t / cfg.dt)}, t = {state.t}: "
@@ -270,17 +272,20 @@ def integrate(state, step, n_steps: int, sample_every: int, observe):
     return state
 
 
-def coulomb_gauge(init: DMState) -> DMState:
-    """Copy of a DM state with A and eps*dt(A) Leray-projected; every DM run
-    starts from it."""
-    return replace(init, psi=init.psi.copy(), A=leray_project(init.lat, init.A),
-                   eps_dtA=leray_project(init.lat, init.eps_dtA))
+def coulomb_gauge(init: DMState, cfg: StepConfig) -> DMState:
+    """The state every DM run starts from: a copy of init with A and
+    eps*dt(A) Leray-projected, frozen as a stepped state is (read-only
+    arrays, the carried values of cfg set)."""
+    lat = init.lat
+    gauged = DMState(lat, init.t, init.psi.copy(), leray_project(lat, init.A), leray_project(lat, init.eps_dtA),
+                     init.eps)
+    return _frozen(gauged, carried_values(gauged, cfg))
 
 
 def run_dm(init: DMState, T: float, cfg: StepConfig, sample_every: int, observe) -> DMState:
     """integrate() dm_strang_step from the Coulomb-gauged data to time T,
     calling observe at each of sample_steps; returns the final state."""
-    return integrate(coulomb_gauge(init), lambda s: dm_strang_step(s, cfg), n_steps_for(T, cfg.dt),
+    return integrate(coulomb_gauge(init, cfg), lambda s: dm_strang_step(s, cfg), n_steps_for(T, cfg.dt),
                      sample_every, observe)
 
 

@@ -4,20 +4,20 @@ with the Dirac-Maxwell evolver.
 
 The Schrodinger-Poisson pair carries the electron branch (+Delta/2) and the
 negative-mass positron branch (-Delta/2) coupled through one Coulomb
-potential.  The Pauli spinor is advanced in lockstep with a Dirac-Maxwell
-run (``DMPauliState``, ``dm_pauli_step``) and driven by that run's fields,
-with B from the spectra of A that the DM step carries.
+potential.  ``run_pauli`` advances the Pauli spinor in lockstep with a
+Dirac-Maxwell run (``DMPauliState``, ``dm_pauli_step``), driven by that
+run's fields, with A0 and B from the values every state of the run carries.
 Runs of either system are driven by ``evolve_dm.integrate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import spinors as sp
-from .evolve_dm import DMState, StepConfig, carried_values, coulomb_gauge, dm_strang_step
+from .evolve_dm import DMState, StepConfig, carried_values, coulomb_gauge, dm_strang_step, integrate, n_steps_for
 from .fourier import (Lattice, apply_symbol, curl, curl_hat, divergence, kinetic_multipliers, l2_norm, partial,
                       poisson_solve, sobolev_norm)
 
@@ -173,11 +173,6 @@ class DMPauliState:
     dm: DMState
     pauli: PauliState
 
-    @classmethod
-    def start(cls, init: DMState, chi0: np.ndarray) -> "DMPauliState":
-        dm = coulomb_gauge(init)
-        return cls(dm, PauliState(dm.lat, dm.t, chi0.copy(), dm.eps))
-
     @property
     def t(self) -> float:
         return self.dm.t
@@ -189,14 +184,17 @@ class DMPauliState:
 def dm_pauli_step(state: DMPauliState, cfg: StepConfig) -> DMPauliState:
     """One DM step, and one Pauli step in the endpoint averages of A0 and A
     (the midpoint values of their linear interpolation), B the curl of the
-    average carried spectrum of A.  A state without carried values (the
-    first step) is copied with them, so that they are derived once."""
-    opening = state.dm
-    c = carried_values(opening, cfg)
-    if c is not opening.carried:
-        opening = replace(opening)
-        object.__setattr__(opening, "carried", c)
-    dm = dm_strang_step(opening, cfg)
+    average carried spectrum of A."""
+    c = carried_values(state.dm, cfg)
+    dm = dm_strang_step(state.dm, cfg)
     B = dm.lat.irfft(curl_hat(dm.lat, 0.5 * (c.A_hat + dm.carried.A_hat)))
-    pauli = pauli_step(state.pauli, 0.5 * (c.A0 + dm.carried.A0), 0.5 * (opening.A + dm.A), cfg.dt, B=B)
+    pauli = pauli_step(state.pauli, 0.5 * (c.A0 + dm.carried.A0), 0.5 * (state.dm.A + dm.A), cfg.dt, B=B)
     return DMPauliState(dm, pauli)
+
+
+def run_pauli(init: DMState, T: float, cfg: StepConfig, sample_every: int, observe) -> DMPauliState:
+    """run_dm with the Pauli spinor of init's upper component (the modulation
+    is the identity at t = 0) in lockstep, through dm_pauli_step."""
+    return integrate(
+        DMPauliState(coulomb_gauge(init, cfg), PauliState(init.lat, init.t, sp.upper(init.psi).copy(), init.eps)),
+        lambda s: dm_pauli_step(s, cfg), n_steps_for(T, cfg.dt), sample_every, observe)

@@ -200,9 +200,10 @@ class SquaredDiracResiduals(_Window):
 
 class SmallComponentTrack(_Window):
     """Series of ||Pi_-^eps psi(t)||_{H^1} plus the measured constant in
-    sup_t ||.|| <= C eps^order, with the eta-based surrogates.  Order 2 adds
-    the L2 norm of the centered dt(eta) and so requires uniformly spaced
-    samples; order 1 takes no time difference."""
+    sup_t ||.|| <= C eps^order, with the eta-based surrogates; both norms
+    come from one spectrum of psi (exp(i t/eps^2) has modulus 1).  Order 2
+    adds the L2 norm of the centered dt(eta) and so requires uniformly
+    spaced samples; order 1 takes no time difference."""
 
     def __init__(self, order: int):
         if order not in (1, 2):
@@ -214,10 +215,11 @@ class SmallComponentTrack(_Window):
 
     def derive(self, state):
         lat, self.eps = state.lat, state.eps
-        self.pi_minus.append(sobolev_norm_hat(lat, sp.pi_eps_hat(lat, lat.fft(state.psi), self.eps, -1), 1.0))
-        eta = sp.lower(np.exp(1j * state.t / self.eps**2) * state.psi)
-        self.eta.append(sobolev_norm(lat, eta, 1.0))
-        return eta
+        psihat = lat.fft(state.psi)
+        self.pi_minus.append(sobolev_norm_hat(lat, sp.pi_eps_hat(lat, psihat, self.eps, -1), 1.0))
+        self.eta.append(sobolev_norm_hat(lat, sp.lower(psihat), 1.0))
+        if self.order == 2:
+            return sp.lower(np.exp(1j * state.t / self.eps**2) * state.psi)
 
     def interior(self, prev, mid, nxt):
         return sobolev_norm(mid[0].lat, (nxt[1] - prev[1]) / (2.0 * self.dt), 0.0)

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import data_families as df
 from . import spinors as sp
-from .evolve_dm import StepConfig, derived_A0, integrate, n_steps_for, run_dm, sample_steps
-from .evolve_limits import DMPauliState, SPState, dm_pauli_step, sp_step
+from .evolve_dm import StepConfig, integrate, n_steps_for, run_dm, sample_steps
+from .evolve_limits import SPState, run_pauli, sp_step
 from .fourier import (Lattice, bump_profile, curl, h_eps_symbol, littlewood_paley, lp_norm, make_lattice,
                       poisson_solve, sobolev_norm)
 
@@ -126,18 +126,12 @@ def _dm_schedule(cfg: ExperimentConfig, eps: float):
     return dt, steps, max(1, int(round(cfg.dt_ref * cfg.sample_every / dt)))
 
 
-def _integrate_dm(cfg: ExperimentConfig, lat: Lattice, eps: float, observe, with_pauli: bool = False):
-    """Run DM at eps over [0, T], calling observe at the study's sample
-    times; with_pauli advances the Pauli spinor of the upper component in
-    lockstep (the modulation is the identity at t = 0)."""
-    dt, steps, every = _dm_schedule(cfg, eps)
-    step_cfg = StepConfig(dt=dt)
-    init = df.initial_dm_state(lat, cfg.family, cfg.gauge, eps, cfg.params)
-    if with_pauli:
-        integrate(DMPauliState.start(init, sp.upper(init.psi)),
-                  lambda s: dm_pauli_step(s, step_cfg), steps, every, observe)
-    else:
-        run_dm(init, cfg.T, step_cfg, every, observe)
+def _integrate_dm(cfg: ExperimentConfig, lat: Lattice, eps: float, run, observe):
+    """Run DM at eps over [0, T] through the run entry ``run`` (run_dm, or
+    run_pauli for the Pauli spinor in lockstep), calling observe at the
+    study's sample times."""
+    dt, _, every = _dm_schedule(cfg, eps)
+    run(df.initial_dm_state(lat, cfg.family, cfg.gauge, eps, cfg.params), cfg.T, StepConfig(dt=dt), every, observe)
 
 
 def _integrate_sp(cfg: ExperimentConfig, lat: Lattice, sample_every: int, observe):
@@ -190,13 +184,13 @@ def _nonrel_errors(cfg: ExperimentConfig, lat: Lattice, eps: float, limit: list)
         psi = state.psi
         ref = modulated_limit_spinor(vp, vm, state.t, eps)
         errs["h1_spinor"] = max(errs["h1_spinor"], sobolev_norm(lat, psi - ref, 1.0))
-        A0 = derived_A0(lat, psi)
-        errs["h1dot_A0"] = max(errs["h1dot_A0"], sobolev_norm(lat, A0 - u, 1.0, homogeneous=True))
         rho = sp.charge_density(psi)
+        A0 = poisson_solve(lat, rho)
+        errs["h1dot_A0"] = max(errs["h1dot_A0"], sobolev_norm(lat, A0 - u, 1.0, homogeneous=True))
         for p in (1, 2, 3):
             errs[f"lp{p}_charge"] = max(errs[f"lp{p}_charge"], lp_norm(lat, rho - n_lim, float(p)))
 
-    _integrate_dm(cfg, lat, eps, observe)
+    _integrate_dm(cfg, lat, eps, run_dm, observe)
     return errs
 
 
@@ -239,7 +233,7 @@ def _pauli_errors(cfg: ExperimentConfig, lat: Lattice, eps: float) -> dict:
         spin_curl = 0.5 * curl(lat, sp.spin_density(chi_P))
         errs["l1_current_defect"] = max(errs["l1_current_defect"], lp_norm(lat, J - J_P - spin_curl, 1.0))
 
-    _integrate_dm(cfg, lat, eps, observe, with_pauli=True)
+    _integrate_dm(cfg, lat, eps, run_pauli, observe)
     return errs
 
 
@@ -302,7 +296,7 @@ def _dm_pairing(cfg: ExperimentConfig, lat: Lattice, eps: float, g, b) -> np.nda
         times.append(s.t)
         vals.append(_space_pairing(lat, sp.current_density(s.psi, eps), b))
 
-    _integrate_dm(cfg, lat, eps, pair)
+    _integrate_dm(cfg, lat, eps, run_dm, pair)
     return _time_pairing(times, vals, g)
 
 

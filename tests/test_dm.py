@@ -9,6 +9,7 @@ import pytest
 
 from diracmaxwell import evolve_dm as dm
 from diracmaxwell import fourier as fc
+from diracmaxwell import harness as hn
 from diracmaxwell import spinors as sp
 from diracmaxwell.data_families import gauge_profile, v_minus_profile, v_plus_profile
 from test_spinors import per_mode, symbol_matrices
@@ -246,7 +247,8 @@ class TestStrangStep:
 
 
 class TestCarried:
-    """dm_strang_step carries A0 and the spectra of A and eps*dt(A) into its next call."""
+    """coulomb_gauge and dm_strang_step make states that carry A0 and the
+    spectra of A and eps*dt(A) into the next step."""
 
     @pytest.mark.parametrize("dealias", [False, True])
     def test_carried_values_match_the_state(self, lat12, dealias):
@@ -258,14 +260,13 @@ class TestCarried:
             assert np.abs(want).max() > 1e-6
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    @pytest.mark.parametrize("rebuild", ["constructor", "replace", "coulomb_gauge"])
+    @pytest.mark.parametrize("rebuild", ["constructor", "replace"])
     def test_state_without_carry_steps_the_same(self, lat12, rebuild):
         cfg = dm.StepConfig(dt=2e-3)
         s1 = dm.dm_strang_step(smooth_state(lat12, 0.25, gauge_amp=0.1), cfg)
         bare = {
             "constructor": lambda s: dm.DMState(s.lat, s.t, s.psi.copy(), s.A.copy(), s.eps_dtA.copy(), s.eps),
             "replace": lambda s: dataclasses.replace(s, t=s.t),
-            "coulomb_gauge": dm.coulomb_gauge,
         }[rebuild](s1)
         assert bare.carried is None
         carried, fresh = dm.dm_strang_step(s1, cfg), dm.dm_strang_step(bare, cfg)
@@ -276,6 +277,35 @@ class TestCarried:
         s1 = dm.dm_strang_step(smooth_state(lat12, 0.25, gauge_amp=0.1), dm.StepConfig(dt=2e-3))
         cfg = dm.StepConfig(dt=2e-3, dealias=True)
         assert np.array_equal(dm.dm_strang_step(s1, cfg).psi, dm.dm_strang_step(dataclasses.replace(s1), cfg).psi)
+
+    def test_coulomb_gauge_is_frozen_with_the_carry_of_an_unfrozen_copy(self, lat12):
+        cfg = dm.StepConfig(dt=2e-3, dealias=True)
+        # a random eps*dt(A) has a gradient part for the projection to remove
+        W = np.random.default_rng(3).standard_normal((3, *(lat12.n,) * 3))
+        init = dataclasses.replace(smooth_state(lat12, 0.25, gauge_amp=0.1), eps_dtA=W)
+        gauged = dm.coulomb_gauge(init, cfg)
+        assert np.abs(fc.divergence(lat12, gauged.eps_dtA)).max() < 1e-12
+        for a in (gauged.psi, gauged.A, gauged.eps_dtA):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0, 0, 0] = 0.0
+        assert init.psi.flags.writeable and init.A.flags.writeable  # init is left as it was
+        unfrozen = dm.DMState(lat12, gauged.t, gauged.psi.copy(), gauged.A.copy(), gauged.eps_dtA.copy(), gauged.eps)
+        assert unfrozen.carried is None
+        want = dm.carried_values(unfrozen, cfg)
+        assert gauged.carried.dealias
+        for got, w in zip(gauged.carried[1:], want[1:]):
+            assert np.abs(w).max() > 1e-6
+            assert np.array_equal(got, w)
+
+    def test_k_step_run_derives_A0_k_plus_one_times(self, lat, monkeypatch):
+        solves = []
+        real_A0 = dm.derived_A0
+        monkeypatch.setattr(dm, "derived_A0", lambda *a: solves.append(1) or real_A0(*a))
+        rows = []
+        dm.run_dm(smooth_state(lat, 0.25, gauge_amp=0.1), 4 * 2e-3, dm.StepConfig(dt=2e-3), 1,
+                  lambda s: rows.append(dm.checked_diagnostics(s, dm.StepConfig(dt=2e-3))))
+        assert len(rows) == 5
+        assert len(solves) == 4 + 1  # coulomb_gauge, then each step (closing A0); the samples solve none
 
     def test_stepped_state_cannot_be_edited(self, lat):
         s1 = dm.dm_strang_step(smooth_state(lat, 0.25, gauge_amp=0.1), dm.StepConfig(dt=2e-3))
@@ -307,10 +337,19 @@ class TestTransformCounts:
         assert transform_counts == {"fft": 4, "ifft": 4 * levels, "rfft": 6, "irfft": 3 * levels}
 
     def test_diagnose(self, lat, transform_counts):
+        # the field columns come from the carried spectra of a run's state
+        cfg = dm.StepConfig(dt=2e-3)
+        state = dm.coulomb_gauge(smooth_state(lat, 0.25, gauge_amp=0.1), cfg)
+        transform_counts.clear()
+        dm.checked_diagnostics(state, cfg)
+        assert transform_counts == {"fft": 4}
+
+    def test_small_component_sample(self, lat, transform_counts):
+        # the eta norm comes from the spectrum that Pi_- takes
         state = smooth_state(lat, 0.25, gauge_amp=0.1)
         transform_counts.clear()
-        dm._diagnose(state)
-        assert transform_counts == {"fft": 4, "rfft": 3}
+        hn.SmallComponentTrack(order=1)(state)
+        assert transform_counts == {"fft": 4}
 
 
 class TestWorkingSet:
@@ -323,7 +362,8 @@ class TestWorkingSet:
     def test_carried_step_working_set(self):
         lat16 = fc.make_lattice(16, TWO_PI)
         cfg = dm.StepConfig(dt=2e-3)
-        state = dm.dm_strang_step(dm.dm_strang_step(dm.coulomb_gauge(smooth_state(lat16, 0.25, gauge_amp=0.1)), cfg), cfg)
+        state = dm.coulomb_gauge(smooth_state(lat16, 0.25, gauge_amp=0.1), cfg)
+        state = dm.dm_strang_step(dm.dm_strang_step(state, cfg), cfg)
         tracemalloc.start()
         try:
             live = tracemalloc.get_traced_memory()[0]
@@ -354,15 +394,16 @@ def diagnose_reference(state):
 class TestDiagnose:
     @pytest.mark.parametrize("case", ["gauged", "random"])
     def test_matches_real_space_formulas(self, lat12, case):
+        cfg = dm.StepConfig(dt=2e-3)
         if case == "gauged":
-            state = dm.dm_strang_step(dm.coulomb_gauge(smooth_state(lat12, 0.3, gauge_amp=0.2)), dm.StepConfig(dt=2e-3))
+            state = dm.dm_strang_step(dm.coulomb_gauge(smooth_state(lat12, 0.3, gauge_amp=0.2), cfg), cfg)
         else:
             # random real A and eps*dt(A) carry Nyquist content on every axis
             rng = np.random.default_rng(7)
             shape = (lat12.n,) * 3
             psi = rng.standard_normal((4, *shape)) + 1j * rng.standard_normal((4, *shape))
             state = dm.DMState(lat12, 0.1, psi, rng.standard_normal((3, *shape)), rng.standard_normal((3, *shape)), 0.3)
-        got, want = dm._diagnose(state), diagnose_reference(state)
+        got, want = dm._diagnose(state, dm.carried_values(state, cfg)), diagnose_reference(state)
         assert list(got) == list(dm.DIAGNOSTIC_COLUMNS)
         for col in dm.DIAGNOSTIC_COLUMNS:
             assert want[col] > 0

@@ -194,6 +194,21 @@ class TestSmallComponent:
         # sup ||Pi_- psi|| scales like eps: halving eps halves the sup (30%)
         assert sups[0.4] / sups[0.2] == pytest.approx(2.0, rel=0.3)
 
+    def test_eta_norm_is_that_of_the_demodulated_lower_components(self, lat):
+        # the track drops the unit-modulus factor exp(i t/eps^2) of eta
+        eps = 0.2
+        psi0 = spinor_data(lat, "counterexample", eps, {"amplitude": 0.5})
+        init = dm.DMState(lat, 0.0, psi0, gauge_profile(lat, 0.2), np.zeros((3, lat.n, lat.n, lat.n)), eps)
+        track, want = hn.SmallComponentTrack(order=1), []
+
+        def observe(s):
+            track(s)
+            want.append(fc.sobolev_norm(lat, sp.lower(np.exp(1j * s.t / eps**2) * s.psi), 1.0))
+
+        dm.run_dm(init, 0.02, dm.StepConfig(dt=1e-3), 2, observe)
+        assert len(want) == 11 and min(want) > 0.1
+        np.testing.assert_allclose(track.result()["eta"], want, rtol=1e-13, atol=0)
+
     def test_counterexample_fails_order_two(self, lat):
         eps = 0.2
         psi0 = spinor_data(lat, "counterexample", eps, {"amplitude": 0.5})
@@ -277,14 +292,14 @@ def squared_dirac_reference(lat, eps, times, psis, As, Ws):
 
 def small_component_reference(lat, eps, times, psis, order):
     """The list-based small-component track that the window observer replaced
-    (order 2 requires uniform spacing); ||Pi_- psi||_H1 from one spectrum, as
-    the observer reads it."""
+    (order 2 requires uniform spacing); ||Pi_- psi||_H1 and ||eta||_H1 from
+    one spectrum of psi, as the observer reads them."""
     series = np.array([fc.sobolev_norm_hat(lat, sp.pi_eps_hat(lat, lat.fft(p), eps, -1), 1.0) for p in psis])
     etas = [sp.lower(np.exp(1j * t / eps**2) * p) for t, p in zip(times, psis)]
     result = {
         "times": np.asarray(times),
         "pi_minus": series,
-        "eta": np.array([fc.sobolev_norm(lat, e, 1.0) for e in etas]),
+        "eta": np.array([fc.sobolev_norm_hat(lat, sp.lower(lat.fft(p)), 1.0) for p in psis]),
         "constant": float(series.max() / eps**order),
         "order": order,
     }

@@ -238,15 +238,15 @@ class TestAdvectApply:
         cfg = get_preset("thm4")
         lat = fc.make_lattice(cfg["grid"]["n"], cfg["grid"]["period"])
         init = initial_dm_state(lat, cfg["data"]["family"], cfg["gauge"], eps, cfg["data"]["params"])
-        state = lim.DMPauliState.start(init, sp.upper(init.psi))
         dt = cfg["dt_ref"] * eps / cfg["eps_ref"] / 2.0
-        old_terms = self.terms_under_the_old_rule(lat, state.dm.A, eps, dt, state.pauli.chi)
+        A, chi = dm.coulomb_gauge(init, dm.StepConfig(dt=dt)).A, sp.upper(init.psi)
+        old_terms = self.terms_under_the_old_rule(lat, A, eps, dt, chi)
         calls = []
         real_partial = lim.partial
         monkeypatch.setattr(lim, "partial", lambda *a: calls.append(a[2]) or real_partial(*a))
-        out = lim._advect_apply(lat, state.dm.A, eps, dt, state.pauli.chi)
+        out = lim._advect_apply(lat, A, eps, dt, chi)
         assert len(calls) == 3 * old_terms - 3
-        ref = advect_reference(lat, state.dm.A, eps, dt, state.pauli.chi)
+        ref = advect_reference(lat, A, eps, dt, chi)
         assert np.abs(out - ref).max() < 1e-13 * np.abs(ref).max()
 
     def test_series_that_cannot_converge_raises(self, lat8):
@@ -264,17 +264,25 @@ class TestSimulatePauli:
         a0 = gauge_profile(lat, gauge_amp) if gauge_amp else np.zeros((3, lat.n, lat.n, lat.n))
         return dm.DMState(lat, 0.0, psi0, a0, np.zeros((3, lat.n, lat.n, lat.n)), eps)
 
+    @staticmethod
+    def _start(init, chi0, cfg):
+        """The lockstep start from the Pauli spinor chi0, built by hand."""
+        return lim.DMPauliState(dm.coulomb_gauge(init, cfg), lim.PauliState(init.lat, init.t, chi0, init.eps))
+
     def _lockstep(self, init, chi0, T, dt, sample_every=1):
-        """Final Pauli spinor and the sampled Pauli masses."""
+        """Final Pauli spinor and the sampled Pauli masses: run_pauli without
+        chi0, the hand-built lockstep run from chi0 with one."""
         cfg = dm.StepConfig(dt=dt)
         masses = []
-        final = dm.integrate(
-            lim.DMPauliState.start(init, chi0),
-            lambda s: lim.dm_pauli_step(s, cfg),
-            dm.n_steps_for(T, dt),
-            sample_every,
-            lambda s: masses.append(lim.pauli_diagnostics(s.pauli)["mass"]),
-        )
+
+        def observe(s):
+            masses.append(lim.pauli_diagnostics(s.pauli)["mass"])
+
+        if chi0 is None:
+            final = lim.run_pauli(init, T, cfg, sample_every, observe)
+        else:
+            final = dm.integrate(self._start(init, chi0, cfg), lambda s: lim.dm_pauli_step(s, cfg),
+                                 dm.n_steps_for(T, dt), sample_every, observe)
         return final.pauli.chi, np.array(masses)
 
     def test_zero_potentials_free_schrodinger(self, lat):
@@ -301,10 +309,9 @@ class TestSimulatePauli:
     def test_self_convergence_order_two(self, lat):
         eps, T = 0.4, 0.1
         init = self._dm_init(lat, eps)
-        chi0 = sp.upper(init.psi)
 
         def run(dt):
-            return self._lockstep(init, chi0, T, dt, sample_every=int(round(T / dt)))[0]
+            return self._lockstep(init, None, T, dt, sample_every=int(round(T / dt)))[0]
 
         e1 = fc.sobolev_norm(lat, run(0.01) - run(0.005), 1.0)
         e2 = fc.sobolev_norm(lat, run(0.005) - run(0.0025), 1.0)
@@ -313,7 +320,7 @@ class TestSimulatePauli:
     def test_mass_conserved(self, lat):
         eps, T = 0.4, 0.1
         init = self._dm_init(lat, eps)
-        _, masses = self._lockstep(init, sp.upper(init.psi), T, 2e-3, sample_every=10)
+        _, masses = self._lockstep(init, None, T, 2e-3, sample_every=10)
         drift = np.abs(masses - masses[0]).max()
         assert drift < 1e-8
 
@@ -336,49 +343,48 @@ class TestSimulatePauli:
         # step could see it through the fields and misreport it
         eps = 0.4
         init = self._dm_init(lat8, eps)
-        cfg = dm.StepConfig(dt=0.01)
-        state = lim.DMPauliState.start(init, sp.upper(init.psi))
-        state.dm.psi[0, 0, 0, 0] = np.nan
+        init.psi[0, 0, 0, 0] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError) as info:
-            dm.integrate(state, lambda s: lim.dm_pauli_step(s, cfg), 3, 1, lambda s: None)
+            lim.run_pauli(init, 0.03, dm.StepConfig(dt=0.01), 1, lambda s: None)
         assert "step 0" in str(info.value)
         assert "did not converge" not in str(info.value)
 
     def test_B_is_the_curl_of_the_midpoint_A(self, lat, monkeypatch):
-        # B comes from the carried spectra of A; the first step opens from a
-        # state that carries none
+        # B comes from the carried spectra of A, which the start carries too
         eps = 0.4
         init = self._dm_init(lat, eps)
-        cfg = dm.StepConfig(dt=0.01)
-        passed = []
+        passed, states = [], []
         real_step = lim.pauli_step
         monkeypatch.setattr(lim, "pauli_step",
                             lambda state, A0, A, dt, B=None: passed.append(B) or real_step(state, A0, A, dt, B))
-        states = [lim.DMPauliState.start(init, sp.upper(init.psi))]
-        assert states[0].dm.carried is None
-        for _ in range(3):
-            states.append(lim.dm_pauli_step(states[-1], cfg))
-        assert len(passed) == 3
+        lim.run_pauli(init, 0.03, dm.StepConfig(dt=0.01), 1, states.append)
+        assert len(states) == 4 and len(passed) == 3
         for B, opening, closing in zip(passed, states, states[1:]):
             want = fc.curl(lat, 0.5 * (opening.dm.A + closing.dm.A))
             assert np.abs(B - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_first_step_derives_the_opening_values_once(self, lat, monkeypatch):
+        # a k-step run derives A0 k + 1 times: the start's in coulomb_gauge,
+        # then each step's closing one
         eps = 0.4
         init = self._dm_init(lat, eps)
         cfg = dm.StepConfig(dt=0.01)
-        state = lim.DMPauliState.start(init, sp.upper(init.psi))
-        alone = dm.dm_strang_step(state.dm, cfg)
-        solves = []
+        alone = dm.dm_strang_step(dm.coulomb_gauge(init, cfg), cfg)
+        solves, states = [], []
         real_A0 = dm.derived_A0
         monkeypatch.setattr(dm, "derived_A0", lambda *a: solves.append(1) or real_A0(*a))
-        first = lim.dm_pauli_step(state, cfg)
-        assert len(solves) == 2  # opening and closing A0
-        lim.dm_pauli_step(first, cfg)
-        assert len(solves) == 3  # the closing A0 only
-        assert state.dm.carried is None  # the input state is left as it was
+        lim.run_pauli(init, 0.03, cfg, 1, states.append)
+        assert len(solves) == 3 + 1
         for name in ("psi", "A", "eps_dtA"):
-            assert np.array_equal(getattr(first.dm, name), getattr(alone, name))
+            assert np.array_equal(getattr(states[1].dm, name), getattr(alone, name))
+
+    def test_run_pauli_is_the_hand_built_lockstep_run(self, lat):
+        init = self._dm_init(lat, 0.4)
+        got = self._lockstep(init, None, 0.03, 0.01)
+        want = self._lockstep(init, sp.upper(init.psi).copy(), 0.03, 0.01)
+        assert len(got[1]) == 4
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestNonFiniteGuard:
