@@ -14,17 +14,17 @@ exact; see the tests.
 One transform of the kicked spinor feeds both free half-steps, the real
 fields use real transforms, and per-mode multipliers come from the bounded
 cache fourier.mode_multipliers.  Every spinor matrix goes through the
-2x2-block kernel spinors.block_apply: the potential kick per point, the
+2x2-block kernel spinors.block_rows: the potential kick per point, the
 Picard forcing, and per mode the free flow (a + bQ of the free Dirac symbol,
 with d, conj(d) and h cached) and reconstruct_from_U's i alpha.k, both
 through spinors.dirac_symbol_apply.  Every DMState of a run carries A0 (the
 kick is pointwise unitary, so the closing A0 of a step opens the next) and
 the spectra of A and eps*dt(A): a step moves 4 complex components forward
 and 8 back, 4 real forward and 7 back; a sample, one spectrum of psi.  Every
-transform writes its passes into one output allocated per call, and from
-n = 32 the multi-component transforms run one chunk of components per core
-(fourier.Lattice); neither changes their bits.  The kicks, products and
-derivatives stay on the calling thread.  Not done: scipy.fft (its import
+transform writes its passes into one output allocated per call, and the kicks,
+block products and current run slab by slab (spinors.slabwise); from n = 32
+both spread over the cores (fourier), bit for bit.  Derivatives, the wave
+step and the norms stay on the calling thread.  Not done: scipy.fft (its import
 costs ~0.3 s and 27 MB per process) and merging consecutive half kicks
 (first same as last: the step would depend on the sample times).
 
@@ -127,13 +127,16 @@ def potential_kick(lat: Lattice, psi: np.ndarray, A0: np.ndarray, A: np.ndarray,
     exp(i dt (A.alpha + A0)) factorizes since A0*I commutes with A.alpha and
     (A.alpha)^2 = |A|^2: phase (cos + i sin * unit-alpha), phase = exp(i dt A0).
     The block form has d_+ = d_- = phase cos and V = i phase sin(dt |A|)/|A| A.
+    It is built slab by slab (spinors.slabwise): no coefficient takes a full grid.
     """
-    theta = dt * np.sqrt(np.sum(A**2, axis=0))
-    diag = np.exp(1j * dt * A0)
-    f = diag * np.sinc(theta / np.pi)  # sin(dt m)/(dt m) with the m -> 0 limit 1
-    f *= 1j * dt
-    diag *= np.cos(theta)
-    return sp.block_apply(psi, diag, diag, sp.sigma_entries(A), f)
+    def kick(out, psi, A0, A):
+        theta = dt * np.sqrt(np.sum(A**2, axis=0))
+        diag = np.exp(1j * dt * A0)
+        f = diag * np.sinc(theta / np.pi)  # sin(dt m)/(dt m) with the m -> 0 limit 1
+        f *= 1j * dt
+        diag *= np.cos(theta)
+        sp.block_rows(out, psi, diag, diag, sp.sigma_entries(A), f)
+    return sp.slabwise(kick, np.empty(psi.shape, dtype=complex), psi, A0, A)
 
 
 def wave_oscillator(lat: Lattice, fhat: np.ndarray, ghat: np.ndarray, srchat: np.ndarray, dt: float, eps: float):

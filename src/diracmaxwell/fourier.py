@@ -30,19 +30,19 @@ fixed once and for all:
 * The four 3-D transforms of ``Lattice`` run the 1-D passes of the batched
   ``np.fft`` call, every pass writing into one output allocated per call
   (``irfft`` takes the first two in place on a copy), so the result is
-  ``np.fft``'s, bit for bit and dtype included.  A multi-component
-  float64/complex128 field with at least 32**3 points per component is
-  spread over the usable cores: one chunk of the leading axis per core, the
-  first on the calling thread and the others in a pool of cores - 1 threads
-  started on first use (pocketfft releases the GIL); a job writes into its
-  slice of the output and submits no further job.  Everything else,
-  ``partial`` and the per-mode and pointwise products included, runs on the
-  calling thread.
+  ``np.fft``'s, bit for bit and dtype included.  From 32**3 points per
+  component a multi-component float64/complex128 transform runs one chunk of
+  components per usable core, and ``by_slab`` hands the slabs of a pointwise
+  spinor kernel (block products, potential kick, current) to the cores in
+  turn: the calling thread and a pool of cores - 1 threads started on first
+  use.  A job writes into its slice of one output its caller allocated and
+  submits no further job.  Smaller grids, ``partial``, the wave and Leray
+  products and the norms run on the calling thread.
 
 Everything here is a pure function of immutable inputs (the Lattice caches
 are computed once and never mutated, and ``mode_multipliers`` and
-``kinetic_multipliers`` hand out read-only arrays), and a split transform
-writes only into the output of its own call, so concurrent use from multiple
+``kinetic_multipliers`` hand out read-only arrays), and a split job writes
+only into the output of its own call, so concurrent use from multiple
 threads is safe.
 """
 
@@ -179,16 +179,16 @@ class Lattice:
 # -- component-parallel transforms ---------------------------------------------
 
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# the grid points per component from which a multi-component transform is
-# split across the cores; smaller ones run on the calling thread
+# points per component from which transforms and by_slab's slabs use the pool
 _SPLIT_POINTS = 32**3
+_SLAB_POINTS = 2**13  # points of one by_slab slab: 128 KB per complex component
 _pool = None
 _pool_lock = threading.Lock()
 
 
 def _workers():
-    """The transform pool, _CORES - 1 threads started on first use; runs
-    that never split do not import concurrent.futures (~8 ms)."""
+    """The pool of _CORES - 1 threads, started on first use; runs that never
+    split do not import concurrent.futures (~8 ms)."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -225,19 +225,39 @@ def _irfftn(fhat, out):
     np.fft.irfft(fhat, out.shape[-1], axis=-1, out=out)
 
 
-def _by_component(transform, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """transform(f[c], out[c]) over one chunk c of the leading axis per core:
-    the calling thread takes the first chunk and the pool the others.  A job
-    writes into its slice of out and allocates no full-grid array."""
-    k = min(_CORES, len(f))
-    edges = [-(-len(f) * i // k) for i in range(k + 1)]
-    jobs = [_workers().submit(transform, f[a:b], out[a:b]) for a, b in zip(edges[1:-1], edges[2:])]
+def _on_cores(run, k: int) -> None:
+    """run(0) on the calling thread and run(1), ..., run(k - 1) in the pool,
+    joined before returning; an exception raised in any reaches the caller."""
+    jobs = [_workers().submit(run, i) for i in range(1, k)]
     try:
-        transform(f[: edges[1]], out[: edges[1]])
+        run(0)
     finally:
         for job in jobs:
             job.result()
+
+
+def _by_component(transform, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """transform(f[c], out[c]) over one chunk c of the leading axis per core.
+    A job writes into its slice of out and allocates no full-grid array."""
+    k = min(_CORES, len(f))
+    edges = [-(-len(f) * i // k) for i in range(k + 1)]
+    _on_cores(lambda i: transform(f[edges[i]:edges[i + 1]], out[edges[i]:edges[i + 1]]), k)
     return out
+
+
+def by_slab(job, n: int) -> None:
+    """job(s) for the slices s cutting axis -3 of an n**3 grid into slabs of
+    max(1, _SLAB_POINTS // n**2) planes, which from _SPLIT_POINTS points the
+    cores take in turn, the calling thread among them.  A job writes its slab
+    of the caller's output, allocates only slab-sized arrays, submits no job."""
+    step = max(1, _SLAB_POINTS // n**2)
+    slabs = [slice(a, a + step) for a in range(0, n, step)]
+    k = min(_CORES, len(slabs)) if n**3 >= _SPLIT_POINTS else 1
+
+    def run(i):
+        for s in slabs[i::k]:
+            job(s)
+    _on_cores(run, k)
 
 
 def make_lattice(n: int, L: float) -> Lattice:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fourier import Lattice, curl, gradient, l2_norm, mode_multipliers
+from .fourier import Lattice, by_slab, curl, gradient, l2_norm, mode_multipliers
 
 # Pauli matrices and the 4x4 Dirac set (2x2 block form).
 SIGMA = np.array(
@@ -57,11 +57,26 @@ def sigma_entries(v) -> tuple:
     return v[2], v[0] - 1j * v[1], v[0] + 1j * v[1]
 
 
-def _sigma_rows(out, chi, d, v, eta, scale, tmp):
-    """out = d chi + scale (v.sigma) eta for 2-spinor fields, written into out
-    one component at a time by in-place multiply-adds through the one-component
-    scratch tmp.  d or scale None drops that term or factor."""
+def _on_slab(a, s):
+    """a on the slab s of axis -3; tuples entry by entry, None, scalars and length-1 axes as they are."""
+    if isinstance(a, tuple):
+        return tuple([_on_slab(x, s) for x in a])
+    return a if np.ndim(a) < 3 or a.shape[-3] == 1 else a[..., s, :, :]
+
+
+def slabwise(kernel, out: np.ndarray, *args) -> np.ndarray:
+    """out, filled by a pointwise kernel(out, *args) per slab (fourier.by_slab) on the slabs of out and args."""
+    # lists, not generators: each resized tuple(generator) freed grows the tuple free list
+    by_slab(lambda s: kernel(*[_on_slab(a, s) for a in (out, *args)]), out.shape[-3])
+    return out
+
+
+def _sigma_rows(out, chi, d, v, eta, scale):
+    """out = d chi + scale (v.sigma) eta for 2-spinor fields (or slabs), one
+    component at a time by in-place multiply-adds through a one-component
+    scratch.  d or scale None drops that term or factor."""
     vz, vm, vp = v
+    tmp = np.empty(out.shape[1:], dtype=complex)
     for o, c, a, b, add in ((out[0], chi[0], vz, vm, np.add), (out[1], chi[1], vp, vz, np.subtract)):
         np.multiply(a, eta[0], out=o)
         add(o, np.multiply(b, eta[1], out=tmp), out=o)
@@ -71,27 +86,28 @@ def _sigma_rows(out, chi, d, v, eta, scale, tmp):
             o += np.multiply(d, c, out=tmp)
 
 
+def block_rows(out, psi, d_plus, d_minus, v, scale) -> None:
+    """block_apply of a slab of a 4-spinor field, written into out."""
+    _sigma_rows(out[:2], psi[:2], d_plus, v, psi[2:], scale)
+    _sigma_rows(out[2:], psi[2:], d_minus, v, psi[:2], scale)
+
+
 def block_apply(psi: np.ndarray, d_plus, d_minus, v, scale=None) -> np.ndarray:
     """[[d_+, V.sigma], [V.sigma, d_-]] psi of a 4-spinor field (upper, lower).
 
     V = scale * v, with v the entries (v_z, v_-, v_+) of sigma_entries, full
     arrays or broadcast ones such as the wavevector's; d_+, d_- and scale are
-    scalars or arrays, and None drops the term or factor.  Every component is
-    written into one new array, with a one-component scratch.
+    scalars or arrays, and None drops the term or factor.  One new array is
+    written slab by slab (slabwise, block_rows), spread over the cores from
+    32**3 points.
     """
-    out = np.empty(psi.shape, dtype=complex)
-    tmp = np.empty(psi.shape[1:], dtype=complex)
-    _sigma_rows(out[:2], psi[:2], d_plus, v, psi[2:], scale, tmp)
-    _sigma_rows(out[2:], psi[2:], d_minus, v, psi[:2], scale, tmp)
-    return out
+    return slabwise(block_rows, np.empty(psi.shape, dtype=complex), psi, d_plus, d_minus, v, scale)
 
 
 def sigma_block_apply(chi: np.ndarray, d, v, scale=None) -> np.ndarray:
     """d chi + (V.sigma) chi of a 2-spinor field, V = scale * v: the one-block
     form of block_apply."""
-    out = np.empty(chi.shape, dtype=complex)
-    _sigma_rows(out, chi, d, v, chi, scale, np.empty(chi.shape[1:], dtype=complex))
-    return out
+    return slabwise(_sigma_rows, np.empty(chi.shape, dtype=complex), chi, d, v, chi, scale)
 
 
 def sigma_dot(v, chi: np.ndarray) -> np.ndarray:
@@ -204,8 +220,9 @@ def current_density(psi: np.ndarray, eps: float) -> np.ndarray:
     """J_k = eps^-1 <alpha^k psi, psi>; real, vanishes for one-block spinors."""
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
-    # psi^dag alpha^k psi = 2 Re(chi^dag sigma^k eta)
-    return 2.0 / eps * sigma_inner(psi[:2], psi[2:]).real
+    # psi^dag alpha^k psi = 2 Re(chi^dag sigma^k eta), slab by slab
+    return slabwise(lambda out, psi: np.multiply(2.0 / eps, sigma_inner(psi[:2], psi[2:]).real, out=out),
+                    np.empty((3, *psi.shape[1:])), psi)
 
 
 def total_charge(lat: Lattice, psi: np.ndarray) -> float:

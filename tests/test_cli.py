@@ -563,8 +563,9 @@ class TestDeterminism:
 
 
     def test_split_transforms_write_the_serial_bytes(self, tmp_path, monkeypatch):
-        # n = 32 is the smallest grid whose multi-component transforms are
-        # spread over the cores; two are assumed so the pool runs on any host
+        # n = 32 is the smallest grid whose multi-component transforms and
+        # pointwise spinor products (kick, block products, current) are spread
+        # over the cores; two are assumed so the pool runs on any host
         cfg = dm_config(grid={"n": 32, "period": 6.283185307179586}, dealias=True)
         path = write_config(tmp_path, cfg)
         runs = {}
@@ -589,10 +590,12 @@ class TestImportCost:
         assert self._python(code) == "False"
 
     def test_small_runs_start_no_thread(self, tmp_path):
-        # below the split cutover every transform is one batched call on the
-        # calling thread, so no transform pool is started
+        # below the split cutover every transform is one batched call and every
+        # slab of a pointwise product runs on the calling thread, so no pool is
+        # started
         path = write_config(tmp_path, dm_config(grid={"n": 24, "period": 6.283185307179586}))
-        code = ("import threading, diracmaxwell.cli as cli; "
-                f"cli.main(['run-dm', '--config', {path!r}, '--out', {str(tmp_path / 'out')!r}]); "
-                "print(threading.active_count())")
-        assert self._python(code) == "1"
+        for command in ("run-dm", "run-pauli"):
+            code = ("import threading, diracmaxwell.cli as cli; "
+                    f"cli.main([{command!r}, '--config', {path!r}, '--out', {str(tmp_path / command)!r}]); "
+                    "print(threading.active_count())")
+            assert self._python(code) == "1", command

@@ -1,5 +1,6 @@
 import re
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -361,6 +362,34 @@ class TestSerialTransforms:
             finally:
                 tracemalloc.stop()
             assert peak < 1.5 * out.nbytes
+
+
+class TestBySlab:
+    """by_slab cuts the first spatial axis into slabs of 2**13 // n**2 planes
+    (at least one) and, from n = 32, hands them to the cores in turn.  Three
+    cores are assumed, so the pool runs on any host."""
+
+    @pytest.fixture(autouse=True)
+    def three_cores(self, monkeypatch):
+        monkeypatch.setattr(fc, "_CORES", 3)
+
+    @pytest.mark.parametrize("n, planes", [(24, [14, 10]), (32, [8] * 4), (48, [3] * 16), (64, [2] * 32),
+                                           (128, [1] * 128)])
+    def test_slabs_cover_the_axis_once(self, n, planes):
+        seen = []
+        fc.by_slab(lambda s: seen.append((s.start, len(range(n)[s]), threading.get_ident())), n)
+        starts, sizes, threads = zip(*sorted(seen))
+        assert list(sizes) == planes and list(starts) == [sum(planes[:i]) for i in range(len(planes))]
+        assert (set(threads) == {threading.get_ident()}) == (n < 32)  # the pool from 32**3 points only
+
+    @pytest.mark.parametrize("n, bad", [(24, 0), (24, 14), (32, 0), (32, 8), (32, 24)])
+    def test_an_error_in_any_slab_reaches_the_caller(self, n, bad):
+        # at n = 32 the calling thread runs slabs 0 and 24, the pool 8 and 16
+        def job(s):
+            if s.start == bad:
+                raise ArithmeticError(f"slab {bad}")
+        with pytest.raises(ArithmeticError, match=f"slab {bad}"):
+            fc.by_slab(job, n)
 
 
 def partial_by_formula(lat, f, j):

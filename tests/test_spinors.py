@@ -1,6 +1,10 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from diracmaxwell import evolve_dm as dm
 from diracmaxwell import fourier as fc
 from diracmaxwell import spinors as sp
 from diracmaxwell.data_families import v_plus_profile
@@ -134,6 +138,107 @@ class TestBlockApply:
         chi = random_spinor(lat, 17, comps=2)
         want = d * chi + np.einsum("kab,k...,b...->a...", sp.SIGMA, scale * w, chi)
         self.assert_close(sp.sigma_block_apply(chi, d, sp.sigma_entries(w), scale), want)
+
+
+def block_by_formula(psi, d_plus, d_minus, v, scale):
+    """block_apply as one full-grid call of its row kernel."""
+    out = np.empty(psi.shape, dtype=complex)
+    sp.block_rows(out, psi, d_plus, d_minus, v, scale)
+    return out
+
+
+def sigma_block_by_formula(chi, d, v, scale):
+    """sigma_block_apply as one full-grid call of its row kernel."""
+    out = np.empty(chi.shape, dtype=complex)
+    sp._sigma_rows(out, chi, d, v, chi, scale)
+    return out
+
+
+def kick_by_formula(psi, A0, A, dt):
+    """potential_kick with full-grid coefficients and one full-grid product."""
+    theta = dt * np.sqrt(np.sum(A**2, axis=0))
+    diag = np.exp(1j * dt * A0)
+    f = diag * np.sinc(theta / np.pi)
+    f *= 1j * dt
+    diag *= np.cos(theta)
+    return block_by_formula(psi, diag, diag, sp.sigma_entries(A), f)
+
+
+def current_by_formula(psi, eps):
+    """current_density as one full-grid expression."""
+    return 2.0 / eps * sp.sigma_inner(psi[:2], psi[2:]).real
+
+
+class TestSlabKernels:
+    """The pointwise spinor kernels run slab by slab (fourier.by_slab), spread
+    over the cores from n = 32.  A slab is computed as the full grid is, so
+    every output equals the full-grid formula bit for bit, on one core or on
+    three (assumed, so that the pool runs on any host).  n = 24 gives slabs
+    of 14 and 10 planes, n = 48 gives 16 slabs of 3 over three cores."""
+
+    @pytest.fixture(params=[3, 1], ids=["3 cores", "1 core"])
+    def cores(self, request, monkeypatch):
+        monkeypatch.setattr(fc, "_CORES", request.param)
+
+    @staticmethod
+    def inputs(n, seed=0):
+        """psi, a complex d, a complex 3-vector w, a complex scale, A0 and A."""
+        rng = np.random.default_rng(seed)
+
+        def field(*c):
+            return rng.standard_normal((*c, n, n, n))
+
+        def complex_field(*c):
+            return field(*c) + 1j * field(*c)
+        return complex_field(4), complex_field(), complex_field(3), complex_field(), field(), field(3)
+
+    @pytest.mark.parametrize("n", [24, 32, 48])
+    def test_block_kernels_equal_the_full_grid_product(self, n, cores):
+        lat = fc.make_lattice(n, TWO_PI)
+        psi, d, w, scale, _, _ = self.inputs(n)
+        v, k = sp.sigma_entries(w), sp.sigma_entries((-1j * lat.kx, -1j * lat.ky, -1j * lat.kz))
+        strided = psi.transpose(0, 2, 3, 1)
+        for name, p, (d_plus, d_minus, entries, sc) in (
+                ("full", psi, (d, np.conj(d), v, scale)),
+                ("wavevector", psi, (d, np.conj(d), k, 0.3j)),  # as dirac_symbol_apply
+                ("None and scalar", psi, (None, 2.0, v, None)),
+                ("scalar scale", psi, (0.5, None, k, -1.0)),
+                ("non-contiguous", strided, (d, None, k, scale))):
+            assert np.array_equal(sp.block_apply(p, d_plus, d_minus, entries, sc),
+                                  block_by_formula(p, d_plus, d_minus, entries, sc)), name
+            chi = p[1:3]
+            assert np.array_equal(sp.sigma_block_apply(chi, d_plus, entries, sc),
+                                  sigma_block_by_formula(chi, d_plus, entries, sc)), name
+
+    @pytest.mark.parametrize("n", [24, 32, 48])
+    def test_kick_and_current_equal_the_full_grid_formulas(self, n, cores):
+        lat = fc.make_lattice(n, TWO_PI)
+        psi, _, _, _, A0, A = self.inputs(n)
+        for p, a in ((psi, A), (psi.transpose(0, 3, 2, 1), A), (psi, np.zeros_like(A))):  # A = 0: the sinc limit
+            for dt in (0.013, -0.013):
+                assert np.array_equal(dm.potential_kick(lat, p, A0, a, dt, 0.3), kick_by_formula(p, A0, a, dt))
+            assert np.array_equal(sp.current_density(p, 0.3), current_by_formula(p, 0.3))
+
+    def test_concurrent_callers_get_their_own_results(self, monkeypatch):
+        # more callers than cores, switching often, all sharing the pool
+        lat = fc.make_lattice(32, TWO_PI)
+
+        def call(case):
+            p, d, w, sc, A0, A = case
+            return dm.potential_kick(lat, p, A0, A, 0.013, 0.3), sp.block_apply(p, d, None, sp.sigma_entries(w), sc)
+        cases = [self.inputs(32, seed) for seed in range(6)]
+        monkeypatch.setattr(fc, "_CORES", 1)
+        want = [call(case) for case in cases]
+        monkeypatch.setattr(fc, "_CORES", 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(6) as callers:
+                got = [job.result(timeout=60) for job in [callers.submit(call, case) for case in cases]]
+        finally:
+            sys.setswitchinterval(interval)
+        for (kick, block), (kick_want, block_want) in zip(got, want):
+            assert np.array_equal(kick, kick_want) and np.array_equal(block, block_want)
 
 
 def symbol_matrices(lat, eps):
