@@ -182,7 +182,7 @@ class _SampleWriter:
 
     def __call__(self, state):
         row = self.diagnose(state)
-        t0 = time.time()
+        t0 = time.perf_counter()
         if not self.snapshots:
             self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / f"{self.stem}_{len(self.snapshots):04d}.fld"
@@ -192,7 +192,7 @@ class _SampleWriter:
         with open(self.csv_path, "w" if not self.snapshots else "a") as fh:
             fh.write("\n".join(lines) + "\n")
         self.snapshots.append(path)
-        self.write_seconds += time.time() - t0
+        self.write_seconds += time.perf_counter() - t0
 
 
 def _dm_init(v: dict) -> tuple:
@@ -203,7 +203,7 @@ def _dm_init(v: dict) -> tuple:
 
 
 def _finish(out_dir: Path, v: dict, t0: float, writer: _SampleWriter, extra: tuple = ()) -> int:
-    total = time.time() - t0
+    total = time.perf_counter() - t0
     stages = {"simulate": total - writer.write_seconds, "write": writer.write_seconds}
     write_manifest(out_dir, v, stages, [*writer.snapshots, *extra, writer.csv_path])
     print(f"{v['command']}: {len(writer.snapshots)} samples -> {out_dir}")
@@ -211,7 +211,7 @@ def _finish(out_dir: Path, v: dict, t0: float, writer: _SampleWriter, extra: tup
 
 
 def cmd_run_dm(v: dict, out_dir: Path) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     init, step_cfg = _dm_init(v)
     writer = _SampleWriter(out_dir, "psi", init.lat, lambda s: s.psi,
                            lambda s: checked_diagnostics(s, step_cfg))
@@ -224,7 +224,7 @@ def cmd_run_dm(v: dict, out_dir: Path) -> int:
 def cmd_run_sp(v: dict, out_dir: Path) -> int:
     df.check_params(v["data.params"], v["data.family"])
     lat = make_lattice(v["grid.n"], v["grid.period"])
-    t0 = time.time()
+    t0 = time.perf_counter()
     v0p, v0m = df.limit_data(lat, v["data.family"], v["data.params"])
     writer = _SampleWriter(out_dir, "vplus", lat, lambda s: s.v_plus, sp_diagnostics)
     integrate(SPState(lat, 0.0, v0p, v0m), lambda s: sp_step(s, v["dt"]), n_steps_for(v["T"], v["dt"]),
@@ -234,35 +234,35 @@ def cmd_run_sp(v: dict, out_dir: Path) -> int:
 
 def cmd_run_pauli(v: dict, out_dir: Path) -> int:
     """Advances the Pauli spinor in lockstep with a DM run, in its fields."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     init, step_cfg = _dm_init(v)
-    writer = _SampleWriter(out_dir, "chi", init.lat, lambda s: s.pauli.chi, lambda s: pauli_diagnostics(s.pauli))
+    writer = _SampleWriter(out_dir, "chi", init.lat, lambda s: s.chi, pauli_diagnostics)
     run_pauli(init, v["T"], step_cfg, v["sample_every"], writer)
     return _finish(out_dir, v, t0, writer)
 
 
 def cmd_converge(v: dict, out_dir: Path, study) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = study(ExperimentConfig(**{p.rpartition(".")[2]: x for p, x in v.items() if p != "command"}))
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path, csv_path = out_dir / "rate_report.json", out_dir / "rate_report.csv"
     json_path.write_text(report.to_json() + "\n")
     rows = report.to_csv_rows()
     _write_csv(csv_path, rows[0], rows[1:])
-    write_manifest(out_dir, v, {"study": time.time() - t0}, [json_path, csv_path])
+    write_manifest(out_dir, v, {"study": time.perf_counter() - t0}, [json_path, csv_path])
     print(f"rates: {report.rates}")
     print(f"report -> {json_path}")
     return 0
 
 
 def cmd_probe(v: dict, out_dir: Path) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = dyadic_sweep(v["case"], v["grid.n"], v["grid.period"], v["eps"], v["mu_list"], v["lam_list"],
                         v["trials"], v["seed"], v["T"], v["dt"])
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     _write_csv(csv_path, ("mu", "lambda", "eps", "trial", "ratio"), rows)
-    write_manifest(out_dir, v, {"probe": time.time() - t0}, [csv_path])
+    write_manifest(out_dir, v, {"probe": time.perf_counter() - t0}, [csv_path])
     ratios = np.array([r[-1] for r in rows])
     print(f"probe case {v['case']}: {len(rows)} cells, max ratio {ratios.max():.4f}")
     return 0

@@ -101,7 +101,7 @@ class StepConfig:
             raise ValueError("dt must be nonzero")
 
 
-def derived_A0(lat: Lattice, psi: np.ndarray, dealias_flag: bool = False) -> np.ndarray:
+def derived_A0(lat: Lattice, psi: np.ndarray, dealias_flag: bool) -> np.ndarray:
     """Electric potential from the instantaneous charge (jellium Poisson)."""
     rho = sp.charge_density(psi)
     if dealias_flag:

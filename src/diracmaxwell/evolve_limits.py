@@ -5,9 +5,11 @@ with the Dirac-Maxwell evolver.
 The Schrodinger-Poisson pair carries the electron branch (+Delta/2) and the
 negative-mass positron branch (-Delta/2) coupled through one Coulomb
 potential.  ``run_pauli`` advances the Pauli spinor in lockstep with a
-Dirac-Maxwell run (``DMPauliState``, ``dm_pauli_step``), driven by that
-run's fields, with A0 and B from the values every state of the run carries.
-Runs of either system are driven by ``evolve_dm.integrate``.
+Dirac-Maxwell run (``dm_pauli_step``), driven by that run's fields, with A0
+and B from the values every state of the run carries.  The lockstep state
+``DMPauliState`` is the DM state and the Pauli spinor only: the DM state
+holds the run's lattice, t and eps, and ``pauli_step`` maps a spinor to the
+stepped spinor.  Runs of either system are driven by ``evolve_dm.integrate``.
 """
 
 from __future__ import annotations
@@ -72,17 +74,6 @@ def sp_diagnostics(state: SPState) -> dict:
 # -- Pauli ----------------------------------------------------------------------
 
 
-@dataclass
-class PauliState:
-    lat: Lattice
-    t: float
-    chi: np.ndarray        # (2, n, n, n) complex
-    eps: float
-
-    def spinors(self) -> tuple:
-        return (self.chi,)
-
-
 def _kick_coefficients(A0, A, B, eps, dt) -> tuple:
     """(d, v, scale) with exp(-i dt V) = d + (scale v).sigma pointwise, for
     V = -A0 - (eps/2) B.sigma + (eps^2/2) A^2: V = a I + b.sigma, and the
@@ -133,13 +124,12 @@ def _advect_apply(lat: Lattice, A: np.ndarray, eps: float, dt: float, chi: np.nd
     raise FloatingPointError("mixed-term exponential did not converge; reduce dt")
 
 
-def pauli_step(state: PauliState, A0: np.ndarray, A: np.ndarray, dt: float,
-               B: np.ndarray | None = None) -> PauliState:
-    """Strang step of the Pauli equation in the supplied (midpoint) fields.
-    Without B, B = curl A, and an A with max |div A| above 1e-8 raises
-    ValueError; a caller that passes B vouches for A (dm_pauli_step: the
-    Coulomb-gauge A of a DM run)."""
-    lat, eps = state.lat, state.eps
+def pauli_step(lat: Lattice, chi: np.ndarray, eps: float, A0: np.ndarray, A: np.ndarray, dt: float,
+               B: np.ndarray | None = None) -> np.ndarray:
+    """The Pauli spinor chi after one Strang step in the supplied (midpoint)
+    fields.  Without B, B = curl A, and an A with max |div A| above 1e-8
+    raises ValueError; a caller that passes B vouches for A (dm_pauli_step:
+    the Coulomb-gauge A of a DM run)."""
     advect = eps > 0 and bool(np.any(A))
     if B is None:
         if advect:
@@ -150,35 +140,34 @@ def pauli_step(state: PauliState, A0: np.ndarray, A: np.ndarray, dt: float,
                 raise ValueError(f"A is not divergence-free (max |div A| = {div_max:.2e})")
         B = curl(lat, A)
     kick = _kick_coefficients(A0, A, B, eps, dt / 2.0)
-    chi = sp.sigma_block_apply(state.chi, *kick)
+    chi = sp.sigma_block_apply(chi, *kick)
     if advect:
         chi = _advect_apply(lat, A, eps, dt / 2.0, chi)
     chi = apply_symbol(lat, chi, kinetic_multipliers(lat, dt)[0])
     if advect:
         chi = _advect_apply(lat, A, eps, dt / 2.0, chi)
-    chi = sp.sigma_block_apply(chi, *kick)
-    return PauliState(lat, state.t + dt, chi, eps)
-
-
-def pauli_diagnostics(state: PauliState) -> dict:
-    lat = state.lat
-    return {"t": state.t, "mass": l2_norm(lat, state.chi) ** 2, "h1": sobolev_norm(lat, state.chi, 1.0)}
+    return sp.sigma_block_apply(chi, *kick)
 
 
 @dataclass
 class DMPauliState:
-    """A DM state and the Pauli spinor driven by its fields, advanced in
-    lockstep."""
+    """A DM state and the Pauli spinor (2, n, n, n) driven by its fields,
+    advanced in lockstep; the DM state holds the lattice, t and eps."""
 
     dm: DMState
-    pauli: PauliState
+    chi: np.ndarray
 
     @property
     def t(self) -> float:
         return self.dm.t
 
     def spinors(self) -> tuple:
-        return (self.dm.psi, self.pauli.chi)
+        return (self.dm.psi, self.chi)
+
+
+def pauli_diagnostics(state: DMPauliState) -> dict:
+    lat = state.dm.lat
+    return {"t": state.t, "mass": l2_norm(lat, state.chi) ** 2, "h1": sobolev_norm(lat, state.chi, 1.0)}
 
 
 def dm_pauli_step(state: DMPauliState, cfg: StepConfig) -> DMPauliState:
@@ -187,14 +176,15 @@ def dm_pauli_step(state: DMPauliState, cfg: StepConfig) -> DMPauliState:
     average carried spectrum of A."""
     c = carried_values(state.dm, cfg)
     dm = dm_strang_step(state.dm, cfg)
-    B = dm.lat.irfft(curl_hat(dm.lat, 0.5 * (c.A_hat + dm.carried.A_hat)))
-    pauli = pauli_step(state.pauli, 0.5 * (c.A0 + dm.carried.A0), 0.5 * (state.dm.A + dm.A), cfg.dt, B=B)
-    return DMPauliState(dm, pauli)
+    lat = dm.lat
+    B = lat.irfft(curl_hat(lat, 0.5 * (c.A_hat + dm.carried.A_hat)))
+    chi = pauli_step(lat, state.chi, dm.eps, 0.5 * (c.A0 + dm.carried.A0), 0.5 * (state.dm.A + dm.A), cfg.dt, B=B)
+    return DMPauliState(dm, chi)
 
 
 def run_pauli(init: DMState, T: float, cfg: StepConfig, sample_every: int, observe) -> DMPauliState:
     """run_dm with the Pauli spinor of init's upper component (the modulation
     is the identity at t = 0) in lockstep, through dm_pauli_step."""
     return integrate(
-        DMPauliState(coulomb_gauge(init, cfg), PauliState(init.lat, init.t, sp.upper(init.psi).copy(), init.eps)),
+        DMPauliState(coulomb_gauge(init, cfg), sp.upper(init.psi).copy()),
         lambda s: dm_pauli_step(s, cfg), n_steps_for(T, cfg.dt), sample_every, observe)

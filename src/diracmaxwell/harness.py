@@ -14,7 +14,8 @@ The checks over a run (SquaredDiracResiduals, SmallComponentTrack,
 NaiveExpansionResiduals) are integrate() observers: pass one to
 evolve_dm.run_dm, then read result().  Each holds at most three sampled
 states, by reference, and each that differences in time requires uniformly
-spaced samples.
+spaced samples.  They read A0 from the values each state of the run
+carries (evolve_dm.Carried), so it is the run's own, dealiased or not.
 
 All spatial derivatives are spectral; time derivatives are exact where the
 flow is per-mode exact and centered differences otherwise.
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import spinors as sp
 from .data_families import sigma_grad
-from .evolve_dm import compute_EB, derived_A0
+from .evolve_dm import compute_EB
 from .fourier import (Lattice, curl, divergence, gradient, inv_abs_nabla, l2_norm, laplacian, partial,
                       riesz_transform, sobolev_norm, sobolev_norm_hat)
 
@@ -170,7 +171,7 @@ class SquaredDiracResiduals(_Window):
     Requires uniformly spaced samples."""
 
     def derive(self, state):
-        return derived_A0(state.lat, state.psi)
+        return state.carried.A0
 
     def interior(self, prev, mid, nxt):
         (s_m, A0_m), (s, A0), (s_p, A0_p) = prev, mid, nxt
@@ -254,7 +255,7 @@ class NaiveExpansionResiduals(_Window):
         chi, eta = sp.upper(phi), sp.lower(phi)
         dt_eta = (sp.lower(nxt[1]) - sp.lower(prev[1])) / (2.0 * self.dt)
         res = eta + 0.5j * eps * sigma_grad(lat, chi)
-        res += 0.5 * eps**2 * (1j * dt_eta + derived_A0(lat, s.psi) * eta + sp.sigma_dot(s.A, chi))
+        res += 0.5 * eps**2 * (1j * dt_eta + s.carried.A0 * eta + sp.sigma_dot(s.A, chi))
         return l2_norm(lat, res)
 
 

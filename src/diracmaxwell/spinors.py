@@ -234,23 +234,20 @@ def spin_density(v: np.ndarray) -> np.ndarray:
     return sigma_inner(v, v).real
 
 
-def limit_current(lat: Lattice, v_plus: np.ndarray, v_minus: np.ndarray) -> np.ndarray:
-    """Limit current: momentum parts of v+ and v- (opposite signs) plus the
-    divergence-free spin-curl corrections."""
-    out = np.zeros((3, lat.n, lat.n, lat.n))
-    for v, s in ((v_plus, 1.0), (v_minus, -1.0)):
-        if not np.any(v):
-            continue
-        grad_v = gradient(lat, v)  # (2, 3, n,n,n)
-        momentum = np.imag(np.sum(np.conj(v)[:, None] * grad_v, axis=0))
-        out += s * (momentum + 0.5 * curl(lat, spin_density(v)))
-    return out
-
-
-def pauli_current(lat: Lattice, chi: np.ndarray, A: np.ndarray, eps: float) -> np.ndarray:
-    """J_P = Im <chi, (grad - i eps A) chi>."""
+def pauli_current(lat: Lattice, chi: np.ndarray, A, eps: float) -> np.ndarray:
+    """The Pauli current J_P = Im <chi, (grad - i eps A) chi> + (1/2) curl <chi, sigma chi>,
+    the magnetic term taken as -eps A |chi|^2; A may be 0.0."""
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    grad_chi = gradient(lat, chi)
-    cov = grad_chi - 1j * eps * A[None] * chi[:, None]
-    return np.imag(np.sum(np.conj(chi)[:, None] * cov, axis=0))
+    J = np.imag(np.sum(np.conj(chi)[:, None] * gradient(lat, chi), axis=0))
+    J -= eps * A * charge_density(chi)
+    return J + 0.5 * curl(lat, spin_density(chi))
+
+
+def limit_current(lat: Lattice, v_plus: np.ndarray, v_minus: np.ndarray) -> np.ndarray:
+    """Limit current J_P(v+) - J_P(v-) at A = 0 (pauli_current), a zero branch skipped."""
+    out = np.zeros((3, lat.n, lat.n, lat.n))
+    for v, s in ((v_plus, 1.0), (v_minus, -1.0)):
+        if np.any(v):
+            out += s * pauli_current(lat, v, 0.0, 0.0)
+    return out

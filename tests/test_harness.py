@@ -125,9 +125,9 @@ class TestNullIdentityTwo:
         assert r1 == 0.0 and r2 == 0.0
 
 
-def checked_run(init, T, dt, every, *checks):
+def checked_run(init, T, dt, every, *checks, dealias=False):
     """run_dm with every check observing each sample; returns their results."""
-    dm.run_dm(init, T, dm.StepConfig(dt=dt), every, lambda s: [check(s) for check in checks])
+    dm.run_dm(init, T, dm.StepConfig(dt=dt, dealias=dealias), every, lambda s: [check(s) for check in checks])
     return [check.result() for check in checks]
 
 
@@ -262,16 +262,16 @@ def uniform_dt(times):
     return float(dts[0])
 
 
-def squared_dirac_reference(lat, eps, times, psis, As, Ws):
-    """The list-based squared-Dirac check that the window observer replaced."""
+def squared_dirac_reference(lat, eps, times, psis, A0s, As, Ws):
+    """The list-based squared-Dirac check that the window observer replaced;
+    A0s are the potentials the samples carry."""
     if len(times) < 3:
         raise ValueError("need at least three samples")
     dt = uniform_dt(times)
-    A0_series = [dm.derived_A0(lat, p) for p in psis]
     out = []
     for i in range(1, len(times) - 1):
         psi_m, psi, psi_p = psis[i - 1], psis[i], psis[i + 1]
-        A0_m, A0, A0_p = A0_series[i - 1], A0_series[i], A0_series[i + 1]
+        A0_m, A0, A0_p = A0s[i - 1], A0s[i], A0s[i + 1]
         A, W = As[i], Ws[i]
         dt_psi = (psi_p - psi_m) / (2.0 * dt)
         dtt_psi = (psi_p - 2.0 * psi + psi_m) / dt**2
@@ -312,18 +312,17 @@ def small_component_reference(lat, eps, times, psis, order):
     return result
 
 
-def naive_expansion_reference(lat, eps, times, psis, As):
+def naive_expansion_reference(lat, eps, times, psis, A0s, As):
     """The list-based naive-expansion check that the window observer replaced
-    (it requires uniform spacing)."""
+    (it requires uniform spacing); A0s are the potentials the samples carry."""
     dt = uniform_dt(times)
     phis = [np.exp(1j * t / eps**2) * p for t, p in zip(times, psis)]
     out = []
     for i in range(1, len(times) - 1):
         chi, eta = sp.upper(phis[i]), sp.lower(phis[i])
         dt_eta = (sp.lower(phis[i + 1]) - sp.lower(phis[i - 1])) / (2.0 * dt)
-        A0 = dm.derived_A0(lat, psis[i])
         res = eta + 0.5j * eps * sigma_grad(lat, chi)
-        res += 0.5 * eps**2 * (1j * dt_eta + A0 * eta + sp.sigma_dot(As[i], chi))
+        res += 0.5 * eps**2 * (1j * dt_eta + A0s[i] * eta + sp.sigma_dot(As[i], chi))
         out.append(fc.l2_norm(lat, res))
     return np.array(out)
 
@@ -336,19 +335,21 @@ class TestWindowChecks:
         a0, a1 = gauge_data(lat, "bandlimited_divfree", {"gauge_amplitude": 0.2})
         return dm.DMState(lat, 0.0, psi0, a0, a1, eps)
 
-    @pytest.mark.parametrize("every", [1, 3])  # 20 steps: at 3 the last sample falls off the stride
-    def test_bit_identical_to_list_reference(self, lat, every):
+    # 20 steps: at 3 the last sample falls off the stride; a dealiased run carries a dealiased A0
+    @pytest.mark.parametrize("every, dealias", [(1, False), (3, False), (1, True)], ids=["1", "3", "1-dealias"])
+    def test_bit_identical_to_list_reference(self, lat, every, dealias):
         init, T, dt = self._gauged(lat), 0.04, 2e-3
         kept = collections.defaultdict(list)
         order_one = hn.SmallComponentTrack(order=1)
 
         def observe(s):
-            for key, value in (("times", s.t), ("psis", s.psi.copy()), ("As", s.A.copy()), ("Ws", s.eps_dtA.copy())):
+            for key, value in (("times", s.t), ("psis", s.psi.copy()), ("A0s", s.carried.A0.copy()),
+                               ("As", s.A.copy()), ("Ws", s.eps_dtA.copy())):
                 kept[key].append(value)
             order_one(s)
 
-        dm.run_dm(init, T, dm.StepConfig(dt=dt), every, observe)
-        times, psis, As, Ws = kept["times"], kept["psis"], kept["As"], kept["Ws"]
+        dm.run_dm(init, T, dm.StepConfig(dt=dt, dealias=dealias), every, observe)
+        times, psis, A0s, As, Ws = (kept[key] for key in ("times", "psis", "A0s", "As", "Ws"))
         assert len(times) == (21 if every == 1 else 8)
         got, want = order_one.result(), small_component_reference(lat, init.eps, times, psis, 1)
         assert got.keys() == want.keys()
@@ -360,11 +361,11 @@ class TestWindowChecks:
         # the checks that difference in time, with their list references
         differenced = (
             (hn.SmallComponentTrack(order=2), lambda: small_component_reference(lat, init.eps, times, psis, 2)),
-            (hn.NaiveExpansionResiduals(), lambda: naive_expansion_reference(lat, init.eps, times, psis, As)),
-            (hn.SquaredDiracResiduals(), lambda: squared_dirac_reference(lat, init.eps, times, psis, As, Ws)),
+            (hn.NaiveExpansionResiduals(), lambda: naive_expansion_reference(lat, init.eps, times, psis, A0s, As)),
+            (hn.SquaredDiracResiduals(), lambda: squared_dirac_reference(lat, init.eps, times, psis, A0s, As, Ws)),
         )
         if every == 1:
-            results = checked_run(init, T, dt, every, *(check for check, _ in differenced))
+            results = checked_run(init, T, dt, every, *(check for check, _ in differenced), dealias=dealias)
             for got, (_, reference) in zip(results, differenced):
                 want = reference()
                 if isinstance(want, dict):

@@ -111,12 +111,12 @@ class TestPauliStep:
         chi = random_two_spinor(lat, 2)
         X1, _, _ = lat.grid()
         A0 = np.cos(X1) + np.zeros((lat.n,) * 3)
-        out = lim.pauli_step(lim.PauliState(lat, 0.0, chi.copy(), 0.0), A0, np.zeros((3, lat.n, lat.n, lat.n)), 0.02)
+        out = lim.pauli_step(lat, chi.copy(), 0.0, A0, np.zeros((3, lat.n, lat.n, lat.n)), 0.02)
         half = np.exp(1j * A0 * 0.01)
         ref = half * chi
         ref = lat.ifft(np.exp(-1j * lat.k_sq * 0.01) * lat.fft(ref))
         ref = half * ref
-        assert np.abs(out.chi - ref).max() < 1e-12
+        assert np.abs(out - ref).max() < 1e-12
 
     def test_zeeman_phase_constant_B(self, lat):
         eps, dt, b = 0.5, 0.02, 0.7
@@ -124,21 +124,14 @@ class TestPauliStep:
         chi[0] = 1.0
         B = np.zeros((3, lat.n, lat.n, lat.n))
         B[2] = b
-        out = lim.pauli_step(
-            lim.PauliState(lat, 0.0, chi, eps), np.zeros((lat.n,) * 3), np.zeros((3, lat.n, lat.n, lat.n)), dt, B=B
-        )
-        assert np.abs(out.chi[0] - np.exp(1j * eps * b * dt / 2.0)).max() < 1e-13
+        out = lim.pauli_step(lat, chi, eps, np.zeros((lat.n,) * 3), np.zeros((3, lat.n, lat.n, lat.n)), dt, B=B)
+        assert np.abs(out[0] - np.exp(1j * eps * b * dt / 2.0)).max() < 1e-13
 
     def test_identity_for_zero_everything(self, lat):
         chi = random_two_spinor(lat, 3)
-        out = lim.pauli_step(
-            lim.PauliState(lat, 0.0, chi.copy(), 0.4),
-            np.zeros((lat.n,) * 3),
-            np.zeros((3, lat.n, lat.n, lat.n)),
-            0.02,
-        )
+        out = lim.pauli_step(lat, chi.copy(), 0.4, np.zeros((lat.n,) * 3), np.zeros((3, lat.n, lat.n, lat.n)), 0.02)
         ref = lat.ifft(np.exp(-1j * lat.k_sq * 0.01) * lat.fft(chi))
-        assert np.abs(out.chi - ref).max() < 1e-13
+        assert np.abs(out - ref).max() < 1e-13
 
     def test_unitary_with_full_fields(self, lat):
         chi = random_two_spinor(lat, 4)
@@ -146,8 +139,8 @@ class TestPauliStep:
         X1, _, _ = lat.grid()
         A0 = np.cos(X1) + np.zeros((lat.n,) * 3)
         m0 = fc.l2_norm(lat, chi)
-        out = lim.pauli_step(lim.PauliState(lat, 0.0, chi, 0.4), A0, A, 0.02)
-        assert abs(fc.l2_norm(lat, out.chi) - m0) < 1e-10 * m0
+        out = lim.pauli_step(lat, chi, 0.4, A0, A, 0.02)
+        assert abs(fc.l2_norm(lat, out) - m0) < 1e-10 * m0
 
     def test_rejects_nondivergence_free_A(self, lat):
         chi = random_two_spinor(lat, 5)
@@ -155,7 +148,7 @@ class TestPauliStep:
         A = np.zeros((3, lat.n, lat.n, lat.n))
         A[0] = np.sin(X1) + np.zeros((lat.n,) * 3)  # div A = cos x1 != 0; no B, so the guard runs
         with pytest.raises(ValueError):
-            lim.pauli_step(lim.PauliState(lat, 0.0, chi, 0.4), np.zeros((lat.n,) * 3), A, 0.02)
+            lim.pauli_step(lat, chi, 0.4, np.zeros((lat.n,) * 3), A, 0.02)
 
     def test_non_finite_A_is_named(self, lat8):
         # a NaN compares false with div_tol, so only an explicit finiteness check names A
@@ -163,7 +156,7 @@ class TestPauliStep:
         A = gauge_profile(lat8, 0.3)
         A[1, 2, 3, 4] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite gauge field A"):
-            lim.pauli_step(lim.PauliState(lat8, 0.0, chi, 0.4), np.zeros((lat8.n,) * 3), A, 0.02)
+            lim.pauli_step(lat8, chi, 0.4, np.zeros((lat8.n,) * 3), A, 0.02)
 
 
 def kick_matrix_reference(A0, B, A_sq, eps, dt, chi):
@@ -267,7 +260,7 @@ class TestSimulatePauli:
     @staticmethod
     def _start(init, chi0, cfg):
         """The lockstep start from the Pauli spinor chi0, built by hand."""
-        return lim.DMPauliState(dm.coulomb_gauge(init, cfg), lim.PauliState(init.lat, init.t, chi0, init.eps))
+        return lim.DMPauliState(dm.coulomb_gauge(init, cfg), chi0)
 
     def _lockstep(self, init, chi0, T, dt, sample_every=1):
         """Final Pauli spinor and the sampled Pauli masses: run_pauli without
@@ -276,14 +269,14 @@ class TestSimulatePauli:
         masses = []
 
         def observe(s):
-            masses.append(lim.pauli_diagnostics(s.pauli)["mass"])
+            masses.append(lim.pauli_diagnostics(s)["mass"])
 
         if chi0 is None:
             final = lim.run_pauli(init, T, cfg, sample_every, observe)
         else:
             final = dm.integrate(self._start(init, chi0, cfg), lambda s: lim.dm_pauli_step(s, cfg),
                                  dm.n_steps_for(T, dt), sample_every, observe)
-        return final.pauli.chi, np.array(masses)
+        return final.chi, np.array(masses)
 
     def test_zero_potentials_free_schrodinger(self, lat):
         # DM run with zero data: gauge fields identically zero
@@ -355,8 +348,7 @@ class TestSimulatePauli:
         init = self._dm_init(lat, eps)
         passed, states = [], []
         real_step = lim.pauli_step
-        monkeypatch.setattr(lim, "pauli_step",
-                            lambda state, A0, A, dt, B=None: passed.append(B) or real_step(state, A0, A, dt, B))
+        monkeypatch.setattr(lim, "pauli_step", lambda *args, B=None: passed.append(B) or real_step(*args, B=B))
         lim.run_pauli(init, 0.03, dm.StepConfig(dt=0.01), 1, states.append)
         assert len(states) == 4 and len(passed) == 3
         for B, opening, closing in zip(passed, states, states[1:]):

@@ -415,7 +415,28 @@ class TestDensities:
         assert sp.total_charge(lat, rebuilt) == pytest.approx(q, rel=1e-12)
 
 
+def limit_current_reference(lat, v_plus, v_minus):
+    """limit_current as it was written before it went through pauli_current:
+    the momentum and spin-curl terms of each nonzero branch built by hand."""
+    out = np.zeros((3, lat.n, lat.n, lat.n))
+    for v, s in ((v_plus, 1.0), (v_minus, -1.0)):
+        if not np.any(v):
+            continue
+        grad_v = fc.gradient(lat, v)
+        momentum = np.imag(np.sum(np.conj(v)[:, None] * grad_v, axis=0))
+        out += s * (momentum + 0.5 * fc.curl(lat, sp.spin_density(v)))
+    return out
+
+
 class TestLimitCurrent:
+    @pytest.mark.parametrize("branches", ["upper", "upper_lower", "lower"])
+    def test_bit_identical_to_hand_built_reference(self, lat, branches):
+        v = fc.dealias(lat, random_spinor(lat, 16, comps=2))
+        w = fc.dealias(lat, random_spinor(lat, 17, comps=2))
+        zero = np.zeros_like(v)
+        v_plus, v_minus = {"upper": (v, zero), "upper_lower": (v, w), "lower": (zero, w)}[branches]
+        assert np.array_equal(sp.limit_current(lat, v_plus, v_minus), limit_current_reference(lat, v_plus, v_minus))
+
     def test_constant_data(self, lat):
         v = np.zeros((2, lat.n, lat.n, lat.n), dtype=complex)
         v[0] = 0.7
@@ -459,6 +480,16 @@ class TestPauliCurrent:
         A[2] = 1.5
         J = sp.pauli_current(lat, chi, A, 0.4)
         assert np.abs(J[2] + 0.4 * 0.64 * 1.5).max() < 1e-13
+
+    def test_non_polarised_chi_in_a_field(self, lat):
+        # the covariant-derivative form Im <chi, (grad - i eps A) chi> plus the spin curl
+        eps = 0.4
+        chi = fc.dealias(lat, random_spinor(lat, 18, comps=2))
+        A = fc.leray_project(lat, fc.dealias(lat, np.random.default_rng(19).standard_normal((3, lat.n, lat.n, lat.n))))
+        cov = fc.gradient(lat, chi) - 1j * eps * A[None] * chi[:, None]
+        want = np.imag(np.sum(np.conj(chi)[:, None] * cov, axis=0)) + 0.5 * fc.curl(lat, sp.spin_density(chi))
+        got = sp.pauli_current(lat, chi, A, eps)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestCounterexampleRemark:

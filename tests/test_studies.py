@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -130,12 +131,18 @@ class TestZeroDataStudies:
         assert max(rep.errors["h1_spinor"]) < 1e-9
 
 
+def pair_samples(lat, times, currents, g, b):
+    """studies._run_pairing over a run that replays the samples (t, J)."""
+    samples = [SimpleNamespace(t=t, J=J) for t, J in zip(times, currents)]
+    return st._run_pairing(lat, lambda observe: [observe(s) for s in samples], lambda s: s.J, g, b)
+
+
 class TestWeakPairing:
     def test_zero_test_function(self):
         lat = fc.make_lattice(8, TWO_PI)
         times = np.linspace(0, 1, 5)
         currents = [np.ones((3, 8, 8, 8)) for _ in times]
-        out = st.current_weak_pairing(lat, times, currents, lambda t: np.zeros_like(np.asarray(t)), np.ones((8, 8, 8)))
+        out = pair_samples(lat, times, currents, lambda t: np.zeros_like(np.asarray(t)), np.ones((8, 8, 8)))
         assert np.allclose(out, 0.0)
 
     def test_constant_current_factorizes(self):
@@ -145,7 +152,7 @@ class TestWeakPairing:
         J[0] = 2.0
         currents = [J for _ in times]
         g, b = st.test_bump(lat, 1.0)
-        out = st.current_weak_pairing(lat, times, currents, g, b)
+        out = pair_samples(lat, times, currents, g, b)
         g_int = np.trapezoid(g(times), times)
         b_int = float(np.sum(b) * lat.cell_volume)
         assert out[0] == pytest.approx(2.0 * g_int * b_int, rel=1e-6)
