@@ -6,7 +6,8 @@ only ``--config`` (a JSON file or ``preset:<name>``) and ``--out``; KEYS
 lists the keys each command reads, and read_config checks them, fills in
 the defaults and names unread keys on stderr.  The manifest's config hash
 covers the command and the values read, so reruns of one config are
-comparable byte for byte (wall-clock fields aside).
+comparable byte for byte (wall-clock fields aside).  ``check`` prints the
+rows of one suite of harness.CHECKS, which acceptance criteria 01-04 assert.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import data_families as df
-from . import spinors as sp
-from .evolve_dm import DMState, StepConfig, checked_diagnostics, integrate, n_steps_for, run_dm
+from .evolve_dm import StepConfig, checked_diagnostics, integrate, n_steps_for, run_dm
 from .evolve_limits import SPState, pauli_diagnostics, run_pauli, sp_diagnostics, sp_step
 from .fourier import Lattice, make_lattice, write_fld
 from .presets import get_preset
@@ -268,150 +268,16 @@ def cmd_probe(v: dict, out_dir: Path) -> int:
     return 0
 
 
-# -- check suites ---------------------------------------------------------------
-
-
-def _suite_matrices() -> list:
-    results = []
-    for j in range(3):
-        for k in range(3):
-            anti = sp.ALPHA[j] @ sp.ALPHA[k] + sp.ALPHA[k] @ sp.ALPHA[j] - 2 * (j == k) * np.eye(4)
-            results.append((f"anticommute_{j}{k}", float(np.abs(anti).max()), 1e-15))
-            prod = sp.ALPHA[j] @ sp.ALPHA[k] - (
-                (j == k) * np.eye(4)
-                + 1j * sum(sp.LEVI_CIVITA[j, k, l] * sp.SPIN[l] for l in range(3))
-            )
-            results.append((f"spin_identity_{j}{k}", float(np.abs(prod).max()), 1e-15))
-    results.append(("gamma0_sq", float(np.abs(sp.GAMMA0 @ sp.GAMMA0 - np.eye(4)).max()), 1e-15))
-    herm = max(
-        float(np.abs(m - m.conj().T).max()) for m in (sp.GAMMA0, *sp.ALPHA)
-    )
-    results.append(("hermitian", herm, 1e-15))
-    return results
-
-
-def _suite_projections() -> list:
-    lat = make_lattice(16, 6.283185307179586)
-    rng = np.random.default_rng(0)
-    psi = rng.standard_normal((4, 16, 16, 16)) + 1j * rng.standard_normal((4, 16, 16, 16))
-    from .fourier import lambda_eps
-
-    results = []
-    for eps in (1.0, 0.5, 0.25):
-        pp = sp.pi_eps(lat, psi, eps, +1)
-        pm = sp.pi_eps(lat, psi, eps, -1)
-        results.append((f"completeness_eps{eps}", float(np.abs(pp + pm - psi).max()), 1e-12))
-        results.append((f"idempotent_eps{eps}", float(np.abs(sp.pi_eps(lat, pp, eps, +1) - pp).max()), 1e-12))
-        results.append((f"orthogonal_eps{eps}", float(np.abs(sp.pi_eps(lat, pm, eps, +1)).max()), 1e-12))
-        q = sp.free_dirac_apply(lat, psi, eps)
-        results.append(
-            (
-                f"spectral_decomp_eps{eps}",
-                float(np.abs(q - (lambda_eps(lat, pp, eps, 1) - lambda_eps(lat, pm, eps, 1))).max()),
-                1e-12,
-            )
-        )
-    return results
-
-
-def _suite_symbols() -> list:
-    """Bounds on the code's own symbols: 1 - 1/lambda from mode_multipliers
-    and the dispersion gap |k|/eps - h_eps_symbol."""
-    from .fourier import h_eps_symbol, mode_multipliers
-
-    lat = make_lattice(16, 6.283185307179586)
-    k_abs = lat.k_abs
-    k_sq = lat.k_sq
-    results = []
-    for eps in (0.125, 0.25, 0.5, 1.0):
-        sym = 1.0 - 1.0 / mode_multipliers(lat, eps, 0.0).lam
-        lower_ok = float((-sym).max())
-        upper = np.minimum(1.0, np.minimum(eps * k_abs, eps**2 * k_sq))
-        upper_ok = float((sym - upper).max())
-        results.append((f"one_minus_invlambda_lower_eps{eps}", max(lower_ok, 0.0), 1e-15))
-        results.append((f"one_minus_invlambda_upper_eps{eps}", max(upper_ok, 0.0), 1e-15))
-        nz = k_sq > 0
-        h = h_eps_symbol(lat, eps)
-        gap = k_abs[nz] / eps - h[nz]
-        results.append((f"dispersion_gap_lower_eps{eps}", max(float((-gap).max()), 0.0), 1e-15))
-        results.append((f"dispersion_gap_upper_eps{eps}", max(float((gap - 1.0 / eps**2).max()), 0.0), 1e-15))
-    return results
-
-
-def _suite_null1() -> list:
-    from .fourier import dealias, leray_project
-    from .harness import null_identity_one_residual
-
-    lat = make_lattice(24, 6.283185307179586)
-    rng = np.random.default_rng(0)
-    results = []
-    for trial in range(3):
-        A = np.stack([rng.standard_normal((24, 24, 24)) for _ in range(3)])
-        A = leray_project(lat, dealias(lat, A))
-        A -= A.mean(axis=(1, 2, 3), keepdims=True)
-        psi = dealias(
-            lat, rng.standard_normal((4, 24, 24, 24)) + 1j * rng.standard_normal((4, 24, 24, 24))
-        )
-        results.append((f"null_identity_1_trial{trial}", null_identity_one_residual(lat, A, psi), 1e-10))
-    return results
-
-
-def _suite_null2() -> list:
-    from .data_families import gauge_profile, v_plus_profile, v_minus_profile
-    from .evolve_dm import free_dirac_U
-    from .harness import null_identity_check
-
-    lat = make_lattice(16, 6.283185307179586)
-    eps, T, dt = 0.5, 0.25, 1e-3
-    psi0 = sp.pi_eps(lat, sp.embed_upper(v_plus_profile(lat, 0.5)), eps, +1) + sp.pi_eps(
-        lat, sp.embed_lower(v_minus_profile(lat, 0.3)), eps, -1
-    )
-    psi, U, dtU = free_dirac_U(lat, psi0, T, dt, eps)
-    Aprof = gauge_profile(lat, 0.2)
-    om = 1.3
-    A_t = np.cos(om * T) * Aprof
-    W_t = -eps * om * np.sin(om * T) * Aprof
-    r1, r2 = null_identity_check(lat, A_t, W_t, psi, U, dtU, eps)
-    return [("null_identity_1_freedirac", r1, 1e-10), ("null_identity_2_freedirac", r2, 1e-5)]
-
-
-def _suite_squared_dirac() -> list:
-    from .harness import SquaredDiracResiduals
-
-    lat = make_lattice(12, 6.283185307179586)
-    eps = 0.25
-    psi0 = df.spinor_data(lat, "upper_projected", eps, {"amplitude": 0.5})
-    a0, a1 = df.gauge_data(lat, "bandlimited_divfree", {"gauge_amplitude": 0.2})
-    res = {}
-    for dt in (2e-3, 1e-3):
-        check = SquaredDiracResiduals()
-        run_dm(DMState(lat, 0.0, psi0, a0, a1, eps), 0.1, StepConfig(dt=dt), 1, check)
-        res[dt] = float(np.max(check.result()))
-    ratio = res[2e-3] / res[1e-3]
-    return [*((f"squared_dirac_dt{dt}", r, 1.0) for dt, r in res.items()),
-            ("squared_dirac_halving_ratio_ge_3", 3.0 - min(ratio, 3.0), 1e-9)]
-
-
-CHECK_SUITES = {
-    "matrices": _suite_matrices,
-    "projections": _suite_projections,
-    "symbols": _suite_symbols,
-    "null-1": _suite_null1,
-    "null-2": _suite_null2,
-    "squared-dirac": _suite_squared_dirac,
-}
-
-
 def cmd_check(suite: str) -> int:
-    if suite not in CHECK_SUITES:
-        print(f"unknown suite {suite!r}; have {sorted(CHECK_SUITES)}", file=sys.stderr)
+    from .harness import CHECKS, check_rows  # imported here, so the run commands do not load harness
+
+    if suite not in CHECKS:
+        print(f"unknown suite {suite!r}; have {sorted(CHECKS)}", file=sys.stderr)
         return 2
-    failed = 0
-    for name, residual, tol in CHECK_SUITES[suite]():
-        ok = residual <= tol
-        failed += 0 if ok else 1
+    rows = check_rows(suite)
+    for name, residual, tol, ok in rows:
         print(f"{'PASS' if ok else 'FAIL'} {name}: residual {residual:.3e} (tol {tol:.1e})")
-    return 1 if failed else 0
+    return 0 if all(ok for *_, ok in rows) else 1
 
 
 # -- entry point ------------------------------------------------------------------

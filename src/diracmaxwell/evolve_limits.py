@@ -20,8 +20,8 @@ import numpy as np
 
 from . import spinors as sp
 from .evolve_dm import DMState, StepConfig, carried_values, coulomb_gauge, dm_strang_step, integrate, n_steps_for
-from .fourier import (Lattice, apply_symbol, curl, curl_hat, divergence, kinetic_multipliers, l2_norm, partial,
-                      poisson_solve, sobolev_norm)
+from .fourier import (Lattice, apply_symbol, curl_hat, kinetic_multipliers, l2_norm, partial, poisson_solve,
+                      sobolev_norm)
 
 
 @dataclass
@@ -125,20 +125,10 @@ def _advect_apply(lat: Lattice, A: np.ndarray, eps: float, dt: float, chi: np.nd
 
 
 def pauli_step(lat: Lattice, chi: np.ndarray, eps: float, A0: np.ndarray, A: np.ndarray, dt: float,
-               B: np.ndarray | None = None) -> np.ndarray:
+               B: np.ndarray) -> np.ndarray:
     """The Pauli spinor chi after one Strang step in the supplied (midpoint)
-    fields.  Without B, B = curl A, and an A with max |div A| above 1e-8
-    raises ValueError; a caller that passes B vouches for A (dm_pauli_step:
-    the Coulomb-gauge A of a DM run)."""
+    fields: A0, a divergence-free A and B = curl A."""
     advect = eps > 0 and bool(np.any(A))
-    if B is None:
-        if advect:
-            div_max = float(np.max(np.abs(divergence(lat, A))))
-            if not np.isfinite(div_max):
-                raise FloatingPointError("non-finite gauge field A entering the Pauli step")
-            if div_max > 1e-8:
-                raise ValueError(f"A is not divergence-free (max |div A| = {div_max:.2e})")
-        B = curl(lat, A)
     kick = _kick_coefficients(A0, A, B, eps, dt / 2.0)
     chi = sp.sigma_block_apply(chi, *kick)
     if advect:

@@ -14,8 +14,13 @@ The checks over a run (SquaredDiracResiduals, SmallComponentTrack,
 NaiveExpansionResiduals) are integrate() observers: pass one to
 evolve_dm.run_dm, then read result().  Each holds at most three sampled
 states, by reference, and each that differences in time requires uniformly
-spaced samples.  They read A0 from the values each state of the run
-carries (evolve_dm.Carried), so it is the run's own, dealiased or not.
+spaced samples.  SquaredDiracResiduals and NaiveExpansionResiduals read A0
+from the values each state of a run carries (evolve_dm.Carried), so it is
+the run's own, dealiased or not; a state that carries none is refused.
+
+CHECKS maps each fixed-input suite to the function that computes its rows
+(name, residual, tol); a row passes when residual < tol.  ``dmx check``
+prints one suite, and acceptance criteria 01-04 assert the same rows.
 
 All spatial derivatives are spectral; time derivatives are exact where the
 flow is per-mode exact and centered differences otherwise.
@@ -28,10 +33,11 @@ from collections import deque
 import numpy as np
 
 from . import spinors as sp
-from .data_families import sigma_grad
-from .evolve_dm import compute_EB
-from .fourier import (Lattice, curl, divergence, gradient, inv_abs_nabla, l2_norm, laplacian, partial,
-                      riesz_transform, sobolev_norm, sobolev_norm_hat)
+from .data_families import gauge_data, gauge_profile, sigma_grad, spinor_data, v_minus_profile, v_plus_profile
+from .evolve_dm import DMState, StepConfig, compute_EB, free_dirac_U, run_dm
+from .fourier import (Lattice, curl, dealias, divergence, gradient, h_eps_symbol, inv_abs_nabla, l2_norm, lambda_eps,
+                      laplacian, leray_project, make_lattice, mode_multipliers, partial, riesz_transform,
+                      sobolev_norm, sobolev_norm_hat)
 
 
 # -- null bilinear forms --------------------------------------------------------
@@ -164,6 +170,12 @@ class _Window:
         return np.array(self.out)
 
 
+def _carried_A0(state):
+    if state.carried is None:
+        raise ValueError("this check needs states stepped by evolve_dm.run_dm; this one carries no A0")
+    return state.carried.A0
+
+
 class SquaredDiracResiduals(_Window):
     """L2 residual of the squared equation at interior samples, using
     centered second differences in time.
@@ -171,7 +183,7 @@ class SquaredDiracResiduals(_Window):
     Requires uniformly spaced samples."""
 
     def derive(self, state):
-        return state.carried.A0
+        return _carried_A0(state)
 
     def interior(self, prev, mid, nxt):
         (s_m, A0_m), (s, A0), (s_p, A0_p) = prev, mid, nxt
@@ -247,15 +259,15 @@ class NaiveExpansionResiduals(_Window):
     (v, eps v) counterexample leaves Theta(eps)."""
 
     def derive(self, state):
-        return np.exp(1j * state.t / state.eps**2) * state.psi
+        return np.exp(1j * state.t / state.eps**2) * state.psi, _carried_A0(state)
 
     def interior(self, prev, mid, nxt):
-        s, phi = mid
+        s, (phi, A0) = mid
         lat, eps = s.lat, s.eps
         chi, eta = sp.upper(phi), sp.lower(phi)
-        dt_eta = (sp.lower(nxt[1]) - sp.lower(prev[1])) / (2.0 * self.dt)
+        dt_eta = (sp.lower(nxt[1][0]) - sp.lower(prev[1][0])) / (2.0 * self.dt)
         res = eta + 0.5j * eps * sigma_grad(lat, chi)
-        res += 0.5 * eps**2 * (1j * dt_eta + s.carried.A0 * eta + sp.sigma_dot(s.A, chi))
+        res += 0.5 * eps**2 * (1j * dt_eta + A0 * eta + sp.sigma_dot(s.A, chi))
         return l2_norm(lat, res)
 
 
@@ -267,3 +279,99 @@ def counterexample_current_gap(lat: Lattice, v_plus: np.ndarray, eps: float) -> 
     J_eps = sp.current_density(psi0, eps)
     J_lim = sp.limit_current(lat, v_plus, np.zeros_like(v_plus))
     return l2_norm(lat, J_eps - J_lim)
+
+
+# -- the check table: dmx check and acceptance criteria 01-04 ---------------------
+
+
+def _matrices() -> list:
+    rows, eye = [], np.eye(4)
+    for j, k in ((j, k) for j in range(3) for k in range(3)):
+        anti = sp.ALPHA[j] @ sp.ALPHA[k] + sp.ALPHA[k] @ sp.ALPHA[j] - 2 * (j == k) * eye
+        spin = sum(sp.LEVI_CIVITA[j, k, l] * sp.SPIN[l] for l in range(3))
+        prod = sp.ALPHA[j] @ sp.ALPHA[k] - ((j == k) * eye + 1j * spin)
+        rows += [(f"anticommute_{j}{k}", float(np.abs(anti).max()), 1e-15),
+                 (f"spin_identity_{j}{k}", float(np.abs(prod).max()), 1e-15)]
+    herm = max(float(np.abs(m - m.conj().T).max()) for m in (sp.GAMMA0, *sp.ALPHA))
+    return [*rows, ("gamma0_sq", float(np.abs(sp.GAMMA0 @ sp.GAMMA0 - eye).max()), 1e-15), ("hermitian", herm, 1e-15)]
+
+
+def _projections() -> list:
+    lat, rng = make_lattice(16, 2 * np.pi), np.random.default_rng(0)
+    psi = rng.standard_normal((4, 16, 16, 16)) + 1j * rng.standard_normal((4, 16, 16, 16))
+    rows = []
+    for eps in (1.0, 0.5, 0.25):
+        pp, pm = sp.pi_eps(lat, psi, eps, +1), sp.pi_eps(lat, psi, eps, -1)
+        q = sp.free_dirac_apply(lat, psi, eps) - (lambda_eps(lat, pp, eps, 1) - lambda_eps(lat, pm, eps, 1))
+        rows += [(f"completeness_eps{eps}", float(np.abs(pp + pm - psi).max()), 1e-12),
+                 (f"idempotent_eps{eps}", float(np.abs(sp.pi_eps(lat, pp, eps, +1) - pp).max()), 1e-12),
+                 (f"orthogonal_eps{eps}", float(np.abs(sp.pi_eps(lat, pm, eps, +1)).max()), 1e-12),
+                 (f"spectral_decomp_eps{eps}", float(np.abs(q).max()), 1e-12)]
+    return rows
+
+
+def _symbols() -> list:
+    """Violations past 1e-15 of 0 <= 1 - 1/lambda <= min(1, eps|k|, eps^2|k|^2),
+    lambda from mode_multipliers, and of 0 <= |k|/eps - h_eps_symbol <= 1/eps^2."""
+    lat = make_lattice(16, 2 * np.pi)
+    nz, rows = lat.k_sq > 0, []
+    for eps in (0.125, 0.25, 0.5, 1.0):
+        sym = 1.0 - 1.0 / mode_multipliers(lat, eps, 0.0).lam
+        upper = np.minimum(1.0, np.minimum(eps * lat.k_abs, eps**2 * lat.k_sq))
+        gap = lat.k_abs[nz] / eps - h_eps_symbol(lat, eps)[nz]
+        rows += [(f"{name}_eps{eps}", max(float(excess.max()), 0.0), 1e-15) for name, excess in (
+            ("one_minus_invlambda_lower", -sym), ("one_minus_invlambda_upper", sym - upper),
+            ("dispersion_gap_lower", -gap), ("dispersion_gap_upper", gap - 1.0 / eps**2))]
+    return rows
+
+
+def _null_one() -> list:
+    """20 draws of a dealiased, divergence- and mean-free A and a dealiased spinor."""
+    lat, rng, rows = make_lattice(24, 2 * np.pi), np.random.default_rng(1), []
+    for trial in range(20):
+        A = leray_project(lat, dealias(lat, rng.standard_normal((3, 24, 24, 24))))
+        A -= A.mean(axis=(1, 2, 3), keepdims=True)
+        psi = dealias(lat, rng.standard_normal((4, 24, 24, 24)) + 1j * rng.standard_normal((4, 24, 24, 24)))
+        rows.append((f"null_identity_1_trial{trial}", null_identity_one_residual(lat, A, psi), 1e-10))
+    return rows
+
+
+def _null_two() -> list:
+    """A free Dirac solution and an oscillating A, U stepped at dt = 1e-3 and
+    2e-3.  The (ii) residual is U's O(dt^2) error, so halving dt divides it by
+    2.5 to 6: max(2.5 - ratio, ratio - 6) is negative exactly inside."""
+    lat, eps, T, om = make_lattice(16, 2 * np.pi), 0.5, 0.25, 1.3
+    psi0 = sp.pi_eps(lat, sp.embed_upper(v_plus_profile(lat, 0.5)), eps, +1) + sp.pi_eps(
+        lat, sp.embed_lower(v_minus_profile(lat, 0.3)), eps, -1)
+    Aprof = gauge_profile(lat, 0.2)
+    A_t, W_t = np.cos(om * T) * Aprof, -eps * om * np.sin(om * T) * Aprof
+    rows, res2 = [], {}
+    for dt, suffix in ((1e-3, ""), (2e-3, "_dt0.002")):
+        r1, res2[dt] = null_identity_check(lat, A_t, W_t, *free_dirac_U(lat, psi0, T, dt, eps), eps)
+        rows += [(f"null_identity_1_freedirac{suffix}", r1, 1e-10),
+                 (f"null_identity_2_freedirac{suffix}", res2[dt], 1e-5)]
+    ratio = res2[2e-3] / res2[1e-3]
+    return [*rows, ("null_identity_2_halving_ratio_in_2.5_6", max(2.5 - ratio, ratio - 6.0), 0.0)]
+
+
+def _squared_dirac() -> list:
+    lat, eps = make_lattice(12, 2 * np.pi), 0.25
+    psi0 = spinor_data(lat, "upper_projected", eps, {"amplitude": 0.5})
+    a0, a1 = gauge_data(lat, "bandlimited_divfree", {"gauge_amplitude": 0.2})
+    res = {}
+    for dt in (2e-3, 1e-3):
+        check = SquaredDiracResiduals()
+        run_dm(DMState(lat, 0.0, psi0, a0, a1, eps), 0.1, StepConfig(dt=dt), 1, check)
+        res[dt] = float(np.max(check.result()))
+    ratio = res[2e-3] / res[1e-3]
+    return [*((f"squared_dirac_dt{dt}", r, 1.0) for dt, r in res.items()),
+            ("squared_dirac_halving_ratio_ge_3", 3.0 - min(ratio, 3.0), 1e-9)]
+
+
+CHECKS = {"matrices": _matrices, "projections": _projections, "symbols": _symbols, "null-1": _null_one,
+          "null-2": _null_two, "squared-dirac": _squared_dirac}
+
+
+def check_rows(suite: str) -> list:
+    """(name, residual, tol, passed) of each row of CHECKS[suite]: a row passes when residual < tol."""
+    return [(name, residual, tol, residual < tol) for name, residual, tol in CHECKS[suite]()]

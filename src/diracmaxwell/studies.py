@@ -138,6 +138,19 @@ def _integrate_dm(cfg: ExperimentConfig, lat: Lattice, eps: float, run, observe)
     run(df.initial_dm_state(lat, cfg.family, cfg.gauge, eps, cfg.params), cfg.T, StepConfig(dt=dt), every, observe)
 
 
+def _sup_errors(cfg: ExperimentConfig, lat: Lattice, eps: float, run, errors) -> dict:
+    """sup over the study samples of the DM run at eps (through ``run``, as
+    in _integrate_dm) of each error in the dict errors(state) returns."""
+    sups = {}
+
+    def observe(state):
+        for name, value in errors(state).items():
+            sups[name] = max(sups.get(name, 0.0), value)
+
+    _integrate_dm(cfg, lat, eps, run, observe)
+    return sups
+
+
 def _integrate_sp(cfg: ExperimentConfig, lat: Lattice, sample_every: int, observe):
     """Run the limit system at dt_ref over [0, T] from the study's limit data."""
     v0p, v0m = df.limit_data(lat, cfg.family, cfg.params)
@@ -172,30 +185,23 @@ def _rate_report(cfg: ExperimentConfig, study: str, per_eps: list, t_start: floa
 
 def modulated_limit_spinor(v_plus: np.ndarray, v_minus: np.ndarray, t: float, eps: float) -> np.ndarray:
     """exp(-it/eps^2) (v+, 0) + exp(+it/eps^2) (0, v-)."""
-    return np.exp(-1j * t / eps**2) * sp.embed_upper(v_plus) + np.exp(
-        1j * t / eps**2
-    ) * sp.embed_lower(v_minus)
+    return np.exp(-1j * t / eps**2) * sp.embed_upper(v_plus) + np.exp(1j * t / eps**2) * sp.embed_lower(v_minus)
 
 
 def _nonrel_errors(cfg: ExperimentConfig, lat: Lattice, eps: float, limit: list) -> dict:
     """sup over the samples of the DM run at eps against the limit samples
     (v+, v-, charge, potential) taken at the same times; the DM potential is
     the A0 each state carries."""
-    errs = {"h1_spinor": 0.0, "h1dot_A0": 0.0, "lp1_charge": 0.0, "lp2_charge": 0.0, "lp3_charge": 0.0}
     samples = iter(limit)
 
-    def observe(state):
+    def errors(state):
         vp, vm, n_lim, u = next(samples)
-        psi = state.psi
-        ref = modulated_limit_spinor(vp, vm, state.t, eps)
-        errs["h1_spinor"] = max(errs["h1_spinor"], sobolev_norm(lat, psi - ref, 1.0))
-        errs["h1dot_A0"] = max(errs["h1dot_A0"], sobolev_norm(lat, state.carried.A0 - u, 1.0, homogeneous=True))
-        rho = sp.charge_density(psi)
-        for p in (1, 2, 3):
-            errs[f"lp{p}_charge"] = max(errs[f"lp{p}_charge"], lp_norm(lat, rho - n_lim, float(p)))
+        rho = sp.charge_density(state.psi)
+        return {"h1_spinor": sobolev_norm(lat, state.psi - modulated_limit_spinor(vp, vm, state.t, eps), 1.0),
+                "h1dot_A0": sobolev_norm(lat, state.carried.A0 - u, 1.0, homogeneous=True),
+                **{f"lp{p}_charge": lp_norm(lat, rho - n_lim, float(p)) for p in (1, 2, 3)}}
 
-    _integrate_dm(cfg, lat, eps, run_dm, observe)
-    return errs
+    return _sup_errors(cfg, lat, eps, run_dm, errors)
 
 
 def nonrel_convergence_study(cfg: ExperimentConfig) -> RateReport:
@@ -226,17 +232,14 @@ def nonrel_convergence_study(cfg: ExperimentConfig) -> RateReport:
 
 def _pauli_errors(cfg: ExperimentConfig, lat: Lattice, eps: float) -> dict:
     """sup over the samples of the DM run at eps, with Pauli in lockstep."""
-    errs = {"h1_pauli_spinor": 0.0, "l1_current_defect": 0.0}
 
-    def observe(state):
+    def errors(state):
         psi, chi_P = state.dm.psi, state.chi
         chi = sp.upper(np.exp(1j * state.t / eps**2) * psi)
-        errs["h1_pauli_spinor"] = max(errs["h1_pauli_spinor"], sobolev_norm(lat, chi - chi_P, 1.0))
         J = sp.current_density(psi, eps) - sp.pauli_current(lat, chi_P, state.dm.A, eps)
-        errs["l1_current_defect"] = max(errs["l1_current_defect"], lp_norm(lat, J, 1.0))
+        return {"h1_pauli_spinor": sobolev_norm(lat, chi - chi_P, 1.0), "l1_current_defect": lp_norm(lat, J, 1.0)}
 
-    _integrate_dm(cfg, lat, eps, run_pauli, observe)
-    return errs
+    return _sup_errors(cfg, lat, eps, run_pauli, errors)
 
 
 def seminonrel_study(cfg: ExperimentConfig) -> RateReport:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from diracmaxwell import cli, fourier
+from diracmaxwell import cli, fourier, harness
 from diracmaxwell.presets import PRESETS
 
 
@@ -523,15 +523,36 @@ class TestProbe:
         assert not out.exists()
 
 
+# the rows of each harness.CHECKS suite, in print order; null-1 went from 3
+# draws to the 20 of criterion 03, and null-2 gained the dt = 2e-3 rows and
+# the halving ratio of criterion 04
+CHECK_ROWS = {
+    "matrices": [*(f"{kind}_{j}{k}" for j in range(3) for k in range(3) for kind in ("anticommute", "spin_identity")),
+                 "gamma0_sq", "hermitian"],
+    "projections": [f"{kind}_eps{eps}" for eps in (1.0, 0.5, 0.25)
+                    for kind in ("completeness", "idempotent", "orthogonal", "spectral_decomp")],
+    "symbols": [f"{kind}_eps{eps}" for eps in (0.125, 0.25, 0.5, 1.0)
+                for kind in ("one_minus_invlambda_lower", "one_minus_invlambda_upper", "dispersion_gap_lower",
+                             "dispersion_gap_upper")],
+    "null-1": [f"null_identity_1_trial{trial}" for trial in range(20)],
+    "null-2": ["null_identity_1_freedirac", "null_identity_2_freedirac", "null_identity_1_freedirac_dt0.002",
+               "null_identity_2_freedirac_dt0.002", "null_identity_2_halving_ratio_in_2.5_6"],
+    "squared-dirac": ["squared_dirac_dt0.002", "squared_dirac_dt0.001", "squared_dirac_halving_ratio_ge_3"],
+}
+
+
 class TestCheckSuites:
-    @pytest.mark.parametrize("suite", ["matrices", "symbols", "projections", "null-1"])
-    def test_suites_pass(self, suite):
+    def test_the_table_holds_every_suite(self):
+        assert list(harness.CHECKS) == list(CHECK_ROWS)
+
+    @pytest.mark.parametrize("suite", list(CHECK_ROWS))
+    def test_suites_pass(self, suite, capsys):
         assert run_cli(["check", suite]) == 0
+        printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert printed == [f"PASS {name}" for name in CHECK_ROWS[suite]]
 
     def test_symbols_suite_checks_the_code_symbols(self, monkeypatch, capsys):
-        from diracmaxwell import fourier
-
-        monkeypatch.setattr(fourier, "h_eps_symbol", lambda lat, eps: lat.k_sq / 2.0)
+        monkeypatch.setattr(harness, "h_eps_symbol", lambda lat, eps: lat.k_sq / 2.0)
         assert cli.cmd_check("symbols") == 1
         assert "FAIL dispersion_gap" in capsys.readouterr().out
 

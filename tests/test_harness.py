@@ -398,6 +398,15 @@ class TestWindowChecks:
         short, long = peak(8), peak(32)
         assert long <= short + init.psi.nbytes, f"peak {short} -> {long} bytes"
 
+    @pytest.mark.parametrize("check", [hn.SquaredDiracResiduals, hn.NaiveExpansionResiduals])
+    def test_state_without_carried_values_names_run_dm(self, check):
+        # a hand-built state carries no A0; only the states of a run do
+        lat8 = fc.make_lattice(8, TWO_PI)
+        zero = dm.DMState(lat8, 0.0, np.zeros((4, 8, 8, 8), dtype=complex), np.zeros((3, 8, 8, 8)),
+                          np.zeros((3, 8, 8, 8)), 0.5)
+        with pytest.raises(ValueError, match="stepped by evolve_dm.run_dm"):
+            check()(zero)
+
 
 class TestNullTwoPath:
     def test_no_matrix_or_series_path(self):
