@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from . import data_families as df
-from .evolve_dm import StepConfig, checked_diagnostics, integrate, n_steps_for, run_dm
-from .evolve_limits import SPState, pauli_diagnostics, run_pauli, sp_diagnostics, sp_step
+from .evolve_dm import StepConfig, checked_diagnostics, run_dm
+from .evolve_limits import SPState, pauli_diagnostics, run_pauli, run_sp, sp_diagnostics
 from .fourier import Lattice, make_lattice, write_fld
 from .presets import get_preset
 from .studies import ExperimentConfig, dyadic_sweep, nonrel_convergence_study, seminonrel_study
@@ -56,8 +56,8 @@ BOOL = ("true or false", lambda v: isinstance(v, bool), bool)
 STRING = ("a string", lambda v: isinstance(v, str), str)
 OBJECT = ("an object", lambda v: isinstance(v, dict), dict)
 NUMBERS = ("a list of numbers", _is_numbers, lambda v: [float(x) for x in v])
-EPS_LIST = ("a list of >= 3 numbers (a rate fit needs 3 eps values)", lambda v: _is_numbers(v) and len(v) >= 3,
-            lambda v: [float(x) for x in v])
+EPS_LIST = ("a list of >= 3 positive numbers (a rate fit needs 3 eps values)",
+            lambda v: _is_numbers(v) and len(v) >= 3 and min(v) > 0, lambda v: [float(x) for x in v])
 REQUIRED = object()
 
 # every key each command reads, as (kind, default or REQUIRED); a callable
@@ -67,8 +67,8 @@ _DATA = {"data.family": (STRING, REQUIRED), "data.params": (OBJECT, {})}
 _RUN = {**_GRID, "T": (NUMBER, REQUIRED), "dt": (NUMBER, REQUIRED), "sample_every": (COUNT, 1), **_DATA}
 _DM_RUN = {**_RUN, "eps": (POSITIVE, REQUIRED), "gauge": (STRING, "zero"), "dealias": (BOOL, False)}
 # the study keys end in the ExperimentConfig field names
-_STUDY = {**_GRID, "eps_list": (EPS_LIST, REQUIRED), "T": (NUMBER, REQUIRED), "dt_ref": (NUMBER, REQUIRED),
-          "eps_ref": (NUMBER, lambda v: v["eps_list"][0]), "dt_schedule": (STRING, "eps_linear"),
+_STUDY = {**_GRID, "eps_list": (EPS_LIST, REQUIRED), "T": (POSITIVE, REQUIRED), "dt_ref": (POSITIVE, REQUIRED),
+          "eps_ref": (POSITIVE, lambda v: v["eps_list"][0]), "dt_schedule": (STRING, "eps_linear"),
           **_DATA, "gauge": (STRING, "zero"), "sample_every": (COUNT, 10)}
 KEYS = {
     "run-dm": _DM_RUN,
@@ -227,8 +227,7 @@ def cmd_run_sp(v: dict, out_dir: Path) -> int:
     t0 = time.perf_counter()
     v0p, v0m = df.limit_data(lat, v["data.family"], v["data.params"])
     writer = _SampleWriter(out_dir, "vplus", lat, lambda s: s.v_plus, sp_diagnostics)
-    integrate(SPState(lat, 0.0, v0p, v0m), lambda s: sp_step(s, v["dt"]), n_steps_for(v["T"], v["dt"]),
-              v["sample_every"], writer)
+    run_sp(SPState(lat, 0.0, v0p, v0m), v["T"], v["dt"], v["sample_every"], writer)
     return _finish(out_dir, v, t0, writer)
 
 

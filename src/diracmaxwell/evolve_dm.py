@@ -17,10 +17,8 @@ cache fourier.mode_multipliers.  Every spinor matrix goes through the
 2x2-block kernel spinors.block_rows: the potential kick per point, the
 Picard forcing, and per mode the free flow (a + bQ of the free Dirac symbol,
 with d, conj(d) and h cached) and reconstruct_from_U's i alpha.k, both
-through spinors.dirac_symbol_apply.  Every DMState of a run carries A0 (the
-kick is pointwise unitary, so the closing A0 of a step opens the next) and
-the spectra of A and eps*dt(A): a step moves 4 complex components forward
-and 8 back, 4 real forward and 7 back; a sample, one spectrum of psi.  Every
+through spinors.dirac_symbol_apply.  A step moves 4 complex components
+forward and 8 back, 4 real forward and 7 back; a sample, one spectrum of psi.  Every
 transform writes its passes into one output allocated per call, and the kicks,
 block products and current run slab by slab (spinors.slabwise); from n = 32
 both spread over the cores (fourier), bit for bit.  Derivatives, the wave
@@ -38,9 +36,12 @@ so it stays an independent check of the splitting.
 
 Every run, of this system or of the limit systems, is driven by integrate():
 it applies a pure state-to-state step, samples on one schedule and guards
-against non-finite spinors.  Every DM run starts at coulomb_gauge(), which
-derives the carried values of its frozen start: run_dm() integrates
-dm_strang_step from it, evolve_limits.run_pauli() the lockstep Pauli step.
+against non-finite spinors.  Every state of a DM run carries A0, which the
+charge fixes by a Poisson solve (the kick is pointwise unitary, so the
+closing A0 of a step opens the next), and the spectra of A and eps*dt(A):
+coulomb_gauge() derives them for the frozen start of every run, and
+dm_strang_step sets them on each state it makes.  run_dm() integrates
+dm_strang_step, evolve_limits.run_pauli() the lockstep Pauli step.
 Nothing keeps a run: the observer reduces or writes each sample when it is
 taken (the harness checks hold a window of three frozen states), and
 free_dirac_U advances the free spinor and the null-identity field U together
@@ -63,10 +64,9 @@ from .fourier import (Lattice, curl, dealias, gradient, leray_hat, leray_project
 
 
 class Carried(NamedTuple):
-    """What dm_strang_step hands on to its next call."""
+    """What a state of a run hands on to the next step."""
 
-    dealias: bool
-    A0: np.ndarray     # derived_A0(lat, psi, dealias)
+    A0: np.ndarray     # derived_A0(lat, psi, cfg.dealias)
     A_hat: np.ndarray  # lat.rfft(A)
     W_hat: np.ndarray  # lat.rfft(eps_dtA)
 
@@ -75,9 +75,9 @@ class Carried(NamedTuple):
 class DMState:
     """State of the coupled system: spinor, magnetic potential, eps*dt(A).
 
-    Frozen.  coulomb_gauge and dm_strang_step set ``carried`` on the states
-    they make, with read-only arrays, so every state of a run carries it; a
-    state built any other way has none, and carried_values derives it."""
+    Frozen.  coulomb_gauge and dm_strang_step make the states of a run, with
+    read-only arrays and their Carried values set; reading ``carried`` on a
+    state built any other way raises ValueError."""
 
     lat: Lattice
     t: float
@@ -85,7 +85,13 @@ class DMState:
     A: np.ndarray              # (3, n, n, n) real, divergence-free
     eps_dtA: np.ndarray        # (3, n, n, n) real, stores eps * dt(A)
     eps: float
-    carried: Carried | None = field(default=None, init=False, repr=False)
+    _carried: Carried | None = field(default=None, init=False, repr=False)
+
+    @property
+    def carried(self) -> Carried:
+        if self._carried is None:
+            raise ValueError("this DMState carries no A0, as only a run's states do: start at coulomb_gauge or run_dm")
+        return self._carried
 
     def spinors(self) -> tuple:
         return (self.psi,)
@@ -160,21 +166,11 @@ def wave_step(lat: Lattice, A_hat: np.ndarray, W_hat: np.ndarray, J: np.ndarray,
 # -- coupled stepping ----------------------------------------------------------
 
 
-def carried_values(state: DMState, cfg: StepConfig) -> Carried:
-    """state.carried, or the same values derived afresh when the state has
-    none or was stepped under the other dealias flag."""
-    c = state.carried
-    if c is None or c.dealias != cfg.dealias:
-        lat = state.lat
-        c = Carried(cfg.dealias, derived_A0(lat, state.psi, cfg.dealias), lat.rfft(state.A), lat.rfft(state.eps_dtA))
-    return c
-
-
 def _frozen(state: DMState, carried: Carried) -> DMState:
-    """A new state of a run: its arrays made read-only, ``carried`` set."""
+    """A new state of a run: its arrays made read-only, its carried values set."""
     for a in (state.psi, state.A, state.eps_dtA):
         a.flags.writeable = False
-    object.__setattr__(state, "carried", carried)
+    object.__setattr__(state, "_carried", carried)
     return state
 
 
@@ -182,7 +178,7 @@ def dm_strang_step(state: DMState, cfg: StepConfig) -> DMState:
     """Half kick, free flight with the wave step in the midpoint current, half
     kick; the closing A0 and the new spectra of A and eps*dt(A) are carried."""
     lat, eps, dt = state.lat, state.eps, cfg.dt
-    c = carried_values(state, cfg)
+    c = state.carried
     psihat_mid = free_flow_hat(lat, lat.fft(potential_kick(lat, state.psi, c.A0, state.A, dt / 2.0, eps)),
                                dt / 2.0, eps)
     J = sp.current_density(lat.ifft(psihat_mid), eps)
@@ -194,18 +190,18 @@ def dm_strang_step(state: DMState, cfg: StepConfig) -> DMState:
     A_new, W_new = lat.irfft(A_hat), lat.irfft(W_hat)
     A0_new = derived_A0(lat, psi_b, cfg.dealias)
     psi_new = potential_kick(lat, psi_b, A0_new, A_new, dt / 2.0, eps)
-    return _frozen(DMState(lat, state.t + dt, psi_new, A_new, W_new, eps), Carried(cfg.dealias, A0_new, A_hat, W_hat))
+    return _frozen(DMState(lat, state.t + dt, psi_new, A_new, W_new, eps), Carried(A0_new, A_hat, W_hat))
 
 
 DIAGNOSTIC_COLUMNS = ("t", "charge", "h1_psi", "h1dot_A", "eps_l2_dtA", "h1_pi_minus_psi")
 H1_CEILING = 1e6  # checked_diagnostics raises above this h1_psi
 
 
-def _diagnose(state: DMState, c: Carried) -> dict:
-    """The DIAGNOSTIC_COLUMNS of a state with its carried values c, all by
-    Parseval: the spinor columns from one spectrum of psi (Pi_- per mode, no
-    inverse transform), the field columns from the carried spectra."""
-    lat = state.lat
+def _diagnose(state: DMState) -> dict:
+    """The DIAGNOSTIC_COLUMNS of a state of a run, all by Parseval: the
+    spinor columns from one spectrum of psi (Pi_- per mode, no inverse
+    transform), the field columns from the carried spectra."""
+    lat, c = state.lat, state.carried
     psihat = lat.fft(state.psi)
     return {
         "t": state.t,
@@ -218,9 +214,9 @@ def _diagnose(state: DMState, c: Carried) -> dict:
 
 
 def checked_diagnostics(state: DMState, cfg: StepConfig) -> dict:
-    """_diagnose with carried_values, and the blow-up guard: h1_psi above
-    H1_CEILING raises FloatingPointError (steps counted from t = 0)."""
-    row = _diagnose(state, carried_values(state, cfg))
+    """_diagnose, and the blow-up guard: h1_psi above H1_CEILING raises
+    FloatingPointError (steps counted from t = 0)."""
+    row = _diagnose(state)
     if row["h1_psi"] > H1_CEILING:
         raise FloatingPointError(
             f"H1 blow-up guard tripped at step {round(state.t / cfg.dt)}, t = {state.t}: "
@@ -277,12 +273,12 @@ def integrate(state, step, n_steps: int, sample_every: int, observe):
 
 def coulomb_gauge(init: DMState, cfg: StepConfig) -> DMState:
     """The state every DM run starts from: a copy of init with A and
-    eps*dt(A) Leray-projected, frozen as a stepped state is (read-only
-    arrays, the carried values of cfg set)."""
+    eps*dt(A) Leray-projected, frozen as a stepped state is, with its carried
+    values derived here (A0 dealiased under cfg.dealias)."""
     lat = init.lat
-    gauged = DMState(lat, init.t, init.psi.copy(), leray_project(lat, init.A), leray_project(lat, init.eps_dtA),
-                     init.eps)
-    return _frozen(gauged, carried_values(gauged, cfg))
+    psi, A, W = init.psi.copy(), leray_project(lat, init.A), leray_project(lat, init.eps_dtA)
+    return _frozen(DMState(lat, init.t, psi, A, W, init.eps),
+                   Carried(derived_A0(lat, psi, cfg.dealias), lat.rfft(A), lat.rfft(W)))
 
 
 def run_dm(init: DMState, T: float, cfg: StepConfig, sample_every: int, observe) -> DMState:

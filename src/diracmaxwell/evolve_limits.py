@@ -9,7 +9,8 @@ Dirac-Maxwell run (``dm_pauli_step``), driven by that run's fields, with A0
 and B from the values every state of the run carries.  The lockstep state
 ``DMPauliState`` is the DM state and the Pauli spinor only: the DM state
 holds the run's lattice, t and eps, and ``pauli_step`` maps a spinor to the
-stepped spinor.  Runs of either system are driven by ``evolve_dm.integrate``.
+stepped spinor.  The run entries ``run_sp`` and ``run_pauli`` drive
+``evolve_dm.integrate``, as ``evolve_dm.run_dm`` does.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spinors as sp
-from .evolve_dm import DMState, StepConfig, carried_values, coulomb_gauge, dm_strang_step, integrate, n_steps_for
+from .evolve_dm import DMState, StepConfig, coulomb_gauge, dm_strang_step, integrate, n_steps_for
 from .fourier import (Lattice, apply_symbol, curl_hat, kinetic_multipliers, l2_norm, partial, poisson_solve,
                       sobolev_norm)
 
@@ -58,6 +59,11 @@ def sp_step(state: SPState, dt: float) -> SPState:
     u = sp_potential(lat, vp, vm)
     half = np.exp(1j * u * dt / 2.0)
     return SPState(lat, state.t + dt, half * vp, half * vm)
+
+
+def run_sp(init: SPState, T: float, dt: float, sample_every: int, observe) -> SPState:
+    """integrate() sp_step from init to time T, observing each of sample_steps; returns the final state."""
+    return integrate(init, lambda s: sp_step(s, dt), n_steps_for(T, dt), sample_every, observe)
 
 
 def sp_diagnostics(state: SPState) -> dict:
@@ -164,7 +170,7 @@ def dm_pauli_step(state: DMPauliState, cfg: StepConfig) -> DMPauliState:
     """One DM step, and one Pauli step in the endpoint averages of A0 and A
     (the midpoint values of their linear interpolation), B the curl of the
     average carried spectrum of A."""
-    c = carried_values(state.dm, cfg)
+    c = state.dm.carried
     dm = dm_strang_step(state.dm, cfg)
     lat = dm.lat
     B = lat.irfft(curl_hat(lat, 0.5 * (c.A_hat + dm.carried.A_hat)))

@@ -457,14 +457,17 @@ def riesz_transform(lat: Lattice, f: np.ndarray, j: int) -> np.ndarray:
 # -- dyadic decomposition -----------------------------------------------------
 
 
+def lp_window(lat: Lattice, scale: float, name: str) -> np.ndarray:
+    """beta(k/scale), beta supported on 1/2<=|k|<=2; a non-dyadic scale raises ValueError naming ``name``."""
+    if not (scale > 0 and np.isclose(np.log2(scale), np.round(np.log2(scale)))):
+        raise ValueError(f"{name}: {scale} is not a dyadic number 2^j")
+    r = lat.k_abs / scale
+    return bump_profile(r) - bump_profile(2.0 * r)
+
+
 def littlewood_paley(lat: Lattice, f: np.ndarray, mu: float) -> np.ndarray:
-    """Dyadic block: multiply by beta(k/mu), beta supported on 1/2<=|k|<=2."""
-    j = np.log2(mu)
-    if not np.isclose(j, np.round(j)):
-        raise ValueError(f"mu must be a dyadic number 2^j, got {mu}")
-    r = lat.k_abs / mu
-    beta = bump_profile(r) - bump_profile(2.0 * r)
-    return apply_symbol(lat, f, beta)
+    """Dyadic block at scale mu: multiply by lp_window(lat, mu, "mu")."""
+    return apply_symbol(lat, f, lp_window(lat, mu, "mu"))
 
 
 # -- norms --------------------------------------------------------------------

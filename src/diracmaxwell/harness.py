@@ -15,8 +15,8 @@ NaiveExpansionResiduals) are integrate() observers: pass one to
 evolve_dm.run_dm, then read result().  Each holds at most three sampled
 states, by reference, and each that differences in time requires uniformly
 spaced samples.  SquaredDiracResiduals and NaiveExpansionResiduals read A0
-from the values each state of a run carries (evolve_dm.Carried), so it is
-the run's own, dealiased or not; a state that carries none is refused.
+from the values each state of a run carries (DMState.carried), so it is the
+run's own, dealiased or not; a state that no run made raises ValueError.
 
 CHECKS maps each fixed-input suite to the function that computes its rows
 (name, residual, tol); a row passes when residual < tol.  ``dmx check``
@@ -139,41 +139,33 @@ def null_identity_check(lat: Lattice, A, eps_dtA, psi, U, dtU, eps: float):
 
 class _Window:
     """Base of the run checks.  Called on each sample of a DM run, it keeps
-    the last three as (state, derive(state)); stepped states are frozen and
-    read-only, so they are held by reference.  interior() of each full window
-    is appended to ``out``; it differences in time over dt, the spacing of the
-    first two samples, so every later spacing must match dt.  A check whose
-    interior is None takes no time difference: it keeps no window and accepts
-    any spacing."""
-
-    interior = None
+    the last three states; stepped states are frozen and read-only, so they
+    are held by reference.  interior(prev, mid, nxt) of each full window is
+    appended to ``out``; it differences in time over dt, the spacing of the
+    first two samples, so every later spacing must match dt."""
 
     def __init__(self):
         self.times, self.out, self.dt = [], [], None
         self.window = deque(maxlen=3)
 
     def __call__(self, state):
-        if self.interior is not None and self.times:
-            spacing = state.t - self.times[-1]
-            if self.dt is None:
-                self.dt = spacing
-            elif not np.allclose(spacing, self.dt, rtol=1e-8):
-                raise ValueError("samples must be uniformly spaced")
         self.times.append(state.t)
-        derived = self.derive(state)
-        if self.interior is not None:
-            self.window.append((state, derived))
-            if len(self.window) == 3:
-                self.out.append(self.interior(*self.window))
+        self.window.append(state)
+        if len(self.window) == 3:
+            prev, mid, nxt = self.window
+            if self.dt is None:
+                self.dt = mid.t - prev.t
+            if not np.allclose(nxt.t - mid.t, self.dt, rtol=1e-8):
+                raise ValueError("samples must be uniformly spaced")
+            self.out.append(self.interior(prev, mid, nxt))
 
     def result(self) -> np.ndarray:
         return np.array(self.out)
 
 
-def _carried_A0(state):
-    if state.carried is None:
-        raise ValueError("this check needs states stepped by evolve_dm.run_dm; this one carries no A0")
-    return state.carried.A0
+def _phased(state) -> np.ndarray:
+    """exp(i t/eps^2) psi: the spinor with its rest-energy phase removed."""
+    return np.exp(1j * state.t / state.eps**2) * state.psi
 
 
 class SquaredDiracResiduals(_Window):
@@ -182,12 +174,9 @@ class SquaredDiracResiduals(_Window):
 
     Requires uniformly spaced samples."""
 
-    def derive(self, state):
-        return _carried_A0(state)
-
-    def interior(self, prev, mid, nxt):
-        (s_m, A0_m), (s, A0), (s_p, A0_p) = prev, mid, nxt
+    def interior(self, s_m, s, s_p):
         lat, eps, dt, psi = s.lat, s.eps, self.dt, s.psi
+        A0_m, A0, A0_p = s_m.carried.A0, s.carried.A0, s_p.carried.A0
         dt_psi = (s_p.psi - s_m.psi) / (2.0 * dt)
         dtt_psi = (s_p.psi - 2.0 * psi + s_m.psi) / dt**2
         dt_A0 = (A0_p - A0_m) / (2.0 * dt)
@@ -215,27 +204,25 @@ class SmallComponentTrack(_Window):
     """Series of ||Pi_-^eps psi(t)||_{H^1} plus the measured constant in
     sup_t ||.|| <= C eps^order, with the eta-based surrogates; both norms
     come from one spectrum of psi (exp(i t/eps^2) has modulus 1).  Order 2
-    adds the L2 norm of the centered dt(eta) and so requires uniformly
-    spaced samples; order 1 takes no time difference."""
+    adds the L2 norm of the centered dt(eta) and so requires uniformly spaced
+    samples; order 1 takes no time difference and accepts any spacing."""
 
     def __init__(self, order: int):
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
         super().__init__()
         self.order, self.pi_minus, self.eta = order, [], []
-        if order == 1:
-            self.interior = None
+        self.window = deque(maxlen=3 if order == 2 else 0)
 
-    def derive(self, state):
+    def __call__(self, state):
         lat, self.eps = state.lat, state.eps
         psihat = lat.fft(state.psi)
         self.pi_minus.append(sobolev_norm_hat(lat, sp.pi_eps_hat(lat, psihat, self.eps, -1), 1.0))
         self.eta.append(sobolev_norm_hat(lat, sp.lower(psihat), 1.0))
-        if self.order == 2:
-            return sp.lower(np.exp(1j * state.t / self.eps**2) * state.psi)
+        super().__call__(state)
 
     def interior(self, prev, mid, nxt):
-        return sobolev_norm(mid[0].lat, (nxt[1] - prev[1]) / (2.0 * self.dt), 0.0)
+        return sobolev_norm(mid.lat, (sp.lower(_phased(nxt)) - sp.lower(_phased(prev))) / (2.0 * self.dt), 0.0)
 
     def result(self) -> dict:
         series = np.array(self.pi_minus)
@@ -258,16 +245,12 @@ class NaiveExpansionResiduals(_Window):
     leading-order constraint then leave an O(eps^2) residual, while the
     (v, eps v) counterexample leaves Theta(eps)."""
 
-    def derive(self, state):
-        return np.exp(1j * state.t / state.eps**2) * state.psi, _carried_A0(state)
-
-    def interior(self, prev, mid, nxt):
-        s, (phi, A0) = mid
-        lat, eps = s.lat, s.eps
+    def interior(self, prev, s, nxt):
+        lat, eps, phi = s.lat, s.eps, _phased(s)
         chi, eta = sp.upper(phi), sp.lower(phi)
-        dt_eta = (sp.lower(nxt[1][0]) - sp.lower(prev[1][0])) / (2.0 * self.dt)
+        dt_eta = (sp.lower(_phased(nxt)) - sp.lower(_phased(prev))) / (2.0 * self.dt)
         res = eta + 0.5j * eps * sigma_grad(lat, chi)
-        res += 0.5 * eps**2 * (1j * dt_eta + A0 * eta + sp.sigma_dot(s.A, chi))
+        res += 0.5 * eps**2 * (1j * dt_eta + s.carried.A0 * eta + sp.sigma_dot(s.A, chi))
         return l2_norm(lat, res)
 
 
@@ -312,14 +295,15 @@ def _projections() -> list:
 
 def _symbols() -> list:
     """Violations past 1e-15 of 0 <= 1 - 1/lambda <= min(1, eps|k|, eps^2|k|^2),
-    lambda from mode_multipliers, and of 0 <= |k|/eps - h_eps_symbol <= 1/eps^2."""
+    lambda from mode_multipliers, and of 0 <= |k|/eps - h_eps_symbol <= 1/eps^2;
+    + 0.0 makes a -0.0 excess 0.0, and a NaN excess stays NaN and fails."""
     lat = make_lattice(16, 2 * np.pi)
     nz, rows = lat.k_sq > 0, []
     for eps in (0.125, 0.25, 0.5, 1.0):
         sym = 1.0 - 1.0 / mode_multipliers(lat, eps, 0.0).lam
         upper = np.minimum(1.0, np.minimum(eps * lat.k_abs, eps**2 * lat.k_sq))
         gap = lat.k_abs[nz] / eps - h_eps_symbol(lat, eps)[nz]
-        rows += [(f"{name}_eps{eps}", max(float(excess.max()), 0.0), 1e-15) for name, excess in (
+        rows += [(f"{name}_eps{eps}", max(float(excess.max()), 0.0) + 0.0, 1e-15) for name, excess in (
             ("one_minus_invlambda_lower", -sym), ("one_minus_invlambda_upper", sym - upper),
             ("dispersion_gap_lower", -gap), ("dispersion_gap_upper", gap - 1.0 / eps**2))]
     return rows

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import data_families as df
 from . import spinors as sp
-from .evolve_dm import StepConfig, integrate, n_steps_for, run_dm, sample_steps
-from .evolve_limits import SPState, run_pauli, sp_step
-from .fourier import (Lattice, bump_profile, h_eps_symbol, littlewood_paley, lp_norm, make_lattice,
-                      poisson_solve, sobolev_norm)
+from .evolve_dm import StepConfig, n_steps_for, run_dm, sample_steps
+from .evolve_limits import SPState, run_pauli, run_sp
+from .fourier import (Lattice, h_eps_symbol, littlewood_paley, lp_norm, lp_window, make_lattice, poisson_solve,
+                      sobolev_norm)
 
 # -- configuration ---------------------------------------------------------------
 
@@ -154,8 +154,7 @@ def _sup_errors(cfg: ExperimentConfig, lat: Lattice, eps: float, run, errors) ->
 def _integrate_sp(cfg: ExperimentConfig, lat: Lattice, sample_every: int, observe):
     """Run the limit system at dt_ref over [0, T] from the study's limit data."""
     v0p, v0m = df.limit_data(lat, cfg.family, cfg.params)
-    integrate(SPState(lat, 0.0, v0p, v0m), lambda s: sp_step(s, cfg.dt_ref),
-              n_steps_for(cfg.T, cfg.dt_ref), sample_every, observe)
+    run_sp(SPState(lat, 0.0, v0p, v0m), cfg.T, cfg.dt_ref, sample_every, observe)
 
 
 def _check_sample_grid(cfg: ExperimentConfig):
@@ -338,8 +337,7 @@ def dyadic_probe(lat: Lattice, mu: float, lam: float, eps: float, trials: int,
     times = np.arange(steps + 1) * dt
     omega = lat.k_abs / eps
     h_sym = h_eps_symbol(lat, eps)
-    r_mu = lat.k_abs / mu
-    beta_mu = bump_profile(r_mu) - bump_profile(2.0 * r_mu)
+    beta_mu = lp_window(lat, mu, "mu")
     ratios = []
     for trial in range(trials):
         f_scale = mu if case == "iii" else lam
@@ -373,12 +371,16 @@ def dyadic_probe(lat: Lattice, mu: float, lam: float, eps: float, trials: int,
 def dyadic_sweep(case: str, n: int, period: float, eps: float, mu_list, lam_list,
                  trials: int, seed: int, T: float, dt: float) -> list:
     """Run a (mu, lambda) sweep; returns rows (mu, lambda, eps, trial, ratio).
-    Cases 'i' and 'ii' skip the cells with mu > lambda."""
+    Cases 'i' and 'ii' skip the cells with mu > lambda; a non-dyadic scale
+    raises ValueError naming its list before any cell runs."""
     cells = [(mu, lam) for mu in mu_list for lam in lam_list if case not in ("i", "ii") or mu <= lam]
     if not cells:
         raise ValueError(f"probe case {case}: no (mu, lambda) cell to run for mu_list {list(mu_list)} "
                          f"and lam_list {list(lam_list)}; cases i and ii need mu <= lambda")
     lat = make_lattice(n, period)
+    for key, scales in (("mu_list", mu_list), ("lam_list", lam_list)):
+        for scale in scales:
+            lp_window(lat, scale, key)
     rows = []
     for mu, lam in cells:
         ratios = dyadic_probe(lat, mu, lam, eps, trials, case, T, dt, seed)

@@ -447,6 +447,18 @@ class TestConfigReader:
         values = cli.read_config(self.preset_command(name), cli.load_config(f"preset:{name}"))
         assert cli.config_hash(values) == digest
 
+    @pytest.mark.parametrize("command", ["converge", "seminonrel"])
+    @pytest.mark.parametrize("path, value", [
+        *((path, value) for path in ("T", "dt_ref", "eps_ref") for value in (0.0, -0.1)),
+        ("eps_list", [0.4, 0.2, 0.0]), ("eps_list", [0.4, 0.2, -0.1]),
+    ])
+    def test_non_positive_study_value_exits_2_naming_the_key(self, command, path, value, tmp_path, capsys):
+        out = tmp_path / "o"
+        config = write_config(tmp_path, with_value(study_config(), path, value))
+        assert run_cli([command, "--config", config, "--out", str(out)]) == 2
+        assert f"config error at {path}: must be a " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("changes, message", [({"dt_schedule": "nope"}, "unknown dt_schedule 'nope'"),
                                                   ({"eps_list": [0.1, 0.2, 0.4]}, "strictly decreasing")])
     def test_study_range_checks_exit_1(self, changes, message, tmp_path, capsys):
@@ -550,6 +562,11 @@ class TestCheckSuites:
         assert run_cli(["check", suite]) == 0
         printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
         assert printed == [f"PASS {name}" for name in CHECK_ROWS[suite]]
+
+    def test_symbols_rows_print_no_negative_zero(self, capsys):
+        assert run_cli(["check", "symbols"]) == 0
+        out = capsys.readouterr().out
+        assert "residual 0.000e+00" in out and "-0.000e+00" not in out
 
     def test_symbols_suite_checks_the_code_symbols(self, monkeypatch, capsys):
         monkeypatch.setattr(harness, "h_eps_symbol", lambda lat, eps: lat.k_sq / 2.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from diracmaxwell import evolve_dm as dm
+from diracmaxwell import evolve_limits as lim
 from diracmaxwell import fourier as fc
 from diracmaxwell import harness as hn
 from diracmaxwell import spinors as sp
@@ -35,6 +36,11 @@ def smooth_state(lat, eps, gauge_amp=0.0, seed=None):
     else:
         a0 = np.zeros((3, n, n, n))
     return dm.DMState(lat, 0.0, psi0, a0, np.zeros((3, n, n, n)), eps)
+
+
+def gauged_state(lat, eps, cfg, gauge_amp=0.0):
+    """smooth_state as a run starts from it: Coulomb-gauged, carrying A0 and the spectra."""
+    return dm.coulomb_gauge(smooth_state(lat, eps, gauge_amp), cfg)
 
 
 @pytest.fixture
@@ -218,8 +224,8 @@ class TestWaveStep:
 class TestStrangStep:
     def test_time_reversibility(self, lat12):
         eps = 0.25
-        state = smooth_state(lat12, eps, gauge_amp=0.1)
         cfg = dm.StepConfig(dt=2e-3)
+        state = gauged_state(lat12, eps, cfg, gauge_amp=0.1)
         fwd = dm.dm_strang_step(state, cfg)
         back = dm.dm_strang_step(fwd, dataclasses.replace(cfg, dt=-2e-3))
         assert np.abs(back.psi - state.psi).max() < 1e-10
@@ -227,56 +233,55 @@ class TestStrangStep:
         assert np.abs(back.eps_dtA - state.eps_dtA).max() < 1e-10
 
     def test_zero_data_stays_zero(self, lat):
-        n = lat.n
-        state = dm.DMState(
-            lat,
-            0.0,
-            np.zeros((4, n, n, n), dtype=complex),
-            np.zeros((3, n, n, n)),
-            np.zeros((3, n, n, n)),
-            0.5,
-        )
-        out = dm.dm_strang_step(state, dm.StepConfig(dt=0.01))
+        n, cfg = lat.n, dm.StepConfig(dt=0.01)
+        state = dm.coulomb_gauge(dm.DMState(lat, 0.0, np.zeros((4, n, n, n), dtype=complex), np.zeros((3, n, n, n)),
+                                            np.zeros((3, n, n, n)), 0.5), cfg)
+        out = dm.dm_strang_step(state, cfg)
         assert not out.psi.any() and not out.A.any()
 
     def test_charge_exactly_conserved(self, lat12):
-        state = smooth_state(lat12, 0.25, gauge_amp=0.1)
+        cfg = dm.StepConfig(dt=2e-3)
+        state = gauged_state(lat12, 0.25, cfg, gauge_amp=0.1)
         q0 = sp.total_charge(lat12, state.psi)
-        out = dm.dm_strang_step(state, dm.StepConfig(dt=2e-3))
+        out = dm.dm_strang_step(state, cfg)
         assert sp.total_charge(lat12, out.psi) == pytest.approx(q0, rel=1e-12)
 
 
 class TestCarried:
-    """coulomb_gauge and dm_strang_step make states that carry A0 and the
-    spectra of A and eps*dt(A) into the next step."""
+    """coulomb_gauge derives A0 and the spectra of A and eps*dt(A) for the
+    start of every run, dm_strang_step sets them on each state it makes, and
+    reading them on a state that no run made raises one ValueError."""
+
+    def test_three_values(self):
+        assert dm.Carried._fields == ("A0", "A_hat", "W_hat")
 
     @pytest.mark.parametrize("dealias", [False, True])
     def test_carried_values_match_the_state(self, lat12, dealias):
-        s1 = dm.dm_strang_step(smooth_state(lat12, 0.25, gauge_amp=0.1), dm.StepConfig(dt=2e-3, dealias=dealias))
+        cfg = dm.StepConfig(dt=2e-3, dealias=dealias)
+        s1 = dm.dm_strang_step(gauged_state(lat12, 0.25, cfg, gauge_amp=0.1), cfg)
         c = s1.carried
-        assert c.dealias == dealias
         for got, want in ((c.A0, dm.derived_A0(lat12, s1.psi, dealias)),
                           (c.A_hat, lat12.rfft(s1.A)), (c.W_hat, lat12.rfft(s1.eps_dtA))):
             assert np.abs(want).max() > 1e-6
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("reader", ["dm_strang_step", "dm_pauli_step", "checked_diagnostics"])
     @pytest.mark.parametrize("rebuild", ["constructor", "replace"])
-    def test_state_without_carry_steps_the_same(self, lat12, rebuild):
+    def test_state_no_run_made_is_refused(self, lat, reader, rebuild):
         cfg = dm.StepConfig(dt=2e-3)
-        s1 = dm.dm_strang_step(smooth_state(lat12, 0.25, gauge_amp=0.1), cfg)
+        s1 = dm.dm_strang_step(gauged_state(lat, 0.25, cfg, gauge_amp=0.1), cfg)
         bare = {
             "constructor": lambda s: dm.DMState(s.lat, s.t, s.psi.copy(), s.A.copy(), s.eps_dtA.copy(), s.eps),
             "replace": lambda s: dataclasses.replace(s, t=s.t),
         }[rebuild](s1)
-        assert bare.carried is None
-        carried, fresh = dm.dm_strang_step(s1, cfg), dm.dm_strang_step(bare, cfg)
-        for a, b in ((carried.psi, fresh.psi), (carried.A, fresh.A), (carried.eps_dtA, fresh.eps_dtA)):
-            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
-
-    def test_carry_under_the_other_dealias_flag_is_not_used(self, lat12):
-        s1 = dm.dm_strang_step(smooth_state(lat12, 0.25, gauge_amp=0.1), dm.StepConfig(dt=2e-3))
-        cfg = dm.StepConfig(dt=2e-3, dealias=True)
-        assert np.array_equal(dm.dm_strang_step(s1, cfg).psi, dm.dm_strang_step(dataclasses.replace(s1), cfg).psi)
+        read = {
+            "dm_strang_step": lambda s: dm.dm_strang_step(s, cfg),
+            "dm_pauli_step": lambda s: lim.dm_pauli_step(lim.DMPauliState(s, sp.upper(s.psi).copy()), cfg),
+            "checked_diagnostics": lambda s: dm.checked_diagnostics(s, cfg),
+        }[reader]
+        read(s1)
+        with pytest.raises(ValueError, match="carries no A0.*coulomb_gauge or run_dm"):
+            read(bare)
 
     def test_coulomb_gauge_is_frozen_with_the_carry_of_an_unfrozen_copy(self, lat12):
         cfg = dm.StepConfig(dt=2e-3, dealias=True)
@@ -289,11 +294,9 @@ class TestCarried:
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0, 0, 0] = 0.0
         assert init.psi.flags.writeable and init.A.flags.writeable  # init is left as it was
-        unfrozen = dm.DMState(lat12, gauged.t, gauged.psi.copy(), gauged.A.copy(), gauged.eps_dtA.copy(), gauged.eps)
-        assert unfrozen.carried is None
-        want = dm.carried_values(unfrozen, cfg)
-        assert gauged.carried.dealias
-        for got, w in zip(gauged.carried[1:], want[1:]):
+        psi, A, W = (a.copy() for a in (gauged.psi, gauged.A, gauged.eps_dtA))
+        want = (dm.derived_A0(lat12, psi, cfg.dealias), lat12.rfft(A), lat12.rfft(W))
+        for got, w in zip(gauged.carried, want):
             assert np.abs(w).max() > 1e-6
             assert np.array_equal(got, w)
 
@@ -308,7 +311,8 @@ class TestCarried:
         assert len(solves) == 4 + 1  # coulomb_gauge, then each step (closing A0); the samples solve none
 
     def test_stepped_state_cannot_be_edited(self, lat):
-        s1 = dm.dm_strang_step(smooth_state(lat, 0.25, gauge_amp=0.1), dm.StepConfig(dt=2e-3))
+        cfg = dm.StepConfig(dt=2e-3)
+        s1 = dm.dm_strang_step(gauged_state(lat, 0.25, cfg, gauge_amp=0.1), cfg)
         with pytest.raises(dataclasses.FrozenInstanceError):
             s1.A = np.zeros_like(s1.A)
         for a in (s1.psi, s1.A, s1.eps_dtA):
@@ -321,7 +325,7 @@ class TestTransformCounts:
 
     def test_carried_step(self, lat, transform_counts):
         cfg = dm.StepConfig(dt=2e-3)
-        s1 = dm.dm_strang_step(smooth_state(lat, 0.25, gauge_amp=0.1), cfg)
+        s1 = dm.dm_strang_step(gauged_state(lat, 0.25, cfg, gauge_amp=0.1), cfg)
         transform_counts.clear()
         dm.dm_strang_step(s1, cfg)
         assert transform_counts == {"fft": 4, "ifft": 8, "rfft": 4, "irfft": 7}
@@ -339,7 +343,7 @@ class TestTransformCounts:
     def test_diagnose(self, lat, transform_counts):
         # the field columns come from the carried spectra of a run's state
         cfg = dm.StepConfig(dt=2e-3)
-        state = dm.coulomb_gauge(smooth_state(lat, 0.25, gauge_amp=0.1), cfg)
+        state = gauged_state(lat, 0.25, cfg, gauge_amp=0.1)
         transform_counts.clear()
         dm.checked_diagnostics(state, cfg)
         assert transform_counts == {"fft": 4}
@@ -402,8 +406,9 @@ class TestDiagnose:
             rng = np.random.default_rng(7)
             shape = (lat12.n,) * 3
             psi = rng.standard_normal((4, *shape)) + 1j * rng.standard_normal((4, *shape))
-            state = dm.DMState(lat12, 0.1, psi, rng.standard_normal((3, *shape)), rng.standard_normal((3, *shape)), 0.3)
-        got, want = dm._diagnose(state, dm.carried_values(state, cfg)), diagnose_reference(state)
+            state = dm.coulomb_gauge(
+                dm.DMState(lat12, 0.1, psi, rng.standard_normal((3, *shape)), rng.standard_normal((3, *shape)), 0.3), cfg)
+        got, want = dm._diagnose(state), diagnose_reference(state)
         assert list(got) == list(dm.DIAGNOSTIC_COLUMNS)
         for col in dm.DIAGNOSTIC_COLUMNS:
             assert want[col] > 0
@@ -413,7 +418,7 @@ class TestDiagnose:
 class TestMultiplierCache:
     def test_interleaved_eps_matches_fresh_cache(self, lat):
         cfg = dm.StepConfig(dt=2e-3)
-        s1, s2 = smooth_state(lat, 0.3, gauge_amp=0.1), smooth_state(lat, 0.2, gauge_amp=0.1)
+        s1, s2 = gauged_state(lat, 0.3, cfg, gauge_amp=0.1), gauged_state(lat, 0.2, cfg, gauge_amp=0.1)
         fc.mode_multipliers.cache_clear()
         fresh = dm.dm_strang_step(s1, cfg)
         dm.dm_strang_step(s2, cfg)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import inspect
 import re
 import tracemalloc
@@ -400,12 +401,18 @@ class TestWindowChecks:
 
     @pytest.mark.parametrize("check", [hn.SquaredDiracResiduals, hn.NaiveExpansionResiduals])
     def test_state_without_carried_values_names_run_dm(self, check):
-        # a hand-built state carries no A0; only the states of a run do
+        # a hand-built or replaced state carries no A0; only the states of a
+        # run do.  The checks read it once they hold three samples.
         lat8 = fc.make_lattice(8, TWO_PI)
         zero = dm.DMState(lat8, 0.0, np.zeros((4, 8, 8, 8), dtype=complex), np.zeros((3, 8, 8, 8)),
                           np.zeros((3, 8, 8, 8)), 0.5)
-        with pytest.raises(ValueError, match="stepped by evolve_dm.run_dm"):
-            check()(zero)
+        gauged = dm.coulomb_gauge(zero, dm.StepConfig(dt=0.1))
+        for bare in (lambda t: dataclasses.replace(zero, t=t), lambda t: dataclasses.replace(gauged, t=t)):
+            observe = check()
+            observe(bare(0.0))
+            observe(bare(0.1))
+            with pytest.raises(ValueError, match="carries no A0.*coulomb_gauge or run_dm"):
+                observe(bare(0.2))
 
 
 class TestNullTwoPath:

@@ -27,10 +27,9 @@ def plane_wave(lat, kvec):
 
 
 def run_sp(state, T, dt, sample_every=1):
-    """Final SP state and the diagnostics rows of the samples."""
+    """Final SP state and the diagnostics rows of the samples, through the run entry."""
     rows = []
-    final = dm.integrate(state, lambda s: lim.sp_step(s, dt), dm.n_steps_for(T, dt), sample_every,
-                         lambda s: rows.append(lim.sp_diagnostics(s)))
+    final = lim.run_sp(state, T, dt, sample_every, lambda s: rows.append(lim.sp_diagnostics(s)))
     return final, rows
 
 
@@ -77,6 +76,15 @@ class TestSPStep:
 
 
 class TestSimulateSP:
+    def test_run_sp_is_the_hand_stepped_run(self, lat):
+        v = random_two_spinor(lat, 4)
+        state = lim.SPState(lat, 0.0, v, 0.5 * v)
+        final, rows = run_sp(state, 0.05, 0.01, sample_every=2)
+        assert [row["t"] for row in rows] == pytest.approx([0.0, 0.02, 0.04, 0.05])
+        for _ in range(5):
+            state = lim.sp_step(state, 0.01)
+        assert np.array_equal(final.v_plus, state.v_plus) and np.array_equal(final.v_minus, state.v_minus)
+
     def test_plane_wave_exact_for_all_time(self, lat):
         v = np.zeros((2, lat.n, lat.n, lat.n), dtype=complex)
         v[0] = plane_wave(lat, (1, 0, 0))

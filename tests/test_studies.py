@@ -63,7 +63,7 @@ class TestConfig:
         def no_stepping(*args, **kwargs):
             raise AssertionError("stepped before the grid check")
 
-        monkeypatch.setattr(st, "integrate", no_stepping)
+        monkeypatch.setattr(st, "run_sp", no_stepping)
         cfg = small_cfg(dt_schedule="eps_squared", eps_list=[0.4, 0.3, 0.2], dt_ref=0.01, T=0.1, sample_every=1)
         with pytest.raises(ValueError, match="eps = 0.3"):
             st.nonrel_convergence_study(cfg)
@@ -226,6 +226,25 @@ class TestDyadicProbe:
             return num / (np.sqrt(eps) * mu * nf * ng)
 
         assert ratio(1.0) == pytest.approx(ratio(5.0), rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["i", "ii", "iii"])
+    @pytest.mark.parametrize("mu_list, lam_list, key, bad", [([3.0], [4.0], "mu_list", 3.0),
+                                                              ([1.0], [1.0, 3.0], "lam_list", 3.0),
+                                                              ([0.0], [4.0], "mu_list", 0.0),
+                                                              ([1.0], [-2.0, 4.0], "lam_list", -2.0)])
+    def test_sweep_rejects_a_non_dyadic_scale_before_running(self, case, mu_list, lam_list, key, bad, monkeypatch):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("a cell ran before the scales were checked")
+
+        monkeypatch.setattr(st, "dyadic_probe", no_probe)
+        with pytest.raises(ValueError, match=f"^{key}: {bad} is not a dyadic number"):
+            st.dyadic_sweep(case, 16, TWO_PI, 0.5, mu_list, lam_list, 1, 0, 0.04, 0.02)
+
+    def test_probe_window_is_the_littlewood_paley_window(self):
+        lat = fc.make_lattice(16, TWO_PI)
+        for mu in (0.5, 1.0, 2.0, 4.0):
+            r = lat.k_abs / mu
+            assert np.array_equal(fc.lp_window(lat, mu, "mu"), fc.bump_profile(r) - fc.bump_profile(2.0 * r))
 
     def test_sweep_rows_format(self):
         rows = st.dyadic_sweep("iii", 16, TWO_PI, 0.5, [1.0, 2.0], [1.0], trials=2, seed=0, T=0.1, dt=0.05)
