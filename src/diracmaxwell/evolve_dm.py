@@ -16,13 +16,14 @@ fields use real transforms, and per-mode multipliers come from the bounded
 cache fourier.mode_multipliers.  Every spinor matrix goes through the
 2x2-block kernel spinors.block_rows: the potential kick per point, the
 Picard forcing, and per mode the free flow (a + bQ of the free Dirac symbol,
-with d, conj(d) and h cached) and reconstruct_from_U's i alpha.k, both
-through spinors.dirac_symbol_apply.  A step moves 4 complex components
-forward and 8 back, 4 real forward and 7 back; a sample, one spectrum of psi.  Every
-transform writes its passes into one output allocated per call, and the kicks,
-block products and current run slab by slab (spinors.slabwise); from n = 32
-both spread over the cores (fourier), bit for bit.  Derivatives, the wave
-step and the norms stay on the calling thread.  Not done: scipy.fft (its import
+with d, conj(d) and h cached), Pi_- and reconstruct_from_U's i alpha.k.  A
+step moves 4 complex components forward and 8 back, 4 real forward and 7
+back; a sample, one spectrum of psi, reduced to its sums in one slab pass.
+Every transform writes its passes into one output allocated per call; the
+kicks, block products, current, charge, wave and Leray products and norms run
+slab by slab (fourier.slabwise, slab_sum), from n = 32 spread over the cores
+(fourier), with the same bits on any core count.  Derivatives and the scalar
+transforms of Poisson stay on the calling thread.  Not done: scipy.fft (its import
 costs ~0.3 s and 27 MB per process) and merging consecutive half kicks
 (first same as last: the step would depend on the sample times).
 
@@ -60,7 +61,7 @@ import numpy as np
 
 from . import spinors as sp
 from .fourier import (Lattice, curl, dealias, gradient, leray_hat, leray_project, mode_multipliers, on_modes,
-                      poisson_solve, sobolev_norm_hat)
+                      poisson_solve, slab_sum, slabwise, sobolev_norm_hat, sobolev_weight)
 
 
 class Carried(NamedTuple):
@@ -133,7 +134,7 @@ def potential_kick(lat: Lattice, psi: np.ndarray, A0: np.ndarray, A: np.ndarray,
     exp(i dt (A.alpha + A0)) factorizes since A0*I commutes with A.alpha and
     (A.alpha)^2 = |A|^2: phase (cos + i sin * unit-alpha), phase = exp(i dt A0).
     The block form has d_+ = d_- = phase cos and V = i phase sin(dt |A|)/|A| A.
-    It is built slab by slab (spinors.slabwise): no coefficient takes a full grid.
+    It is built slab by slab (fourier.slabwise): no coefficient takes a full grid.
     """
     def kick(out, psi, A0, A):
         theta = dt * np.sqrt(np.sum(A**2, axis=0))
@@ -142,7 +143,7 @@ def potential_kick(lat: Lattice, psi: np.ndarray, A0: np.ndarray, A: np.ndarray,
         f *= 1j * dt
         diag *= np.cos(theta)
         sp.block_rows(out, psi, diag, diag, sp.sigma_entries(A), f)
-    return sp.slabwise(kick, np.empty(psi.shape, dtype=complex), psi, A0, A)
+    return slabwise(kick, np.empty(psi.shape, dtype=complex), psi, A0, A)
 
 
 def wave_oscillator(lat: Lattice, fhat: np.ndarray, ghat: np.ndarray, srchat: np.ndarray, dt: float, eps: float):
@@ -150,10 +151,14 @@ def wave_oscillator(lat: Lattice, fhat: np.ndarray, ghat: np.ndarray, srchat: np
 
     State is (u, w) with w = eps * dt(u), given and returned in Fourier space
     (full or real-transform spectra).  Modes with |k| = 0 get the exact
-    polynomial drift.
+    polynomial drift.  Written slab by slab (fourier.slabwise).
     """
-    c, s, a, b = (on_modes(x, fhat) for x in mode_multipliers(lat, eps, dt).wave)
-    return c * fhat + s * ghat + a * srchat, b * fhat + c * ghat + s * srchat
+    def rows(u, w, f, g, src, c, s, a, b):
+        np.add(c * f + s * g, a * src, out=u)
+        np.add(b * f + c * g, s * src, out=w)
+    w = np.empty(fhat.shape, dtype=complex)
+    return slabwise(rows, np.empty(fhat.shape, dtype=complex), w, fhat, ghat, srchat,
+                    *[on_modes(x, fhat) for x in mode_multipliers(lat, eps, dt).wave]), w
 
 
 def wave_step(lat: Lattice, A_hat: np.ndarray, W_hat: np.ndarray, J: np.ndarray, dt: float, eps: float):
@@ -199,17 +204,24 @@ H1_CEILING = 1e6  # checked_diagnostics raises above this h1_psi
 
 def _diagnose(state: DMState) -> dict:
     """The DIAGNOSTIC_COLUMNS of a state of a run, all by Parseval: the
-    spinor columns from one spectrum of psi (Pi_- per mode, no inverse
-    transform), the field columns from the carried spectra."""
+    spinor columns from one spectrum of psi in one slab pass (slab_sum, Pi_-
+    per slab), the field columns from the carried spectra."""
     lat, c = state.lat, state.carried
-    psihat = lat.fft(state.psi)
+    psihat, w = lat.fft(state.psi), sobolev_weight(lat, 1.0, False, False)
+
+    def sums(s):
+        slab, pi_minus = psihat[:, s], np.empty_like(psihat[:, s])
+        sp.pi_eps_rows(pi_minus, slab, lat, state.eps, -1, s)
+        power = (np.abs(slab) ** 2).sum(axis=0)
+        return np.array([np.sum(power), np.sum(w[s] * power), np.sum(w[s] * (np.abs(pi_minus) ** 2).sum(axis=0))])
+    charge, h1_sq, h1_pi_minus_sq = slab_sum(sums, lat.n) * lat.volume / lat.n**6
     return {
         "t": state.t,
-        "charge": sobolev_norm_hat(lat, psihat, 0.0) ** 2,
-        "h1_psi": sobolev_norm_hat(lat, psihat, 1.0),
+        "charge": float(charge),
+        "h1_psi": float(np.sqrt(h1_sq)),
         "h1dot_A": sobolev_norm_hat(lat, c.A_hat, 1.0, homogeneous=True),
         "eps_l2_dtA": sobolev_norm_hat(lat, c.W_hat, 0.0),
-        "h1_pi_minus_psi": sobolev_norm_hat(lat, sp.pi_eps_hat(lat, psihat, state.eps, -1), 1.0),
+        "h1_pi_minus_psi": float(np.sqrt(h1_pi_minus_sq)),
     }
 
 

@@ -33,17 +33,19 @@ fixed once and for all:
   ``np.fft``'s, bit for bit and dtype included.  From 32**3 points per
   component a multi-component float64/complex128 transform runs one chunk of
   components per usable core, and ``by_slab`` hands the slabs of a pointwise
-  spinor kernel (block products, potential kick, current) to the cores in
-  turn: the calling thread and a pool of cores - 1 threads started on first
-  use.  A job writes into its slice of one output its caller allocated and
-  submits no further job.  Smaller grids, ``partial``, the wave and Leray
-  products and the norms run on the calling thread.
+  kernel (``slabwise``: block products, potential kick, current, charge, the
+  wave and Leray products) or of a norm's sum (``slab_sum``, added in slab
+  order) to the cores in turn: the calling thread and a pool of cores - 1
+  threads started on first use.  A job writes into its slice of one output its
+  caller allocated, or returns its partial sum, and submits no further job.
+  Below 32**3 points the slabs run on the calling thread, as do ``partial``
+  and the transforms of a scalar field (Poisson).
 
 Everything here is a pure function of immutable inputs (the Lattice caches
-are computed once and never mutated, and ``mode_multipliers`` and
-``kinetic_multipliers`` hand out read-only arrays), and a split job writes
-only into the output of its own call, so concurrent use from multiple
-threads is safe.
+are computed once and never mutated, and ``mode_multipliers``,
+``kinetic_multipliers`` and ``sobolev_weight`` hand out read-only arrays),
+and a split job writes only into the output of its own call, so concurrent
+use from multiple threads is safe.
 """
 
 from __future__ import annotations
@@ -260,6 +262,27 @@ def by_slab(job, n: int) -> None:
     _on_cores(run, k)
 
 
+def _on_slab(a, s):
+    """a on the slab s of axis -3; tuples entry by entry, None, scalars and length-1 axes as they are."""
+    if isinstance(a, tuple):
+        return tuple([_on_slab(x, s) for x in a])
+    return a if np.ndim(a) < 3 or a.shape[-3] == 1 else a[..., s, :, :]
+
+
+def slabwise(kernel, out: np.ndarray, *args) -> np.ndarray:
+    """out, filled by a pointwise kernel(out, *args) per slab (by_slab) on the slabs of out and args."""
+    # lists, not generators: each resized tuple(generator) freed grows the tuple free list
+    by_slab(lambda s: kernel(*[_on_slab(a, s) for a in (out, *args)]), out.shape[-3])
+    return out
+
+
+def slab_sum(job, n: int):
+    """The sum of job(s) (floats or arrays) over the slabs s of by_slab, added in slab order."""
+    parts = {}
+    by_slab(lambda s: parts.__setitem__(s.start, job(s)), n)
+    return sum(parts[a] for a in sorted(parts))
+
+
 def make_lattice(n: int, L: float) -> Lattice:
     return Lattice(n, L)
 
@@ -420,10 +443,13 @@ def laplacian(lat: Lattice, f: np.ndarray) -> np.ndarray:
 
 def leray_hat(lat: Lattice, uhat: np.ndarray) -> np.ndarray:
     """Leray projection of a vector spectrum (full or real-transform): per
-    mode I - k k^T / |k|^2, the identity where k = 0."""
-    kx, ky, kz, inv_lap = (on_modes(a, uhat) for a in (lat.kx, lat.ky, lat.kz, lat.inv_laplacian))
-    c = (kx * uhat[0] + ky * uhat[1] + kz * uhat[2]) * inv_lap  # -(k.u)/|k|^2
-    return np.stack([uhat[0] + kx * c, uhat[1] + ky * c, uhat[2] + kz * c])
+    mode I - k k^T / |k|^2, the identity where k = 0; written slab by slab."""
+    def rows(out, uhat, kx, ky, kz, inv_lap):
+        c = (kx * uhat[0] + ky * uhat[1] + kz * uhat[2]) * inv_lap  # -(k.u)/|k|^2
+        for j, k in enumerate((kx, ky, kz)):
+            np.add(uhat[j], k * c, out=out[j])
+    k = [on_modes(a, uhat) for a in (lat.kx, lat.ky, lat.kz, lat.inv_laplacian)]
+    return slabwise(rows, np.empty(uhat.shape, np.result_type(uhat, *k)), uhat, *k)
 
 
 def curl_hat(lat: Lattice, uhat: np.ndarray) -> np.ndarray:
@@ -485,29 +511,33 @@ def sobolev_norm(lat: Lattice, f: np.ndarray, s: float, homogeneous: bool = Fals
     return sobolev_norm_hat(lat, fwd(f), s, homogeneous)
 
 
-def sobolev_norm_hat(lat: Lattice, fhat: np.ndarray, s: float, homogeneous: bool = False) -> float:
-    """sobolev_norm of f from its spectrum by Parseval: fhat = lat.fft(f), or
-    lat.rfft(f) of a real f (told apart by the last-axis length, as in
-    ``on_modes``), whose interior last-axis modes stand for their conjugates
-    too and so count twice."""
-    power = np.abs(fhat) ** 2
-    if power.ndim > 3:
-        power = power.reshape(-1, *power.shape[-3:]).sum(axis=0)
+@functools.lru_cache(maxsize=8)
+def sobolev_weight(lat: Lattice, s: float, homogeneous: bool, half: bool) -> np.ndarray:
+    """Cached read-only weight of sobolev_norm_hat per mode: (1 + |k|^2)^s, or |k|^(2s) without
+    the zero-like modes; on the half spectrum of a real transform the interior last-axis
+    modes stand for their conjugates too and so count twice."""
     if homogeneous:
-        if s < 0:
-            mean_sq = power[0, 0, 0] / lat.n**6
-            if mean_sq > 1e-24:
-                raise ValueError("homogeneous norm with s < 0 needs mean-zero input")
         with np.errstate(invalid="ignore", divide="ignore"):
             w = lat.k_sq**s
         w = np.where(lat.zero_modes, 0.0, w)
     else:
         w = (1.0 + lat.k_sq) ** s
-    w = on_modes(w, fhat)
-    if fhat.shape[-1] != lat.n:
-        w = w * np.r_[1.0, np.full(lat.n // 2 - 1, 2.0), 1.0]
-    total = float(np.sum(w * power)) * lat.volume / lat.n**6
-    return float(np.sqrt(total))
+    if half:
+        w = w[..., : lat.n // 2 + 1] * np.r_[1.0, np.full(lat.n // 2 - 1, 2.0), 1.0]
+    return _read_only(w)
+
+
+def sobolev_norm_hat(lat: Lattice, fhat: np.ndarray, s: float, homogeneous: bool = False) -> float:
+    """sobolev_norm of f from its spectrum by Parseval: fhat = lat.fft(f), or
+    lat.rfft(f) of a real f (told apart by the last-axis length, as in
+    ``on_modes``); summed slab by slab (slab_sum)."""
+    if homogeneous and s < 0 and np.sum(np.abs(fhat[..., 0, 0, 0]) ** 2) / lat.n**6 > 1e-24:
+        raise ValueError("homogeneous norm with s < 0 needs mean-zero input")
+    w = sobolev_weight(lat, s, homogeneous, fhat.shape[-1] != lat.n)
+    def weighted(sl):  # |fhat|^2 summed over the leading components, times the weight
+        power = np.abs(fhat[..., sl, :, :]) ** 2
+        return np.sum(w[sl] * power.reshape(-1, *power.shape[-3:]).sum(axis=0))
+    return float(np.sqrt(float(slab_sum(weighted, lat.n)) * lat.volume / lat.n**6))
 
 
 def l2_norm(lat: Lattice, f: np.ndarray) -> float:

@@ -12,17 +12,17 @@ densities ``<v, sigma v>`` are real either way.
 Per mode, the free Dirac symbol Q = gamma0 + eps alpha.k has Q^2 = lam^2, so
 each function of it is a + b Q: the block form [[a + b, V.sigma],
 [V.sigma, a - b]] with V = eps b k.  dirac_symbol_apply applies that block
-form; Q (free_dirac_apply), Pi_+/- (pi_eps_hat), the remainders of
-projection_remainders and the free flow (evolve_dm.free_flow_hat) go through
-it as a + b Q, and i alpha.k (evolve_dm.reconstruct_from_U) as the block form
-with no diagonal.
+form; Q (free_dirac_apply), the remainders of projection_remainders and the
+free flow (evolve_dm.free_flow_hat) go through it as a + b Q, i alpha.k
+(evolve_dm.reconstruct_from_U) as the block form with no diagonal, and Pi_+/-
+(pi_eps_rows) as a + b Q on one slab at a time, with the same entries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fourier import Lattice, by_slab, curl, gradient, l2_norm, mode_multipliers
+from .fourier import Lattice, by_slab, curl, gradient, l2_norm, mode_multipliers, slabwise
 
 # Pauli matrices and the 4x4 Dirac set (2x2 block form).
 SIGMA = np.array(
@@ -55,20 +55,6 @@ for _j, _k, _l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 def sigma_entries(v) -> tuple:
     """The entries (v_z, v_-, v_+) of v.sigma = [[v3, v1 - i v2], [v1 + i v2, -v3]]."""
     return v[2], v[0] - 1j * v[1], v[0] + 1j * v[1]
-
-
-def _on_slab(a, s):
-    """a on the slab s of axis -3; tuples entry by entry, None, scalars and length-1 axes as they are."""
-    if isinstance(a, tuple):
-        return tuple([_on_slab(x, s) for x in a])
-    return a if np.ndim(a) < 3 or a.shape[-3] == 1 else a[..., s, :, :]
-
-
-def slabwise(kernel, out: np.ndarray, *args) -> np.ndarray:
-    """out, filled by a pointwise kernel(out, *args) per slab (fourier.by_slab) on the slabs of out and args."""
-    # lists, not generators: each resized tuple(generator) freed grows the tuple free list
-    by_slab(lambda s: kernel(*[_on_slab(a, s) for a in (out, *args)]), out.shape[-3])
-    return out
 
 
 def _sigma_rows(out, chi, d, v, eta, scale):
@@ -154,10 +140,15 @@ def embed_lower(eta: np.ndarray) -> np.ndarray:
 
 def dirac_symbol_apply(lat: Lattice, psihat: np.ndarray, d_plus, d_minus, scale) -> np.ndarray:
     """[[d_+, V.sigma], [V.sigma, d_-]] of a spinor spectrum, per mode, with
-    V = scale (-i k): the only place that builds the free Dirac symbol's
-    k.sigma entries.  Its main use is a + b Q, Q = gamma0 + eps alpha.k, with
-    d_+/- = a +/- b and scale = i eps b; scale -1 with no d_+/- gives i alpha.k."""
-    return block_apply(psihat, d_plus, d_minus, sigma_entries((-1j * lat.kx, -1j * lat.ky, -1j * lat.kz)), scale)
+    V = scale (-i k), whose entries _k_entries alone builds.  Its main use is
+    a + b Q, Q = gamma0 + eps alpha.k, with d_+/- = a +/- b and scale = i eps b;
+    scale -1 with no d_+/- gives i alpha.k."""
+    return block_apply(psihat, d_plus, d_minus, _k_entries(lat, slice(None)), scale)
+
+
+def _k_entries(lat: Lattice, s: slice) -> tuple:
+    """sigma_entries of V = -i k, broadcast over the modes of the slab s."""
+    return sigma_entries((-1j * lat.kx[s], -1j * lat.ky, -1j * lat.kz))
 
 
 def free_dirac_apply(lat: Lattice, psi: np.ndarray, eps: float) -> np.ndarray:
@@ -167,13 +158,20 @@ def free_dirac_apply(lat: Lattice, psi: np.ndarray, eps: float) -> np.ndarray:
     return lat.ifft(dirac_symbol_apply(lat, lat.fft(psi), 1.0, -1.0, 1j * eps))
 
 
+def pi_eps_rows(out, psihat, lat: Lattice, eps: float, sign: int, s: slice) -> None:
+    """Energy projection of the slab s of a spinor spectrum, written into out:
+    per mode (I +/- (eps alpha.k + gamma0)/lambda)/2, that is 1/2 + c Q with c = +/- 1/(2 lam)."""
+    c = (0.5 * sign) / mode_multipliers(lat, eps, 0.0).lam[s]
+    block_rows(out, psihat, 0.5 + c, 0.5 - c, _k_entries(lat, s), 1j * eps * c)
+
+
 def pi_eps_hat(lat: Lattice, psihat: np.ndarray, eps: float, sign: int) -> np.ndarray:
-    """Energy projection of a spinor spectrum: per mode (I +/- (eps alpha.k + gamma0)/lambda)/2,
-    that is 1/2 + c Q with c = +/- 1/(2 lam)."""
+    """Energy projection Pi_+/- of a spinor spectrum, slab by slab (pi_eps_rows)."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    c = (0.5 * sign) / mode_multipliers(lat, eps, 0.0).lam
-    return dirac_symbol_apply(lat, psihat, 0.5 + c, 0.5 - c, 1j * eps * c)
+    out = np.empty(psihat.shape, dtype=complex)
+    by_slab(lambda s: pi_eps_rows(out[..., s, :, :], psihat[..., s, :, :], lat, eps, sign, s), lat.n)
+    return out
 
 
 def pi_eps(lat: Lattice, psi: np.ndarray, eps: float, sign: int) -> np.ndarray:
@@ -213,7 +211,7 @@ def projection_remainders(lat: Lattice, f: np.ndarray, eps: float):
 
 
 def charge_density(psi: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(psi) ** 2, axis=0)
+    return slabwise(lambda out, psi: np.sum(np.abs(psi) ** 2, axis=0, out=out), np.empty(psi.shape[1:]), psi)
 
 
 def current_density(psi: np.ndarray, eps: float) -> np.ndarray:

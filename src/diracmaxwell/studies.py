@@ -337,7 +337,7 @@ def dyadic_probe(lat: Lattice, mu: float, lam: float, eps: float, trials: int,
     times = np.arange(steps + 1) * dt
     omega = lat.k_abs / eps
     h_sym = h_eps_symbol(lat, eps)
-    beta_mu = lp_window(lat, mu, "mu")
+    beta_mu, _ = lp_window(lat, mu, "mu"), lp_window(lat, lam, "lam")  # the second checks lam
     ratios = []
     for trial in range(trials):
         f_scale = mu if case == "iii" else lam

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -402,17 +403,168 @@ class TestDiagnose:
         if case == "gauged":
             state = dm.dm_strang_step(dm.coulomb_gauge(smooth_state(lat12, 0.3, gauge_amp=0.2), cfg), cfg)
         else:
-            # random real A and eps*dt(A) carry Nyquist content on every axis
-            rng = np.random.default_rng(7)
-            shape = (lat12.n,) * 3
-            psi = rng.standard_normal((4, *shape)) + 1j * rng.standard_normal((4, *shape))
-            state = dm.coulomb_gauge(
-                dm.DMState(lat12, 0.1, psi, rng.standard_normal((3, *shape)), rng.standard_normal((3, *shape)), 0.3), cfg)
+            state = random_gauged_state(lat12.n)
         got, want = dm._diagnose(state), diagnose_reference(state)
         assert list(got) == list(dm.DIAGNOSTIC_COLUMNS)
         for col in dm.DIAGNOSTIC_COLUMNS:
             assert want[col] > 0
             assert abs(got[col] - want[col]) <= 1e-13 * want[col]
+
+
+@pytest.fixture(params=[1, 2, 3], ids=["1 core", "2 cores", "3 cores"])
+def cores(request, monkeypatch):
+    """A core count, assumed so that the pool runs on any host."""
+    monkeypatch.setattr(fc, "_CORES", request.param)
+    return request.param
+
+
+def random_gauged_state(n, seed=7):
+    """A run's start from random data: Nyquist content on every axis."""
+    lat, rng = fc.make_lattice(n, TWO_PI), np.random.default_rng(seed)
+    shape = (n, n, n)
+    psi = rng.standard_normal((4, *shape)) + 1j * rng.standard_normal((4, *shape))
+    init = dm.DMState(lat, 0.1, psi, rng.standard_normal((3, *shape)), rng.standard_normal((3, *shape)), 0.3)
+    return dm.coulomb_gauge(init, dm.StepConfig(dt=2e-3))
+
+
+def sobolev_norm_by_formula(lat, fhat, s, homogeneous=False):
+    """sobolev_norm_hat as one full-grid sum with its weight built per call."""
+    power = np.abs(fhat) ** 2
+    if power.ndim > 3:
+        power = power.reshape(-1, *power.shape[-3:]).sum(axis=0)
+    if homogeneous:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w = np.where(lat.zero_modes, 0.0, lat.k_sq**s)
+    else:
+        w = (1.0 + lat.k_sq) ** s
+    w = w[..., : fhat.shape[-1]]
+    if fhat.shape[-1] != lat.n:
+        w = w * np.r_[1.0, np.full(lat.n // 2 - 1, 2.0), 1.0]
+    return float(np.sqrt(float(np.sum(w * power)) * lat.volume / lat.n**6))
+
+
+def diagnose_by_formula(state):
+    """_diagnose with full-grid sums and a full-grid Pi_- spectrum."""
+    lat, c = state.lat, state.carried
+    psihat = lat.fft(state.psi)
+    half = (-0.5) / np.sqrt(1.0 + state.eps**2 * lat.k_sq)
+    pi_minus = sp.dirac_symbol_apply(lat, psihat, 0.5 + half, 0.5 - half, 1j * state.eps * half)
+    return {
+        "t": state.t,
+        "charge": sobolev_norm_by_formula(lat, psihat, 0.0) ** 2,
+        "h1_psi": sobolev_norm_by_formula(lat, psihat, 1.0),
+        "h1dot_A": sobolev_norm_by_formula(lat, c.A_hat, 1.0, homogeneous=True),
+        "eps_l2_dtA": sobolev_norm_by_formula(lat, c.W_hat, 0.0),
+        "h1_pi_minus_psi": sobolev_norm_by_formula(lat, pi_minus, 1.0),
+    }
+
+
+class TestSlabFieldKernels:
+    """The wave oscillator, the Leray product and the charge density run slab by
+    slab (fourier.slabwise); each equals its full-grid expression bit for bit,
+    on full and real-transform spectra, whatever the core count.  n = 24 gives
+    two slabs on the calling thread, n = 32 and 48 four and sixteen over the cores."""
+
+    @pytest.mark.parametrize("n", [24, 32, 48])
+    def test_equal_the_full_grid_expressions(self, n, cores):
+        lat, rng = fc.make_lattice(n, TWO_PI), np.random.default_rng(n)
+        A, W, J = (rng.standard_normal((3, n, n, n)) for _ in range(3))
+        psi = random_spinor(lat, n)
+        for spectrum in (lat.rfft, lat.fft):
+            f, g, src = spectrum(A), spectrum(W), spectrum(J)
+            for dt in (0.013, -0.013):
+                c, s, a, b = (fc.on_modes(x, f) for x in fc.mode_multipliers(lat, 0.3, dt).wave)
+                u, w = dm.wave_oscillator(lat, f, g, src, dt, 0.3)
+                assert np.array_equal(u, c * f + s * g + a * src) and np.array_equal(w, b * f + c * g + s * src)
+            kx, ky, kz, inv_lap = (fc.on_modes(x, f) for x in (lat.kx, lat.ky, lat.kz, lat.inv_laplacian))
+            k_dot_u = (kx * f[0] + ky * f[1] + kz * f[2]) * inv_lap
+            assert np.array_equal(fc.leray_hat(lat, f), np.stack([f[0] + kx * k_dot_u, f[1] + ky * k_dot_u,
+                                                                   f[2] + kz * k_dot_u]))
+        for p in (psi, psi[:2], psi.transpose(0, 3, 1, 2)):
+            assert np.array_equal(sp.charge_density(p), np.sum(np.abs(p) ** 2, axis=0))
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_no_slab_job_submits_a_job(self, n, monkeypatch):
+        # every split (by_slab, slabwise, slab_sum, split transforms) goes through _on_cores
+        monkeypatch.setattr(fc, "_CORES", 3)
+        inside, nested, on_cores = threading.local(), [], fc._on_cores
+
+        def guarded(run, k):
+            if getattr(inside, "job", False):
+                nested.append(k)
+
+            def job(i):
+                inside.job = True
+                try:
+                    run(i)
+                finally:
+                    inside.job = False
+            on_cores(job, k)
+        monkeypatch.setattr(fc, "_on_cores", guarded)
+        cfg = dm.StepConfig(dt=2e-3, dealias=True)
+        state = dm.dm_strang_step(random_gauged_state(n), cfg)
+        dm._diagnose(state)
+        sp.pi_eps_hat(state.lat, state.lat.fft(state.psi), state.eps, 1)
+        assert nested == []
+
+
+class TestSlabSample:
+    """_diagnose takes one slab pass over the spectrum of psi, and
+    sobolev_norm_hat sums slab by slab, the slab sums added in slab order."""
+
+    @pytest.mark.parametrize("n", [32, 48])
+    def test_bit_identical_for_every_core_count(self, n, monkeypatch):
+        state = random_gauged_state(n)
+        lat, psihat = state.lat, state.lat.fft(state.psi)
+        got = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(fc, "_CORES", cores)
+            norms = [fc.sobolev_norm_hat(lat, f, s, h) for f in (psihat, state.carried.A_hat, state.carried.W_hat)
+                     for s, h in ((0.0, False), (1.0, False), (1.0, True), (-0.5, False))]
+            got.append((dm._diagnose(state), norms))
+        assert got[0] == got[1] == got[2]
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_within_roundoff_of_the_full_grid_sums(self, n, cores):
+        state = random_gauged_state(n)
+        got, want = dm._diagnose(state), diagnose_by_formula(state)
+        assert list(got) == list(dm.DIAGNOSTIC_COLUMNS)
+        for col in dm.DIAGNOSTIC_COLUMNS:
+            assert want[col] > 0 and abs(got[col] - want[col]) <= 1e-15 * want[col], col
+        lat = state.lat
+        for f in (lat.fft(state.psi), state.carried.A_hat, lat.fft(state.A)):
+            for s, h in ((0.0, False), (1.0, False), (1.0, True), (-1.0, False), (0.5, True)):
+                want = sobolev_norm_by_formula(lat, f, s, h)
+                assert abs(fc.sobolev_norm_hat(lat, f, s, h) - want) <= 1e-15 * want, (s, h)
+
+    def test_weights_are_cached_read_only_and_shared(self):
+        state = random_gauged_state(24)
+        lat = state.lat
+        dm._diagnose(state)
+        before = fc.sobolev_weight.cache_info()
+        dm._diagnose(state)
+        after = fc.sobolev_weight.cache_info()
+        assert after.currsize == before.currsize and after.hits == before.hits + 3  # psi, A_hat, W_hat
+        for half in (False, True):
+            w = fc.sobolev_weight(lat, 1.0, False, half)
+            assert w is fc.sobolev_weight(lat, 1.0, False, half) and not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0, 0, 0] = 2.0
+        full, half = fc.sobolev_weight(lat, 1.0, True, False), fc.sobolev_weight(lat, 1.0, True, True)
+        assert np.array_equal(half[..., 1:-1], 2.0 * full[..., 1:lat.n // 2])
+
+    def test_one_sample_peaks_below_one_and_a_half_spinors(self):
+        # the parent built a full-grid Pi_- spectrum and full-grid powers: 2.66 spinors
+        state = random_gauged_state(64)
+        dm._diagnose(state)  # the cached multipliers and weights
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            dm._diagnose(state)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * state.psi.nbytes, f"peak {peak / state.psi.nbytes:.2f} spinors"
 
 
 class TestMultiplierCache:

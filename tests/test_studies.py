@@ -240,6 +240,15 @@ class TestDyadicProbe:
         with pytest.raises(ValueError, match=f"^{key}: {bad} is not a dyadic number"):
             st.dyadic_sweep(case, 16, TWO_PI, 0.5, mu_list, lam_list, 1, 0, 0.04, 0.02)
 
+    @pytest.mark.parametrize("case", ["i", "ii", "iii"])
+    @pytest.mark.parametrize("mu, lam, key, bad", [(1.0, 3.0, "lam", 3.0), (3.0, 4.0, "mu", 3.0),
+                                                   (1.0, -2.0, "lam", -2.0)])
+    def test_probe_names_the_non_dyadic_scale(self, case, mu, lam, key, bad):
+        # called directly, not through dyadic_sweep, which checks its lists first
+        lat = fc.make_lattice(16, TWO_PI)
+        with pytest.raises(ValueError, match=f"^{key}: {bad} is not a dyadic number"):
+            st.dyadic_probe(lat, mu, lam, 0.5, 1, case, 0.04, 0.02, 0)
+
     def test_probe_window_is_the_littlewood_paley_window(self):
         lat = fc.make_lattice(16, TWO_PI)
         for mu in (0.5, 1.0, 2.0, 4.0):
