@@ -35,7 +35,8 @@ class ConfigError(Exception):
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """An int or float, not a bool, that is a finite float (JSON parses Infinity, NaN and huge ints)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _is_int(v) -> bool:
@@ -47,23 +48,23 @@ def _is_numbers(v) -> bool:
 
 
 # key kinds: (what a value must be, its test, what the command gets)
-NUMBER = ("a number", _is_number, float)
-POSITIVE = ("a positive number", lambda v: _is_number(v) and v > 0, float)
+NUMBER = ("a finite number", _is_number, float)
+POSITIVE = ("a finite positive number", lambda v: _is_number(v) and v > 0, float)
 INTEGER = ("an integer", _is_int, int)
 COUNT = ("a positive integer", lambda v: _is_int(v) and v >= 1, int)
 GRID_N = ("an even integer >= 4", lambda v: _is_int(v) and v % 2 == 0 and v >= 4, int)
 BOOL = ("true or false", lambda v: isinstance(v, bool), bool)
 STRING = ("a string", lambda v: isinstance(v, str), str)
-OBJECT = ("an object", lambda v: isinstance(v, dict), dict)
-NUMBERS = ("a list of numbers", _is_numbers, lambda v: [float(x) for x in v])
-EPS_LIST = ("a list of >= 3 positive numbers (a rate fit needs 3 eps values)",
+PARAMS = ("an object of finite numbers", lambda v: isinstance(v, dict) and all(map(_is_number, v.values())), dict)
+NUMBERS = ("a list of finite numbers", _is_numbers, lambda v: [float(x) for x in v])
+EPS_LIST = ("a list of >= 3 finite positive numbers (a rate fit needs 3 eps values)",
             lambda v: _is_numbers(v) and len(v) >= 3 and min(v) > 0, lambda v: [float(x) for x in v])
 REQUIRED = object()
 
 # every key each command reads, as (kind, default or REQUIRED); a callable
 # default is computed from the values read before it
 _GRID = {"grid.n": (GRID_N, REQUIRED), "grid.period": (POSITIVE, REQUIRED)}
-_DATA = {"data.family": (STRING, REQUIRED), "data.params": (OBJECT, {})}
+_DATA = {"data.family": (STRING, REQUIRED), "data.params": (PARAMS, {})}
 _RUN = {**_GRID, "T": (NUMBER, REQUIRED), "dt": (NUMBER, REQUIRED), "sample_every": (COUNT, 1), **_DATA}
 _DM_RUN = {**_RUN, "eps": (POSITIVE, REQUIRED), "gauge": (STRING, "zero"), "dealias": (BOOL, False)}
 # the study keys end in the ExperimentConfig field names

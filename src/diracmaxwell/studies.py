@@ -5,9 +5,9 @@ decreasing eps list, record the theorem's error norms at sample times, and
 fit log2(error) against log2(eps).  The DM potential is the A0 each state
 carries, every Pauli and limit current is spinors.pauli_current, and the
 weak-* study pairs the DM and limit currents through one loop,
-_run_pairing.  The dyadic probes evolve LP-localized data under the exact
-free flows and compare spacetime L2 norms of products against the claimed
-right-hand sides.
+_run_pairing.  The dyadic sweep evolves LP-localized data under the exact
+free flows, once per (lambda, trial) and f scale, and compares spacetime L2
+norms of products against the claimed right-hand sides.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import spinors as sp
 from .evolve_dm import StepConfig, n_steps_for, run_dm, sample_steps
 from .evolve_limits import SPState, run_pauli, run_sp
 from .fourier import (Lattice, h_eps_symbol, littlewood_paley, lp_norm, lp_window, make_lattice, poisson_solve,
-                      sobolev_norm)
+                      sobolev_norm, sobolev_norm_hat)
 
 # -- configuration ---------------------------------------------------------------
 
@@ -320,70 +320,52 @@ def lp_localized_data(lat: Lattice, scale: float, seed_key: tuple) -> np.ndarray
     return littlewood_paley(lat, w, scale)
 
 
-def dyadic_probe(lat: Lattice, mu: float, lam: float, eps: float, trials: int,
-                 case: str, T: float, dt: float, seed: int) -> list:
-    """Ratio statistics for the spacetime product estimates.
+def dyadic_sweep(case: str, n: int, period: float, eps: float, mu_list, lam_list,
+                 trials: int, seed: int, T: float, dt: float) -> list:
+    """Ratio statistics for the spacetime product estimates over a (mu, lambda)
+    sweep; returns rows (mu, lambda, eps, trial, ratio), mu-major, trials inner.
 
     u solves box_eps u = 0 with data (f, 0); v solves the modulated-Dirac
-    scalar flow i dt v = h_eps_symbol(D) v with data g.  Case 'i'/'ii' measures
-    ||LP_mu(u_lam v_lam)||_{L2_{t,x}}, case 'iii' measures ||u_mu v_lam||
-    without outer localization; denominators follow the respective claims.
+    scalar flow i dt v = h_eps_symbol(D) v with data g at scale lambda.  Case
+    'i'/'ii' measures ||LP_mu(u_lam v_lam)||_{L2_{t,x}} on the cells mu <= lambda,
+    case 'iii' ||u_mu v_lam|| without outer localization; denominators follow
+    the respective claims.  Each (lambda, trial) evolves v once and u once per
+    f scale, so in cases i and ii every mu windows one product.  The case, the
+    cells and every scale are checked before any cell runs.
     """
     if case not in ("i", "ii", "iii"):
         raise ValueError(f"case must be 'i', 'ii' or 'iii', got {case}")
-    if max(mu, lam) > float(np.max(lat.k_abs)) / 2.0:
-        raise ValueError("dyadic scale beyond lattice resolution")
-    steps = n_steps_for(T, dt)
-    times = np.arange(steps + 1) * dt
-    omega = lat.k_abs / eps
-    h_sym = h_eps_symbol(lat, eps)
-    beta_mu, _ = lp_window(lat, mu, "mu"), lp_window(lat, lam, "lam")  # the second checks lam
-    ratios = []
-    for trial in range(trials):
-        f_scale = mu if case == "iii" else lam
-        fhat = lat.fft(lp_localized_data(lat, f_scale, (seed, 11, trial)))
-        ghat = lat.fft(lp_localized_data(lat, lam, (seed, 23, trial)))
-        norm_f = np.sqrt(np.sum(np.abs(fhat) ** 2)) * np.sqrt(lat.volume) / lat.n**3
-        norm_g = np.sqrt(np.sum(np.abs(ghat) ** 2)) * np.sqrt(lat.volume) / lat.n**3
-        if norm_f == 0.0 or norm_g == 0.0:
-            ratios.append(0.0)
-            continue
-        sq_accum = np.zeros(steps + 1)
-        for it, t in enumerate(times):
-            u = lat.ifft(np.cos(omega * t) * fhat)
-            v = lat.ifft(np.exp(-1j * h_sym * t) * ghat)
-            prod_hat = lat.fft(u * v)
-            if case in ("i", "ii"):
-                prod_hat = beta_mu * prod_hat
-            sq_accum[it] = np.sum(np.abs(prod_hat) ** 2) * lat.volume / lat.n**6
-        sq_spacetime = float(np.trapezoid(sq_accum, times))
-        numerator = np.sqrt(sq_spacetime)
-        if case == "i":
-            denom = np.sqrt(eps) * mu * norm_f * norm_g
-        elif case == "ii":
-            denom = np.sqrt(eps) * np.sqrt(mu) * np.sqrt(lam) * norm_f * norm_g
-        else:
-            denom = np.sqrt(eps) * min(mu, lam) * norm_f * norm_g
-        ratios.append(numerator / denom if denom > 0 else 0.0)
-    return ratios
-
-
-def dyadic_sweep(case: str, n: int, period: float, eps: float, mu_list, lam_list,
-                 trials: int, seed: int, T: float, dt: float) -> list:
-    """Run a (mu, lambda) sweep; returns rows (mu, lambda, eps, trial, ratio).
-    Cases 'i' and 'ii' skip the cells with mu > lambda; a non-dyadic scale
-    raises ValueError naming its list before any cell runs."""
-    cells = [(mu, lam) for mu in mu_list for lam in lam_list if case not in ("i", "ii") or mu <= lam]
+    cells = [(mu, lam) for mu in mu_list for lam in lam_list if case == "iii" or mu <= lam]
     if not cells:
         raise ValueError(f"probe case {case}: no (mu, lambda) cell to run for mu_list {list(mu_list)} "
                          f"and lam_list {list(lam_list)}; cases i and ii need mu <= lambda")
     lat = make_lattice(n, period)
-    for key, scales in (("mu_list", mu_list), ("lam_list", lam_list)):
-        for scale in scales:
-            lp_window(lat, scale, key)
-    rows = []
-    for mu, lam in cells:
-        ratios = dyadic_probe(lat, mu, lam, eps, trials, case, T, dt, seed)
-        for trial, r in enumerate(ratios):
-            rows.append((float(mu), float(lam), float(eps), trial, float(r)))
-    return rows
+    beta = {mu: lp_window(lat, mu, "mu_list") for mu in mu_list}
+    for lam in lam_list:
+        lp_window(lat, lam, "lam_list")
+    scale, limit = max(map(max, cells)), float(np.max(lat.k_abs)) / 2.0
+    if scale > limit:
+        raise ValueError(f"dyadic scale {scale} beyond lattice resolution: at most {limit} at n = {n}")
+    times = np.arange(n_steps_for(T, dt) + 1) * dt
+    omega, h_sym = lat.k_abs / eps, h_eps_symbol(lat, eps)
+    ratios = {}
+    for lam in dict.fromkeys(lam for _, lam in cells):
+        mus = [mu for mu, cell_lam in cells if cell_lam == lam]
+        f_scale = {mu: mu if case == "iii" else lam for mu in mus}
+        for trial in range(trials):
+            ghat = lat.fft(lp_localized_data(lat, lam, (seed, 23, trial)))
+            fhat = {s: lat.fft(lp_localized_data(lat, s, (seed, 11, trial))) for s in f_scale.values()}
+            sq = np.zeros((len(mus), len(times)))
+            for it, t in enumerate(times):
+                v, c = lat.ifft(np.exp(-1j * h_sym * t) * ghat), np.cos(omega * t)
+                prod = {s: lat.fft(lat.ifft(c * f) * v) for s, f in fhat.items()}
+                for i, mu in enumerate(mus):
+                    p = prod[f_scale[mu]]
+                    sq[i, it] = sobolev_norm_hat(lat, p if case == "iii" else beta[mu] * p, 0.0) ** 2
+            norm_g = sobolev_norm_hat(lat, ghat, 0.0)
+            for i, mu in enumerate(mus):
+                claim = {"i": mu, "ii": np.sqrt(mu) * np.sqrt(lam), "iii": min(mu, lam)}[case]
+                denom = np.sqrt(eps) * claim * sobolev_norm_hat(lat, fhat[f_scale[mu]], 0.0) * norm_g
+                ratios[mu, lam, trial] = np.sqrt(np.trapezoid(sq[i], times)) / denom if denom > 0 else 0.0
+    return [(float(mu), float(lam), float(eps), trial, float(ratios[mu, lam, trial]))
+            for mu, lam in cells for trial in range(trials)]

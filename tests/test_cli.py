@@ -12,6 +12,8 @@ import pytest
 from diracmaxwell import cli, fourier, harness
 from diracmaxwell.presets import PRESETS
 
+INF, NAN = float("inf"), float("nan")
+
 
 def run_cli(args):
     return cli.main(args)
@@ -350,6 +352,10 @@ class TestConfigTypes:
         ("run-dm", {"dealias": 1}, "dealias"),
         ("run-pauli", {"dealias": "yes"}, "dealias"),
         ("run-sp", {"data": {"family": "zero", "params": [1]}}, "data.params"),
+        # every data.params value is a finite number, and a bool is not one
+        *(("run-dm", {"data": {"family": "upper_projected", "params": {"amplitude": bad}}}, "data.params")
+          for bad in ([0.5], None, True, "0.5", {"re": 0.5}, NAN, INF)),
+        ("run-sp", {"data": {"family": "upper_lower", "params": {"minus_amplitude": False}}}, "data.params"),
     ])
     def test_wrong_type_exits_2_naming_the_field(self, command, changes, field, tmp_path, capsys):
         path = write_config(tmp_path, dm_config(**changes))
@@ -363,6 +369,13 @@ class TestConfigReader:
         *((command, path, None) for command in cli.KEYS for path in cli.KEYS[command]),
         ("run-dm", "T", [1]), ("run-dm", "sample_every", True), ("run-dm", "eps", "0.5"),
         ("probe-dyadic", "trials", "2"), ("converge", "eps_list", [0.4, "0.2", 0.1]),
+        # JSON parsers accept Infinity, -Infinity, NaN and integers of any length; a number must be a finite float
+        pytest.param("run-dm", "T", 10**400, id="run-dm-T-int_10**400"),
+        pytest.param("probe-dyadic", "lam_list", [4.0, -10**400], id="probe-dyadic-lam_list-int_-10**400"),
+        ("run-dm", "grid.period", INF), ("run-dm", "eps", INF), ("run-dm", "T", NAN), ("run-dm", "dt", -INF),
+        ("run-sp", "T", -INF), ("converge", "eps_list", [0.4, 0.2, NAN]), ("converge", "dt_ref", INF),
+        ("converge", "eps_list", [INF, 0.2, 0.1]), ("probe-dyadic", "mu_list", [1.0, NAN]),
+        ("probe-dyadic", "eps", INF), ("probe-dyadic", "dt", INF),
     ])
     def test_wrong_type_exits_2_naming_the_key(self, command, path, value, tmp_path, capsys):
         out = tmp_path / "o"

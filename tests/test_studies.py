@@ -7,6 +7,7 @@ import pytest
 from diracmaxwell import cli
 from diracmaxwell import fourier as fc
 from diracmaxwell import studies as st
+from diracmaxwell.evolve_dm import n_steps_for
 
 TWO_PI = 2 * np.pi
 
@@ -165,36 +166,95 @@ class TestWeakPairing:
         assert np.allclose(out["pairing_limit"], 0.0, atol=1e-12)
 
 
+def reference_probe(lat, mu, lam, eps, trials, case, T, dt, seed):
+    """Per-cell reference for dyadic_sweep: evolves u and v again for every (mu, lambda) cell."""
+    if case not in ("i", "ii", "iii"):
+        raise ValueError(f"case must be 'i', 'ii' or 'iii', got {case}")
+    if max(mu, lam) > float(np.max(lat.k_abs)) / 2.0:
+        raise ValueError("dyadic scale beyond lattice resolution")
+    steps = n_steps_for(T, dt)
+    times = np.arange(steps + 1) * dt
+    omega = lat.k_abs / eps
+    h_sym = fc.h_eps_symbol(lat, eps)
+    beta_mu, _ = fc.lp_window(lat, mu, "mu"), fc.lp_window(lat, lam, "lam")
+    ratios = []
+    for trial in range(trials):
+        f_scale = mu if case == "iii" else lam
+        fhat = lat.fft(st.lp_localized_data(lat, f_scale, (seed, 11, trial)))
+        ghat = lat.fft(st.lp_localized_data(lat, lam, (seed, 23, trial)))
+        norm_f = np.sqrt(np.sum(np.abs(fhat) ** 2)) * np.sqrt(lat.volume) / lat.n**3
+        norm_g = np.sqrt(np.sum(np.abs(ghat) ** 2)) * np.sqrt(lat.volume) / lat.n**3
+        if norm_f == 0.0 or norm_g == 0.0:
+            ratios.append(0.0)
+            continue
+        sq_accum = np.zeros(steps + 1)
+        for it, t in enumerate(times):
+            u = lat.ifft(np.cos(omega * t) * fhat)
+            v = lat.ifft(np.exp(-1j * h_sym * t) * ghat)
+            prod_hat = lat.fft(u * v)
+            if case in ("i", "ii"):
+                prod_hat = beta_mu * prod_hat
+            sq_accum[it] = np.sum(np.abs(prod_hat) ** 2) * lat.volume / lat.n**6
+        sq_spacetime = float(np.trapezoid(sq_accum, times))
+        numerator = np.sqrt(sq_spacetime)
+        if case == "i":
+            denom = np.sqrt(eps) * mu * norm_f * norm_g
+        elif case == "ii":
+            denom = np.sqrt(eps) * np.sqrt(mu) * np.sqrt(lam) * norm_f * norm_g
+        else:
+            denom = np.sqrt(eps) * min(mu, lam) * norm_f * norm_g
+        ratios.append(numerator / denom if denom > 0 else 0.0)
+    return ratios
+
+
 class TestDyadicProbe:
+    @pytest.mark.parametrize("case", ["i", "ii", "iii"])
+    def test_sweep_matches_the_per_cell_reference(self, case):
+        # lambda = 2 skips mu = 4 in cases i and ii; the rows stay mu-major, trials inner
+        mu_list, lam_list, eps, T, dt = [1.0, 2.0, 4.0], [4.0, 2.0], 0.5, 0.2, 0.05
+        rows = st.dyadic_sweep(case, 16, TWO_PI, eps, mu_list, lam_list, trials=2, seed=3, T=T, dt=dt)
+        lat = fc.make_lattice(16, TWO_PI)
+        cells = [(mu, lam) for mu in mu_list for lam in lam_list if case == "iii" or mu <= lam]
+        expected = [(mu, lam, eps, trial, r) for mu, lam in cells
+                    for trial, r in enumerate(reference_probe(lat, mu, lam, eps, 2, case, T, dt, 3))]
+        assert [row[:4] for row in rows] == [row[:4] for row in expected]
+        assert all(r > 0 for *_, r in expected)
+        np.testing.assert_allclose([row[4] for row in rows], [row[4] for row in expected], rtol=1e-13, atol=0)
+
     def test_zero_data_ratio_zero(self):
         # a dyadic annulus that misses every lattice frequency produces zero
         # localized data, handled as ratio 0 rather than 0/0
-        lat4 = fc.make_lattice(4, TWO_PI)
-        ratios = st.dyadic_probe(lat4, 0.25, 0.25, 0.5, 2, "iii", T=0.1, dt=0.05, seed=0)
-        assert ratios == [0.0, 0.0]
+        rows = st.dyadic_sweep("iii", 4, TWO_PI, 0.5, [0.25], [0.25], trials=2, seed=0, T=0.1, dt=0.05)
+        assert [r[-1] for r in rows] == [0.0, 0.0]
 
     def test_nonzero_data_ratio_positive(self):
-        lat = fc.make_lattice(16, TWO_PI)
-        ratios = st.dyadic_probe(lat, 1.0, 2.0, 0.5, 1, "iii", T=0.1, dt=0.05, seed=0)
-        assert len(ratios) == 1 and ratios[0] > 0
+        rows = st.dyadic_sweep("iii", 16, TWO_PI, 0.5, [1.0], [2.0], trials=1, seed=0, T=0.1, dt=0.05)
+        assert len(rows) == 1 and rows[0][-1] > 0
 
     def test_scale_beyond_lattice_rejected(self):
-        lat = fc.make_lattice(8, TWO_PI)
-        with pytest.raises(ValueError):
-            st.dyadic_probe(lat, 1.0, 64.0, 0.5, 1, "i", 0.1, 0.05, 0)
+        with pytest.raises(ValueError, match="beyond lattice resolution"):
+            st.dyadic_sweep("i", 8, TWO_PI, 0.5, [1.0], [64.0], 1, 0, 0.1, 0.05)
 
     def test_unknown_case_rejected(self):
-        lat = fc.make_lattice(8, TWO_PI)
-        with pytest.raises(ValueError):
-            st.dyadic_probe(lat, 1.0, 2.0, 0.5, 1, "iv", 0.1, 0.05, 0)
+        with pytest.raises(ValueError, match="case must be"):
+            st.dyadic_sweep("iv", 8, TWO_PI, 0.5, [1.0], [2.0], 1, 0, 0.1, 0.05)
 
     def test_deterministic_given_seed(self):
-        lat = fc.make_lattice(16, TWO_PI)
-        a = st.dyadic_probe(lat, 1.0, 2.0, 0.25, 3, "i", T=0.2, dt=0.05, seed=7)
-        b = st.dyadic_probe(lat, 1.0, 2.0, 0.25, 3, "i", T=0.2, dt=0.05, seed=7)
+        a = st.dyadic_sweep("i", 16, TWO_PI, 0.25, [1.0], [2.0], trials=3, seed=7, T=0.2, dt=0.05)
+        b = st.dyadic_sweep("i", 16, TWO_PI, 0.25, [1.0], [2.0], trials=3, seed=7, T=0.2, dt=0.05)
         assert a == b
-        c = st.dyadic_probe(lat, 1.0, 2.0, 0.25, 3, "i", T=0.2, dt=0.05, seed=8)
+        c = st.dyadic_sweep("i", 16, TWO_PI, 0.25, [1.0], [2.0], trials=3, seed=8, T=0.2, dt=0.05)
         assert a != c
+
+    @pytest.mark.parametrize("case", ["i", "ii", "iii"])
+    def test_sweep_rejects_a_later_cell_beyond_resolution_before_running(self, case, monkeypatch):
+        def no_data(*args, **kwargs):
+            raise AssertionError("a cell ran before every scale was checked")
+
+        monkeypatch.setattr(st, "lp_localized_data", no_data)
+        # n = 8 (Nyquist zeroed) resolves scales up to sqrt(3) * 3 / 2; the cell (1, 8) comes after (1, 1)
+        with pytest.raises(ValueError, match=r"^dyadic scale 8.0 beyond lattice resolution: at most 2.598"):
+            st.dyadic_sweep(case, 8, TWO_PI, 0.5, [1.0], [1.0, 8.0], 1, 0, 0.04, 0.02)
 
     def test_ratio_invariant_under_data_rescaling(self):
         # the claim is bilinear: scaling f -> c f scales both sides alike
@@ -233,21 +293,12 @@ class TestDyadicProbe:
                                                               ([0.0], [4.0], "mu_list", 0.0),
                                                               ([1.0], [-2.0, 4.0], "lam_list", -2.0)])
     def test_sweep_rejects_a_non_dyadic_scale_before_running(self, case, mu_list, lam_list, key, bad, monkeypatch):
-        def no_probe(*args, **kwargs):
+        def no_data(*args, **kwargs):
             raise AssertionError("a cell ran before the scales were checked")
 
-        monkeypatch.setattr(st, "dyadic_probe", no_probe)
+        monkeypatch.setattr(st, "lp_localized_data", no_data)
         with pytest.raises(ValueError, match=f"^{key}: {bad} is not a dyadic number"):
             st.dyadic_sweep(case, 16, TWO_PI, 0.5, mu_list, lam_list, 1, 0, 0.04, 0.02)
-
-    @pytest.mark.parametrize("case", ["i", "ii", "iii"])
-    @pytest.mark.parametrize("mu, lam, key, bad", [(1.0, 3.0, "lam", 3.0), (3.0, 4.0, "mu", 3.0),
-                                                   (1.0, -2.0, "lam", -2.0)])
-    def test_probe_names_the_non_dyadic_scale(self, case, mu, lam, key, bad):
-        # called directly, not through dyadic_sweep, which checks its lists first
-        lat = fc.make_lattice(16, TWO_PI)
-        with pytest.raises(ValueError, match=f"^{key}: {bad} is not a dyadic number"):
-            st.dyadic_probe(lat, mu, lam, 0.5, 1, case, 0.04, 0.02, 0)
 
     def test_probe_window_is_the_littlewood_paley_window(self):
         lat = fc.make_lattice(16, TWO_PI)
