@@ -40,7 +40,8 @@ def _is_number(v) -> bool:
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    """An int, not a bool, within the float range (as _is_number)."""
+    return isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _is_numbers(v) -> bool:
@@ -50,9 +51,9 @@ def _is_numbers(v) -> bool:
 # key kinds: (what a value must be, its test, what the command gets)
 NUMBER = ("a finite number", _is_number, float)
 POSITIVE = ("a finite positive number", lambda v: _is_number(v) and v > 0, float)
-INTEGER = ("an integer", _is_int, int)
-COUNT = ("a positive integer", lambda v: _is_int(v) and v >= 1, int)
-GRID_N = ("an even integer >= 4", lambda v: _is_int(v) and v % 2 == 0 and v >= 4, int)
+INTEGER = ("an integer in the float range", _is_int, int)
+COUNT = ("a positive integer in the float range", lambda v: _is_int(v) and v >= 1, int)
+GRID_N = ("an even integer >= 4 in the float range", lambda v: _is_int(v) and v % 2 == 0 and v >= 4, int)
 BOOL = ("true or false", lambda v: isinstance(v, bool), bool)
 STRING = ("a string", lambda v: isinstance(v, str), str)
 PARAMS = ("an object of finite numbers", lambda v: isinstance(v, dict) and all(map(_is_number, v.values())), dict)
@@ -310,7 +311,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (ValueError, FloatingPointError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -46,7 +46,9 @@ dm_strang_step, evolve_limits.run_pauli() the lockstep Pauli step.
 Nothing keeps a run: the observer reduces or writes each sample when it is
 taken (the harness checks hold a window of three frozen states), and
 free_dirac_U advances the free spinor and the null-identity field U together
-as spectra and returns them at the end time only.  Distinct runs share no
+as spectra and returns them at the end time only; the null-2 suite of
+harness.CHECKS reads them in the second null identity and, through
+reconstruct_from_U, as psi rebuilt from U.  Distinct runs share no
 mutable state, and the results are independent of thread scheduling and of
 the core count for a fixed configuration: a split transform gives the
 batched transform's bits.

@@ -491,11 +491,6 @@ def lp_window(lat: Lattice, scale: float, name: str) -> np.ndarray:
     return bump_profile(r) - bump_profile(2.0 * r)
 
 
-def littlewood_paley(lat: Lattice, f: np.ndarray, mu: float) -> np.ndarray:
-    """Dyadic block at scale mu: multiply by lp_window(lat, mu, "mu")."""
-    return apply_symbol(lat, f, lp_window(lat, mu, "mu"))
-
-
 # -- norms --------------------------------------------------------------------
 
 
@@ -546,15 +541,13 @@ def l2_norm(lat: Lattice, f: np.ndarray) -> float:
 
 
 def lp_norm(lat: Lattice, f: np.ndarray, p: float) -> float:
-    """Grid quadrature of the pointwise magnitude; p = inf gives the max."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    """Grid quadrature of the pointwise magnitude, for finite p >= 1."""
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     f = np.asarray(f)
     mag = np.abs(f)
     if mag.ndim > 3:
         mag = np.sqrt((mag**2).reshape(-1, *mag.shape[-3:]).sum(axis=0))
-    if np.isinf(p):
-        return float(mag.max())
     return float((np.sum(mag**p) * lat.cell_volume) ** (1.0 / p))
 
 

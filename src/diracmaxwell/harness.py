@@ -10,17 +10,19 @@ The second null identity is checked at one time: psi, U and dt(U) come from
 evolve_dm.free_dirac_U, and alpha and S act in block form (alpha_dot,
 spin_dot), as everywhere else.
 
-The checks over a run (SquaredDiracResiduals, SmallComponentTrack,
-NaiveExpansionResiduals) are integrate() observers: pass one to
-evolve_dm.run_dm, then read result().  Each holds at most three sampled
-states, by reference, and each that differences in time requires uniformly
-spaced samples.  SquaredDiracResiduals and NaiveExpansionResiduals read A0
-from the values each state of a run carries (DMState.carried), so it is the
-run's own, dealiased or not; a state that no run made raises ValueError.
+The checks over a run (SquaredDiracResiduals, NaiveExpansionResiduals) are
+integrate() observers: pass one to evolve_dm.run_dm, then read result().
+Each holds at most three sampled states, by reference, requires uniformly
+spaced samples, and reads A0 from the values each state of a run carries
+(DMState.carried), so it is the run's own, dealiased or not; a state that no
+run made raises ValueError.  The positron part ||Pi_- psi||_H1 is the
+h1_pi_minus_psi column of every DM sample (evolve_dm.checked_diagnostics).
 
 CHECKS maps each fixed-input suite to the function that computes its rows
 (name, residual, tol); a row passes when residual < tol.  ``dmx check``
-prints one suite, and acceptance criteria 01-04 assert the same rows.
+prints one suite, and acceptance criteria 01-04 assert the rows of the first
+five.  A lower-bound or window row reads as its excess over the bound (such
+as 2.5 - ratio), negative exactly when it holds.
 
 All spatial derivatives are spectral; time derivatives are exact where the
 flow is per-mode exact and centered differences otherwise.
@@ -34,10 +36,11 @@ import numpy as np
 
 from . import spinors as sp
 from .data_families import gauge_data, gauge_profile, sigma_grad, spinor_data, v_minus_profile, v_plus_profile
-from .evolve_dm import DMState, StepConfig, compute_EB, free_dirac_U, run_dm
+from .evolve_dm import (DMState, StepConfig, checked_diagnostics, compute_EB, free_dirac_U, free_flow_hat,
+                        reconstruct_from_U, run_dm)
 from .fourier import (Lattice, curl, dealias, divergence, gradient, h_eps_symbol, inv_abs_nabla, l2_norm, lambda_eps,
                       laplacian, leray_project, make_lattice, mode_multipliers, partial, riesz_transform,
-                      sobolev_norm, sobolev_norm_hat)
+                      sobolev_norm_hat)
 
 
 # -- null bilinear forms --------------------------------------------------------
@@ -145,11 +148,10 @@ class _Window:
     first two samples, so every later spacing must match dt."""
 
     def __init__(self):
-        self.times, self.out, self.dt = [], [], None
+        self.out, self.dt = [], None
         self.window = deque(maxlen=3)
 
     def __call__(self, state):
-        self.times.append(state.t)
         self.window.append(state)
         if len(self.window) == 3:
             prev, mid, nxt = self.window
@@ -161,11 +163,6 @@ class _Window:
 
     def result(self) -> np.ndarray:
         return np.array(self.out)
-
-
-def _phased(state) -> np.ndarray:
-    """exp(i t/eps^2) psi: the spinor with its rest-energy phase removed."""
-    return np.exp(1j * state.t / state.eps**2) * state.psi
 
 
 class SquaredDiracResiduals(_Window):
@@ -192,43 +189,17 @@ class SquaredDiracResiduals(_Window):
         return l2_norm(lat, res)
 
     def result(self) -> np.ndarray:
-        if len(self.times) < 3:
+        if not self.out:  # a window is full from the third sample on
             raise ValueError("need at least three samples")
         return super().result()
 
 
-# -- small component and naive expansion ------------------------------------------
+# -- the naive lower-component expansion ---------------------------------------
 
 
-class SmallComponentTrack(_Window):
-    """Series of ||Pi_-^eps psi(t)||_{H^1} plus the measured constant in
-    sup_t ||.|| <= C eps^order, with the eta-based surrogates; both norms
-    come from one spectrum of psi (exp(i t/eps^2) has modulus 1).  Order 2
-    adds the L2 norm of the centered dt(eta) and so requires uniformly spaced
-    samples; order 1 takes no time difference and accepts any spacing."""
-
-    def __init__(self, order: int):
-        if order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
-        super().__init__()
-        self.order, self.pi_minus, self.eta = order, [], []
-        self.window = deque(maxlen=3 if order == 2 else 0)
-
-    def __call__(self, state):
-        lat, self.eps = state.lat, state.eps
-        psihat = lat.fft(state.psi)
-        self.pi_minus.append(sobolev_norm_hat(lat, sp.pi_eps_hat(lat, psihat, self.eps, -1), 1.0))
-        self.eta.append(sobolev_norm_hat(lat, sp.lower(psihat), 1.0))
-        super().__call__(state)
-
-    def interior(self, prev, mid, nxt):
-        return sobolev_norm(mid.lat, (sp.lower(_phased(nxt)) - sp.lower(_phased(prev))) / (2.0 * self.dt), 0.0)
-
-    def result(self) -> dict:
-        series = np.array(self.pi_minus)
-        return {"times": np.asarray(self.times), "pi_minus": series, "eta": np.array(self.eta),
-                "constant": float(series.max() / self.eps**self.order), "order": self.order,
-                **({"dt_eta": super().result()} if self.order == 2 else {})}
+def _phased(state) -> np.ndarray:
+    """exp(i t/eps^2) psi: the spinor with its rest-energy phase removed."""
+    return np.exp(1j * state.t / state.eps**2) * state.psi
 
 
 class NaiveExpansionResiduals(_Window):
@@ -323,7 +294,8 @@ def _null_one() -> list:
 def _null_two() -> list:
     """A free Dirac solution and an oscillating A, U stepped at dt = 1e-3 and
     2e-3.  The (ii) residual is U's O(dt^2) error, so halving dt divides it by
-    2.5 to 6: max(2.5 - ratio, ratio - 6) is negative exactly inside."""
+    2.5 to 6: max(2.5 - ratio, ratio - 6) is negative exactly inside.  The same
+    U rebuilds psi as i (eps dt - alpha.grad) U (reconstruct_from_U)."""
     lat, eps, T, om = make_lattice(16, 2 * np.pi), 0.5, 0.25, 1.3
     psi0 = sp.pi_eps(lat, sp.embed_upper(v_plus_profile(lat, 0.5)), eps, +1) + sp.pi_eps(
         lat, sp.embed_lower(v_minus_profile(lat, 0.3)), eps, -1)
@@ -331,9 +303,12 @@ def _null_two() -> list:
     A_t, W_t = np.cos(om * T) * Aprof, -eps * om * np.sin(om * T) * Aprof
     rows, res2 = [], {}
     for dt, suffix in ((1e-3, ""), (2e-3, "_dt0.002")):
-        r1, res2[dt] = null_identity_check(lat, A_t, W_t, *free_dirac_U(lat, psi0, T, dt, eps), eps)
+        psi, U, dtU = free_dirac_U(lat, psi0, T, dt, eps)
+        r1, res2[dt] = null_identity_check(lat, A_t, W_t, psi, U, dtU, eps)
+        rebuilt = l2_norm(lat, reconstruct_from_U(lat, U, dtU, eps) - psi)
         rows += [(f"null_identity_1_freedirac{suffix}", r1, 1e-10),
-                 (f"null_identity_2_freedirac{suffix}", res2[dt], 1e-5)]
+                 (f"null_identity_2_freedirac{suffix}", res2[dt], 1e-5),
+                 (f"reconstruct_from_U_freedirac{suffix}", rebuilt, 1e-4)]
     ratio = res2[2e-3] / res2[1e-3]
     return [*rows, ("null_identity_2_halving_ratio_in_2.5_6", max(2.5 - ratio, ratio - 6.0), 0.0)]
 
@@ -352,8 +327,60 @@ def _squared_dirac() -> list:
             ("squared_dirac_halving_ratio_ge_3", 3.0 - min(ratio, 3.0), 1e-9)]
 
 
+def _pi_minus_sup(init: DMState, T: float, dt: float, every: int) -> float:
+    """sup over the samples of a DM run of ||Pi_- psi||_H1, the h1_pi_minus_psi column of run-dm."""
+    cfg = StepConfig(dt=dt)
+    sups = []
+    run_dm(init, T, cfg, every, lambda s: sups.append(checked_diagnostics(s, cfg)["h1_pi_minus_psi"]))
+    return max(sups)
+
+
+def _small_component() -> list:
+    """sup_t ||Pi_-^eps psi||_H1 at n = 12.  It is 0 under the free flow of
+    upper-projected data and O(eps) in a gauged run of them: halving eps
+    divides it by 1.4 to 2.6.  For the counterexample (v, eps v) it is O(eps),
+    not O(eps^2): each halving ratio stays below 3."""
+    lat, zero = make_lattice(12, 2 * np.pi), np.zeros((3, 12, 12, 12))
+    psihat = lat.fft(spinor_data(lat, "upper_projected", 0.25, {"amplitude": 0.5}))
+    free = max(sobolev_norm_hat(lat, sp.pi_eps_hat(lat, free_flow_hat(lat, psihat, float(t), 0.25), 0.25, -1), 1.0)
+               for t in np.arange(0, 0.1, 0.01))
+    gauged = {eps: _pi_minus_sup(DMState(lat, 0.0, spinor_data(lat, "upper_projected", eps, {"amplitude": 0.5}),
+                                         gauge_profile(lat, 0.2), zero, eps), 0.1, 1e-3 * eps / 0.4, 25)
+              for eps in (0.4, 0.2)}
+    counter = {eps: _pi_minus_sup(DMState(lat, 0.0, spinor_data(lat, "counterexample", eps, {"amplitude": 0.5}),
+                                          zero, zero, eps), 0.02, 1e-3, 10) for eps in (0.4, 0.2, 0.1)}
+    ratio = gauged[0.4] / gauged[0.2]
+    return [("free_flow_pi_minus", free, 1e-12),
+            ("upper_projected_halving_ratio_in_1.4_2.6", max(1.4 - ratio, ratio - 2.6), 0.0),
+            *((f"counterexample_halving_ratio_lt_3_eps{a}", counter[a] / counter[b], 3.0)
+              for a, b in ((0.4, 0.2), (0.2, 0.1)))]
+
+
+def _naive_expansion() -> list:
+    """NaiveExpansionResiduals at n = 12 over T = 0.2, dt = 1e-3, sampled
+    every 0.05: an O(1) spacing, blind to the rest-energy phase.  The
+    constrained data leave O(eps^2): below 0.1 at eps = 0.2, and halving eps
+    divides the sup by more than 2.5.  The counterexample leaves Theta(eps) at
+    the first interior sample: above 5 eps, with a halving ratio below 3."""
+    lat, zero = make_lattice(12, 2 * np.pi), np.zeros((3, 12, 12, 12))
+    res = {}
+    for family in ("constrained", "counterexample"):
+        for eps in (0.2, 0.1):
+            check = NaiveExpansionResiduals()
+            run_dm(DMState(lat, 0.0, spinor_data(lat, family, eps, {"amplitude": 0.5}), zero, zero, eps), 0.2,
+                   StepConfig(dt=1e-3), 50, check)
+            res[family, eps] = check.result()
+    con = {eps: float(np.max(res["constrained", eps])) for eps in (0.2, 0.1)}
+    cex = {eps: float(res["counterexample", eps][0]) for eps in (0.2, 0.1)}
+    return [("constrained_residual_eps0.2", con[0.2], 0.1),
+            ("constrained_halving_ratio_gt_2.5", 2.5 - con[0.2] / con[0.1], 0.0),
+            *((f"counterexample_residual_gt_5eps_eps{eps}", 5.0 * eps - cex[eps], 0.0) for eps in (0.2, 0.1)),
+            ("counterexample_halving_ratio_lt_3", cex[0.2] / cex[0.1], 3.0)]
+
+
 CHECKS = {"matrices": _matrices, "projections": _projections, "symbols": _symbols, "null-1": _null_one,
-          "null-2": _null_two, "squared-dirac": _squared_dirac}
+          "null-2": _null_two, "squared-dirac": _squared_dirac, "small-component": _small_component,
+          "naive-expansion": _naive_expansion}
 
 
 def check_rows(suite: str) -> list:

@@ -12,17 +12,17 @@ densities ``<v, sigma v>`` are real either way.
 Per mode, the free Dirac symbol Q = gamma0 + eps alpha.k has Q^2 = lam^2, so
 each function of it is a + b Q: the block form [[a + b, V.sigma],
 [V.sigma, a - b]] with V = eps b k.  dirac_symbol_apply applies that block
-form; Q (free_dirac_apply), the remainders of projection_remainders and the
-free flow (evolve_dm.free_flow_hat) go through it as a + b Q, i alpha.k
-(evolve_dm.reconstruct_from_U) as the block form with no diagonal, and Pi_+/-
-(pi_eps_rows) as a + b Q on one slab at a time, with the same entries.
+form; Q (free_dirac_apply) and the free flow (evolve_dm.free_flow_hat) go
+through it as a + b Q, i alpha.k (evolve_dm.reconstruct_from_U) as the block
+form with no diagonal, and Pi_+/- (pi_eps_rows) as a + b Q on one slab at a
+time, with the same entries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fourier import Lattice, by_slab, curl, gradient, l2_norm, mode_multipliers, slabwise
+from .fourier import Lattice, by_slab, curl, gradient, mode_multipliers, slabwise
 
 # Pauli matrices and the 4x4 Dirac set (2x2 block form).
 SIGMA = np.array(
@@ -177,34 +177,6 @@ def pi_eps_hat(lat: Lattice, psihat: np.ndarray, eps: float, sign: int) -> np.nd
 def pi_eps(lat: Lattice, psi: np.ndarray, eps: float, sign: int) -> np.ndarray:
     """Energy projection Pi_+/- of a spinor field (pi_eps_hat in real space)."""
     return lat.ifft(pi_eps_hat(lat, lat.fft(psi), eps, sign))
-
-
-def pi_zero(psi: np.ndarray, sign: int) -> np.ndarray:
-    """Formal eps -> 0 limit of the projections: keep upper/lower block."""
-    out = np.zeros_like(psi)
-    if sign == 1:
-        out[:2] = psi[:2]
-    elif sign == -1:
-        out[2:] = psi[2:]
-    else:
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return out
-
-
-def projection_remainders(lat: Lattice, f: np.ndarray, eps: float):
-    """L2 sizes of Pi_+^eps - Pi_+^0 and of the expansion through order eps.
-
-    The first remainder is O(eps), the second O(eps^2) for fixed band-limited
-    f; the first-order term of the expansion is -(i eps/2) alpha.grad.  With
-    c = 1/(2 lam), Pi_+^eps - Pi_+^0 has d_+/- = +/-(c - 1/2) and scale i eps c,
-    and the first-order term's mode matrix (eps/2) alpha.k takes 1/2 off c in
-    the scale.
-    """
-    fhat = lat.fft(f)
-    c = 0.5 / mode_multipliers(lat, eps, 0.0).lam
-    rem1 = lat.ifft(dirac_symbol_apply(lat, fhat, c - 0.5, 0.5 - c, 1j * eps * c))
-    rem2 = lat.ifft(dirac_symbol_apply(lat, fhat, c - 0.5, 0.5 - c, 1j * eps * (c - 0.5)))
-    return l2_norm(lat, rem1), l2_norm(lat, rem2)
 
 
 # -- densities -----------------------------------------------------------------

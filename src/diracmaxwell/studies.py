@@ -23,7 +23,7 @@ from . import data_families as df
 from . import spinors as sp
 from .evolve_dm import StepConfig, n_steps_for, run_dm, sample_steps
 from .evolve_limits import SPState, run_pauli, run_sp
-from .fourier import (Lattice, h_eps_symbol, littlewood_paley, lp_norm, lp_window, make_lattice, poisson_solve,
+from .fourier import (Lattice, apply_symbol, h_eps_symbol, lp_norm, lp_window, make_lattice, poisson_solve,
                       sobolev_norm, sobolev_norm_hat)
 
 # -- configuration ---------------------------------------------------------------
@@ -38,9 +38,9 @@ class ExperimentConfig:
     period: float
     eps_list: list
     T: float
-    dt_ref: float                 # dt at eps_ref; scaled per the schedule
+    dt_ref: float                 # dt at eps_ref
     eps_ref: float
-    dt_schedule: str              # "fixed" | "eps_linear" | "eps_squared"
+    dt_schedule: str              # "eps_linear", the one schedule: dt = dt_ref * eps / eps_ref
     family: str
     params: dict
     gauge: str
@@ -50,16 +50,12 @@ class ExperimentConfig:
         eps = list(self.eps_list)
         if len(eps) != len(set(eps)) or any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps_list must be strictly decreasing")
-        if self.dt_schedule not in ("fixed", "eps_linear", "eps_squared"):
-            raise ValueError(f"unknown dt_schedule {self.dt_schedule!r}")
+        if self.dt_schedule != "eps_linear":
+            raise ValueError(f"unknown dt_schedule {self.dt_schedule!r}: the one schedule is 'eps_linear'")
         df.check_params(self.params, self.family, self.gauge)
 
     def dt_for(self, eps: float) -> float:
-        if self.dt_schedule == "fixed":
-            return self.dt_ref
-        if self.dt_schedule == "eps_linear":
-            return self.dt_ref * eps / self.eps_ref
-        return self.dt_ref * (eps / self.eps_ref) ** 2
+        return self.dt_ref * eps / self.eps_ref
 
     def lattice(self) -> Lattice:
         return make_lattice(self.n, self.period)
@@ -311,13 +307,13 @@ def weak_pairing_study(cfg: ExperimentConfig) -> dict:
 # -- dyadic probes ------------------------------------------------------------------
 
 
-def lp_localized_data(lat: Lattice, scale: float, seed_key: tuple) -> np.ndarray:
-    """Random complex scalar field localized at dyadic scale by the LP bump."""
+def lp_localized_data(lat: Lattice, window: np.ndarray, seed_key: tuple) -> np.ndarray:
+    """Random complex scalar field localized by a Littlewood-Paley window (lp_window)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     w = rng.standard_normal((lat.n, lat.n, lat.n)) + 1j * rng.standard_normal(
         (lat.n, lat.n, lat.n)
     )
-    return littlewood_paley(lat, w, scale)
+    return apply_symbol(lat, w, window)
 
 
 def dyadic_sweep(case: str, n: int, period: float, eps: float, mu_list, lam_list,
@@ -330,8 +326,9 @@ def dyadic_sweep(case: str, n: int, period: float, eps: float, mu_list, lam_list
     'i'/'ii' measures ||LP_mu(u_lam v_lam)||_{L2_{t,x}} on the cells mu <= lambda,
     case 'iii' ||u_mu v_lam|| without outer localization; denominators follow
     the respective claims.  Each (lambda, trial) evolves v once and u once per
-    f scale, so in cases i and ii every mu windows one product.  The case, the
-    cells and every scale are checked before any cell runs.
+    f scale, so in cases i and ii every mu windows one product.  Each scale's
+    window is built once, for its data and its products.  The case, the cells
+    and every scale are checked before any cell runs.
     """
     if case not in ("i", "ii", "iii"):
         raise ValueError(f"case must be 'i', 'ii' or 'iii', got {case}")
@@ -341,20 +338,19 @@ def dyadic_sweep(case: str, n: int, period: float, eps: float, mu_list, lam_list
                          f"and lam_list {list(lam_list)}; cases i and ii need mu <= lambda")
     lat = make_lattice(n, period)
     beta = {mu: lp_window(lat, mu, "mu_list") for mu in mu_list}
-    for lam in lam_list:
-        lp_window(lat, lam, "lam_list")
+    gamma = {lam: lp_window(lat, lam, "lam_list") for lam in lam_list}
     scale, limit = max(map(max, cells)), float(np.max(lat.k_abs)) / 2.0
     if scale > limit:
         raise ValueError(f"dyadic scale {scale} beyond lattice resolution: at most {limit} at n = {n}")
     times = np.arange(n_steps_for(T, dt) + 1) * dt
     omega, h_sym = lat.k_abs / eps, h_eps_symbol(lat, eps)
-    ratios = {}
+    ratios, f_window = {}, beta if case == "iii" else gamma
     for lam in dict.fromkeys(lam for _, lam in cells):
         mus = [mu for mu, cell_lam in cells if cell_lam == lam]
         f_scale = {mu: mu if case == "iii" else lam for mu in mus}
         for trial in range(trials):
-            ghat = lat.fft(lp_localized_data(lat, lam, (seed, 23, trial)))
-            fhat = {s: lat.fft(lp_localized_data(lat, s, (seed, 11, trial))) for s in f_scale.values()}
+            ghat = lat.fft(lp_localized_data(lat, gamma[lam], (seed, 23, trial)))
+            fhat = {s: lat.fft(lp_localized_data(lat, f_window[s], (seed, 11, trial))) for s in f_scale.values()}
             sq = np.zeros((len(mus), len(times)))
             for it, t in enumerate(times):
                 v, c = lat.ifft(np.exp(-1j * h_sym * t) * ghat), np.cos(omega * t)

@@ -200,6 +200,24 @@ class TestRunDM:
         assert run_cli(["run-dm", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
 
 
+class TestErrorsExit1:
+    def test_overflowing_step_count_exits_1(self, tmp_path, capsys):
+        # T / dt overflows to inf, and its step count raises OverflowError
+        out = tmp_path / "o"
+        assert run_cli(["run-dm", "--config", write_config(tmp_path, dm_config(T=1e300, dt=1e-300)),
+                        "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: cannot convert float infinity to integer\n"
+        assert not out.exists()
+
+    def test_memory_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 7.28 EiB for an array")
+
+        monkeypatch.setattr(cli, "run_dm", too_large)
+        assert run_cli(["run-dm", "--config", write_config(tmp_path, dm_config()), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 7.28 EiB for an array\n"
+
+
 class TestConverge:
     def test_too_few_eps_values(self, tmp_path, capsys):
         cfg = {
@@ -236,7 +254,7 @@ class TestConverge:
             "eps_list": [0.4, 0.2, 0.1],
             "T": 0.05,
             "dt_ref": 5e-3,
-            "dt_schedule": "fixed",
+            "dt_schedule": "eps_linear",
             "data": {"family": "zero"},
             "sample_every": 5,
         }
@@ -272,7 +290,7 @@ class TestConverge:
             "eps_list": [0.4, 0.3, 0.2],
             "T": 0.1,
             "dt_ref": 0.01,
-            "dt_schedule": "eps_squared",
+            "dt_schedule": "eps_linear",
             "data": {"family": "upper_projected", "params": {"amplitude": 0.5}},
             "sample_every": 1,
         }
@@ -376,6 +394,10 @@ class TestConfigReader:
         ("run-sp", "T", -INF), ("converge", "eps_list", [0.4, 0.2, NAN]), ("converge", "dt_ref", INF),
         ("converge", "eps_list", [INF, 0.2, 0.1]), ("probe-dyadic", "mu_list", [1.0, NAN]),
         ("probe-dyadic", "eps", INF), ("probe-dyadic", "dt", INF),
+        # and so must an integer; probe-dyadic trials of 10**400 is tested through read_config alone
+        *(pytest.param(command, path, 10**400, id=f"{command}-{path}-int_10**400") for command, path in (
+            ("run-dm", "grid.n"), ("probe-dyadic", "grid.n"), ("run-dm", "sample_every"),
+            ("converge", "sample_every"), ("probe-dyadic", "seed"))),
     ])
     def test_wrong_type_exits_2_naming_the_key(self, command, path, value, tmp_path, capsys):
         out = tmp_path / "o"
@@ -383,6 +405,11 @@ class TestConfigReader:
         assert run_cli([command, "--config", config, "--out", str(out)]) == 2
         assert f"config error at {path}:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_trials_beyond_the_float_range_rejected_when_read(self):
+        # through read_config alone: without the bound a sweep of 10**400 trials does not end
+        with pytest.raises(cli.ConfigError, match="config error at trials: must be a positive integer in the float"):
+            cli.read_config("probe-dyadic", with_value(probe_config(), "trials", 10**400))
 
     @pytest.mark.parametrize("command, path", [(command, path) for command in cli.KEYS
                                                for path, (_, default) in cli.KEYS[command].items()
@@ -549,8 +576,10 @@ class TestProbe:
 
 
 # the rows of each harness.CHECKS suite, in print order; null-1 went from 3
-# draws to the 20 of criterion 03, and null-2 gained the dt = 2e-3 rows and
-# the halving ratio of criterion 04
+# draws to the 20 of criterion 03, null-2 gained the dt = 2e-3 rows and the
+# halving ratio of criterion 04 and then the reconstruct_from_U rows, and
+# small-component and naive-expansion hold the rate checks of the positron
+# part and of the lower-component expansion
 CHECK_ROWS = {
     "matrices": [*(f"{kind}_{j}{k}" for j in range(3) for k in range(3) for kind in ("anticommute", "spin_identity")),
                  "gamma0_sq", "hermitian"],
@@ -560,9 +589,15 @@ CHECK_ROWS = {
                 for kind in ("one_minus_invlambda_lower", "one_minus_invlambda_upper", "dispersion_gap_lower",
                              "dispersion_gap_upper")],
     "null-1": [f"null_identity_1_trial{trial}" for trial in range(20)],
-    "null-2": ["null_identity_1_freedirac", "null_identity_2_freedirac", "null_identity_1_freedirac_dt0.002",
-               "null_identity_2_freedirac_dt0.002", "null_identity_2_halving_ratio_in_2.5_6"],
+    "null-2": [f"{kind}_freedirac{suffix}" for suffix in ("", "_dt0.002")
+               for kind in ("null_identity_1", "null_identity_2", "reconstruct_from_U")]
+              + ["null_identity_2_halving_ratio_in_2.5_6"],
     "squared-dirac": ["squared_dirac_dt0.002", "squared_dirac_dt0.001", "squared_dirac_halving_ratio_ge_3"],
+    "small-component": ["free_flow_pi_minus", "upper_projected_halving_ratio_in_1.4_2.6",
+                        "counterexample_halving_ratio_lt_3_eps0.4", "counterexample_halving_ratio_lt_3_eps0.2"],
+    "naive-expansion": ["constrained_residual_eps0.2", "constrained_halving_ratio_gt_2.5",
+                        "counterexample_residual_gt_5eps_eps0.2", "counterexample_residual_gt_5eps_eps0.1",
+                        "counterexample_halving_ratio_lt_3"],
 }
 
 

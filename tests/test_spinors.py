@@ -281,16 +281,9 @@ class TestFreeDiracSymbol:
         want = 0.5 * (psihat + sign * per_mode(q, psihat) / lam)
         self.assert_close(sp.pi_eps_hat(lat6, psihat, self.eps, sign), want)
 
-    def test_projection_remainders(self, lat6):
-        f = random_spinor(lat6, 24)
-        fhat = np.fft.fftn(f, axes=(-3, -2, -1))
-        q, lam = symbol_matrices(lat6, self.eps)
-        k = np.stack(np.broadcast_arrays(lat6.kx, lat6.ky, lat6.kz))
-        proj = 0.5 * (fhat + per_mode(q, fhat) / lam)
-        rem1 = proj - fhat * np.array([1, 1, 0, 0])[:, None, None, None]
-        rem2 = rem1 - 0.5 * self.eps * per_mode(np.einsum("kab,k...->ab...", sp.ALPHA, k), fhat)
-        want = [float(np.sqrt(np.sum(np.abs(r) ** 2) * lat6.volume)) / lat6.n**3 for r in (rem1, rem2)]
-        assert sp.projection_remainders(lat6, f, self.eps) == pytest.approx(want, rel=1e-13)
+
+# Pi_+^0, the eps -> 0 limit of the projection: it keeps the upper block
+UPPER = np.array([1, 1, 0, 0])[:, None, None, None]
 
 
 class TestProjections:
@@ -299,7 +292,7 @@ class TestProjections:
         psi[:] = np.array([1, 2, 3, 4])[:, None, None, None]
         for eps in (1.0, 0.3):
             out = sp.pi_eps(lat, psi, eps, +1)
-            assert np.abs(out - sp.pi_zero(psi, +1)).max() < 1e-13
+            assert np.abs(out - UPPER * psi).max() < 1e-13
 
     def test_plane_wave_value(self, lat):
         psi = np.zeros((4, lat.n, lat.n, lat.n), dtype=complex)
@@ -331,14 +324,6 @@ class TestProjections:
             )
             assert np.abs(q - rebuilt).max() < 1e-12
 
-    def test_pi_zero_blocks(self):
-        psi = np.arange(4, dtype=complex).reshape(4, 1, 1, 1) + 1.0
-        up = sp.pi_zero(psi, +1)
-        down = sp.pi_zero(psi, -1)
-        assert np.array_equal(up[:2], psi[:2]) and not up[2:].any()
-        assert np.array_equal(down[2:], psi[2:]) and not down[:2].any()
-        assert not sp.pi_zero(sp.pi_zero(psi, -1), +1).any()
-
     def test_rejects_bad_eps_sign(self, lat):
         psi = random_spinor(lat, 3)
         with pytest.raises(ValueError):
@@ -347,17 +332,25 @@ class TestProjections:
             sp.pi_eps(lat, psi, 0.5, 2)
 
 
+def projection_remainders(lat, f, eps):
+    """L2 sizes of (Pi_+^eps - Pi_+^0) f and of its remainder after the
+    first-order term -(i eps/2) alpha.grad f = (Q^eps - gamma0) f / 2."""
+    rem1 = sp.pi_eps(lat, f, eps, +1) - UPPER * f
+    rem2 = rem1 - 0.5 * (sp.free_dirac_apply(lat, f, eps) - np.diag(sp.GAMMA0)[:, None, None, None] * f)
+    return fc.l2_norm(lat, rem1), fc.l2_norm(lat, rem2)
+
+
 class TestProjectionRemainders:
     def test_zero_frequency_field(self, lat):
         psi = np.zeros((4, lat.n, lat.n, lat.n), dtype=complex)
         psi[:] = np.array([1, 1j, 0.5, 0])[:, None, None, None]
-        r1, r2 = sp.projection_remainders(lat, psi, 0.3)
+        r1, r2 = projection_remainders(lat, psi, 0.3)
         assert r1 < 1e-13 and r2 < 1e-13
 
     def test_remainder_scaling(self, lat):
         f = sp.embed_upper(v_plus_profile(lat, 1.0))
-        r1a, r2a = sp.projection_remainders(lat, f, 0.2)
-        r1b, r2b = sp.projection_remainders(lat, f, 0.1)
+        r1a, r2a = projection_remainders(lat, f, 0.2)
+        r1b, r2b = projection_remainders(lat, f, 0.1)
         assert r1a / r1b == pytest.approx(2.0, rel=0.2)
         assert r2a / r2b == pytest.approx(4.0, rel=0.2)
 
@@ -367,7 +360,7 @@ class TestProjectionRemainders:
         f = fc.dealias(lat, f)
         norms = []
         for eps in (0.5, 0.25, 0.125):
-            diff = sp.pi_eps(lat, f, eps, +1) - sp.pi_zero(f, +1)
+            diff = sp.pi_eps(lat, f, eps, +1) - UPPER * f
             norms.append(fc.sobolev_norm(lat, diff, 1.0))
         assert norms[0] > norms[1] - 1e-9 and norms[1] > norms[2] - 1e-9
         assert norms[2] < 0.5 * norms[0]

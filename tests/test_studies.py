@@ -59,13 +59,13 @@ class TestConfig:
             st.ExperimentConfig(n=8, period=TWO_PI, eps_list=[0.4, 0.2, 0.1], T=0.1, dt_ref=2e-3)
 
     def test_misaligned_sample_grid_rejected_before_stepping(self, monkeypatch):
-        # eps = 0.3 takes 18 steps of 1/180 and samples every 2nd: t = k/90,
+        # eps = 0.3 takes 13 steps of 1/130 and samples every one: t = k/130,
         # which misses the study grid of multiples of dt_ref = 0.01
         def no_stepping(*args, **kwargs):
             raise AssertionError("stepped before the grid check")
 
         monkeypatch.setattr(st, "run_sp", no_stepping)
-        cfg = small_cfg(dt_schedule="eps_squared", eps_list=[0.4, 0.3, 0.2], dt_ref=0.01, T=0.1, sample_every=1)
+        cfg = small_cfg(eps_list=[0.4, 0.3, 0.2], dt_ref=0.01, T=0.1, sample_every=1)
         with pytest.raises(ValueError, match="eps = 0.3"):
             st.nonrel_convergence_study(cfg)
 
@@ -76,11 +76,13 @@ class TestConfig:
             st.seminonrel_study(cfg)
 
     def test_dt_for_schedules(self):
-        cfg = small_cfg(dt_schedule="eps_squared")
+        # eps_linear is the one schedule; the retired fixed and eps_squared are unknown
+        cfg = small_cfg()
         assert cfg.dt_for(0.4) == pytest.approx(2e-3)
-        assert cfg.dt_for(0.2) == pytest.approx(5e-4)
-        cfg2 = small_cfg(dt_schedule="fixed")
-        assert cfg2.dt_for(0.1) == 2e-3
+        assert cfg.dt_for(0.2) == pytest.approx(1e-3)
+        for retired in ("fixed", "eps_squared"):
+            with pytest.raises(ValueError, match=f"unknown dt_schedule '{retired}'"):
+                small_cfg(dt_schedule=retired)
 
 
 class TestRateFit:
@@ -176,12 +178,11 @@ def reference_probe(lat, mu, lam, eps, trials, case, T, dt, seed):
     times = np.arange(steps + 1) * dt
     omega = lat.k_abs / eps
     h_sym = fc.h_eps_symbol(lat, eps)
-    beta_mu, _ = fc.lp_window(lat, mu, "mu"), fc.lp_window(lat, lam, "lam")
+    beta_mu, beta_lam = fc.lp_window(lat, mu, "mu"), fc.lp_window(lat, lam, "lam")
     ratios = []
     for trial in range(trials):
-        f_scale = mu if case == "iii" else lam
-        fhat = lat.fft(st.lp_localized_data(lat, f_scale, (seed, 11, trial)))
-        ghat = lat.fft(st.lp_localized_data(lat, lam, (seed, 23, trial)))
+        fhat = lat.fft(st.lp_localized_data(lat, beta_mu if case == "iii" else beta_lam, (seed, 11, trial)))
+        ghat = lat.fft(st.lp_localized_data(lat, beta_lam, (seed, 23, trial)))
         norm_f = np.sqrt(np.sum(np.abs(fhat) ** 2)) * np.sqrt(lat.volume) / lat.n**3
         norm_g = np.sqrt(np.sum(np.abs(ghat) ** 2)) * np.sqrt(lat.volume) / lat.n**3
         if norm_f == 0.0 or norm_g == 0.0:
@@ -264,8 +265,8 @@ class TestDyadicProbe:
 
         mu = lam = 2.0
         eps = 0.5
-        f = lp_localized_data(lat, lam, (0, 11, 0))
-        g = lp_localized_data(lat, lam, (0, 23, 0))
+        f = lp_localized_data(lat, fc.lp_window(lat, lam, "lam"), (0, 11, 0))
+        g = lp_localized_data(lat, fc.lp_window(lat, lam, "lam"), (0, 23, 0))
 
         def ratio(scale):
             fhat = lat.fft(scale * f)
