@@ -12,7 +12,7 @@ from diracmaxwell import evolve_dm as dm
 from diracmaxwell import evolve_limits as lim
 from diracmaxwell import fourier as fc
 from diracmaxwell import spinors as sp
-from diracmaxwell.data_families import gauge_profile, v_plus_profile
+from diracmaxwell.data_families import gauge_profile, v_minus_profile, v_plus_profile
 from test_spinors import per_mode, symbol_matrices
 
 TWO_PI = 2 * np.pi
@@ -403,6 +403,19 @@ class TestTransformCounts:
         transform_counts.clear()
         dm.checked_diagnostics(state, cfg)
         assert transform_counts == {"fft": 4}
+
+    def test_small_component_sample(self, lat, transform_counts):
+        # the small-component suite's ||Pi_- psi||_H1 is the h1_pi_minus_psi
+        # column, from the one spectrum of psi that the sample takes; the data
+        # get a lower part, so that Pi_- psi is not zero
+        cfg, zero = dm.StepConfig(dt=2e-3), np.zeros((3, lat.n, lat.n, lat.n))
+        psi = smooth_state(lat, 0.25).psi + sp.embed_lower(v_minus_profile(lat, 0.3))
+        state = dm.coulomb_gauge(dm.DMState(lat, 0.0, psi, gauge_profile(lat, 0.1), zero, 0.25), cfg)
+        transform_counts.clear()
+        got = dm.checked_diagnostics(state, cfg)["h1_pi_minus_psi"]
+        assert transform_counts == {"fft": 4}
+        want = fc.sobolev_norm(lat, sp.pi_eps(lat, state.psi, 0.25, -1), 1.0)
+        assert want > 1e-6 and got == pytest.approx(want, rel=1e-12)
 
 
 class TestWorkingSet:
@@ -855,6 +868,15 @@ class TestEBandU:
             assert np.abs(psi - phase * c).max() < 1e-13
             errors.append(np.abs(U - eps * (phase - 1.0) * c).max())
         assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
+
+    def test_reconstruction_identity_free_solution(self, lat):
+        eps, dt, T = 0.5, 1e-3, 0.25
+        psi0 = sp.pi_eps(lat, sp.embed_upper(v_plus_profile(lat, 0.5)), eps, +1) + sp.pi_eps(
+            lat, sp.embed_lower(v_minus_profile(lat, 0.3)), eps, -1
+        )
+        psi, U, dtU = dm.free_dirac_U(lat, psi0, T, dt, eps)
+        rec = dm.reconstruct_from_U(lat, U, dtU, eps)
+        assert fc.l2_norm(lat, rec - psi) < 1e-4
 
     def test_insufficient_sampling_flagged(self, lat):
         eps = 0.25

@@ -174,8 +174,44 @@ class TestSquaredDirac:
             checked_run(init, 0.02, 0.01, 2, hn.SquaredDiracResiduals())
 
 
+class TestSmallComponent:
+    """sup_t ||Pi_- psi||_H1 as the small-component suite reads it: the
+    h1_pi_minus_psi column of each sample of a run (hn._pi_minus_sup)."""
+
+    def test_free_flow_preserves_zero_positron_part(self, lat):
+        eps = 0.25
+        psihat = lat.fft(spinor_data(lat, "upper_projected", eps, {"amplitude": 0.5}))
+        pi_minus = [fc.sobolev_norm_hat(lat, sp.pi_eps_hat(lat, dm.free_flow_hat(lat, psihat, float(t), eps), eps, -1),
+                                        1.0) for t in np.arange(0, 0.1, 0.01)]
+        assert max(pi_minus) < 1e-12
+
+    def test_coupled_run_order_one_scaling(self, lat):
+        sups = {}
+        for eps in (0.4, 0.2):
+            psi0 = spinor_data(lat, "upper_projected", eps, {"amplitude": 0.5})
+            init = dm.DMState(lat, 0.0, psi0, gauge_profile(lat, 0.2), np.zeros((3, lat.n, lat.n, lat.n)), eps)
+            sups[eps] = hn._pi_minus_sup(init, 0.1, 1e-3 * eps / 0.4, 25)
+        # sup ||Pi_- psi|| scales like eps: halving eps halves the sup (30%)
+        assert sups[0.4] / sups[0.2] == pytest.approx(2.0, rel=0.3)
+
+    def test_counterexample_fails_order_two(self, lat):
+        zero = np.zeros((3, lat.n, lat.n, lat.n))
+        sups = {eps: hn._pi_minus_sup(dm.DMState(lat, 0.0, spinor_data(lat, "counterexample", eps, {"amplitude": 0.5}),
+                                                 zero, zero, eps), 0.02, 1e-3, 10) for eps in (0.2, 0.1)}
+        c1, c2 = ({eps: sup / eps**order for eps, sup in sups.items()} for order in (1, 2))
+        # the order-1 constant holds still as eps halves (measured ratio 1.01);
+        # the order-2 constant doubles with it (measured 2.02), so no C eps^2 bounds the sup
+        assert c1[0.1] / c1[0.2] == pytest.approx(1.0, rel=0.2)
+        assert c2[0.1] > 1.5 * c2[0.2]
+
+
 class TestNaiveExpansion:
-    # the rate rows on constrained and counterexample data are the naive-expansion suite of harness.CHECKS
+    def _residuals(self, lat, family, eps, T=0.2, dt=1e-3):
+        # fine solver step, coarse O(1) sampling for the naive dt(eta)
+        psi0 = spinor_data(lat, family, eps, {"amplitude": 0.5})
+        init = dm.DMState(lat, 0.0, psi0, np.zeros((3, lat.n, lat.n, lat.n)), np.zeros((3, lat.n, lat.n, lat.n)), eps)
+        return checked_run(init, T, dt, 50, hn.NaiveExpansionResiduals())[0]
+
     def test_zero_data(self, lat):
         n = lat.n
         init = dm.DMState(
@@ -183,6 +219,24 @@ class TestNaiveExpansion:
         )
         (res,) = checked_run(init, 0.02, 1e-3, 1, hn.NaiveExpansionResiduals())
         assert np.max(res) == 0.0
+
+    def test_constrained_data_small_residual(self, lat):
+        res = {}
+        for eps in (0.2, 0.1):
+            res[eps] = np.max(self._residuals(lat, "constrained", eps))
+        # O(eps^2): halving eps shrinks the residual ~4x
+        assert res[0.2] / res[0.1] > 2.5
+        assert res[0.2] < 0.1
+
+    def test_counterexample_theta_eps(self, lat):
+        res = {}
+        for eps in (0.2, 0.1):
+            res[eps] = self._residuals(lat, "counterexample", eps)[0]
+        # Theta(eps): stays bounded below by a multiple of eps, and far above
+        # the constrained family's O(eps^2) level
+        for eps in (0.2, 0.1):
+            assert res[eps] > 5.0 * eps
+        assert res[0.2] / res[0.1] < 3.0  # not shrinking like eps^2
 
 
 def uniform_dt(times):
