@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import data_families as df
-from .evolve_dm import StepConfig, checked_diagnostics, run_dm
+from .evolve_dm import DMState, StepConfig, checked_diagnostics, run_dm
 from .evolve_limits import SPState, pauli_diagnostics, run_pauli, run_sp, sp_diagnostics
 from .fourier import Lattice, make_lattice, write_fld
 from .presets import get_preset
@@ -197,11 +197,15 @@ class _SampleWriter:
         self.write_seconds += time.perf_counter() - t0
 
 
-def _dm_init(v: dict) -> tuple:
-    """The initial DMState and the StepConfig of a DM run."""
-    lat = make_lattice(v["grid.n"], v["grid.period"])
-    init = df.initial_dm_state(lat, v["data.family"], v["gauge"], v["eps"], v["data.params"])
-    return init, StepConfig(dt=v["dt"], dealias=v["dealias"])
+def _dm_setup(v: dict) -> tuple:
+    """The lattice and the StepConfig of a DM run."""
+    return make_lattice(v["grid.n"], v["grid.period"]), StepConfig(dt=v["dt"], dealias=v["dealias"])
+
+
+def _dm_init(v: dict, lat: Lattice) -> DMState:
+    """The initial DMState of a DM run.  The run commands hand it straight to
+    the run entry, which then holds it alone and drops it as the run starts."""
+    return df.initial_dm_state(lat, v["data.family"], v["gauge"], v["eps"], v["data.params"])
 
 
 def _finish(out_dir: Path, v: dict, t0: float, writer: _SampleWriter, extra: tuple = ()) -> int:
@@ -214,12 +218,11 @@ def _finish(out_dir: Path, v: dict, t0: float, writer: _SampleWriter, extra: tup
 
 def cmd_run_dm(v: dict, out_dir: Path) -> int:
     t0 = time.perf_counter()
-    init, step_cfg = _dm_init(v)
-    writer = _SampleWriter(out_dir, "psi", init.lat, lambda s: s.psi,
-                           lambda s: checked_diagnostics(s, step_cfg))
-    final = run_dm(init, v["T"], step_cfg, v["sample_every"], writer)
+    lat, step_cfg = _dm_setup(v)
+    writer = _SampleWriter(out_dir, "psi", lat, lambda s: s.psi, lambda s: checked_diagnostics(s, step_cfg))
+    final = run_dm(_dm_init(v, lat), v["T"], step_cfg, v["sample_every"], writer)
     a_path = out_dir / "A_final.fld"
-    write_fld(a_path, init.lat, final.A, final.t)
+    write_fld(a_path, lat, final.A, final.t)
     return _finish(out_dir, v, t0, writer, (a_path,))
 
 
@@ -236,9 +239,9 @@ def cmd_run_sp(v: dict, out_dir: Path) -> int:
 def cmd_run_pauli(v: dict, out_dir: Path) -> int:
     """Advances the Pauli spinor in lockstep with a DM run, in its fields."""
     t0 = time.perf_counter()
-    init, step_cfg = _dm_init(v)
-    writer = _SampleWriter(out_dir, "chi", init.lat, lambda s: s.chi, pauli_diagnostics)
-    run_pauli(init, v["T"], step_cfg, v["sample_every"], writer)
+    lat, step_cfg = _dm_setup(v)
+    writer = _SampleWriter(out_dir, "chi", lat, lambda s: s.chi, pauli_diagnostics)
+    run_pauli(_dm_init(v, lat), v["T"], step_cfg, v["sample_every"], writer)
     return _finish(out_dir, v, t0, writer)
 
 

@@ -17,9 +17,13 @@ cache fourier.mode_multipliers.  Every spinor matrix goes through the
 2x2-block kernel spinors.block_rows: the potential kick per point, the
 Picard forcing, and per mode the free flow (a + bQ of the free Dirac symbol,
 with d, conj(d) and h cached), Pi_- and reconstruct_from_U's i alpha.k.  A
-step moves 4 complex components forward and 8 back, 4 real forward and 7
-back; a sample, one spectrum of psi, reduced to its sums in one slab pass.
-Every transform writes its passes into one output allocated per call; the
+step moves 4 complex components forward and 8 back, 4 real forward and 4
+back (a stepped state inverts eps*dt(A) from its carried spectrum only when
+it is read); a sample, one spectrum of psi, reduced to its sums in one slab
+pass.  Every transform writes its passes into one output allocated per call,
+or over its input where the step consumes it: the forward transform of the
+kicked spinor, the inverse transform of the second free-flow output and the
+closing kick, so that a run keeps no full-grid array past its last use.  The
 kicks, block products, current, charge, wave and Leray products and norms run
 slab by slab (fourier.slabwise, slab_sum), from n = 32 spread over the cores
 (fourier), with the same bits on any core count.  Derivatives and the scalar
@@ -63,7 +67,7 @@ import numpy as np
 
 from . import spinors as sp
 from .fourier import (Lattice, curl, dealias, gradient, leray_hat, leray_project, mode_multipliers, on_modes,
-                      poisson_solve, slab_sum, slabwise, sobolev_norm_hat, sobolev_weight)
+                      poisson_solve, slab_sum, slabwise, sobolev_norm_hat, sobolev_weight, writable_complex)
 
 
 class Carried(NamedTuple):
@@ -80,13 +84,18 @@ class DMState:
 
     Frozen.  coulomb_gauge and dm_strang_step make the states of a run, with
     read-only arrays and their Carried values set; reading ``carried`` on a
-    state built any other way raises ValueError."""
+    state built any other way raises ValueError.
+
+    eps_dtA is the array a state was built with (coulomb_gauge's too).  The
+    states dm_strang_step makes are built with None: reading eps_dtA inverts
+    their carried W_hat, a new read-only array with the bits of an eager
+    irfft, so a run holds no eps*dt(A) between reads."""
 
     lat: Lattice
     t: float
     psi: np.ndarray            # (4, n, n, n) complex
     A: np.ndarray              # (3, n, n, n) real, divergence-free
-    eps_dtA: np.ndarray        # (3, n, n, n) real, stores eps * dt(A)
+    eps_dtA: np.ndarray        # (3, n, n, n) real, eps * dt(A); see the class docstring
     eps: float
     _carried: Carried | None = field(default=None, init=False, repr=False)
 
@@ -98,6 +107,19 @@ class DMState:
 
     def spinors(self) -> tuple:
         return (self.psi,)
+
+
+def _read_eps_dtA(state: DMState) -> np.ndarray:
+    W = state.__dict__["eps_dtA"]
+    if W is None:
+        W = state.lat.irfft(state.carried.W_hat)
+        W.flags.writeable = False
+    return W
+
+
+# a property over the field's own entry, set after the dataclass is made (in
+# the class body it would be taken for the field's default)
+DMState.eps_dtA = property(_read_eps_dtA, lambda state, W: state.__dict__.__setitem__("eps_dtA", W))
 
 
 @dataclass
@@ -137,15 +159,22 @@ def potential_kick(lat: Lattice, psi: np.ndarray, A0: np.ndarray, A: np.ndarray,
     (A.alpha)^2 = |A|^2: phase (cos + i sin * unit-alpha), phase = exp(i dt A0).
     The block form has d_+ = d_- = phase cos and V = i phase sin(dt |A|)/|A| A.
     It is built slab by slab (fourier.slabwise): no coefficient takes a full grid.
+    A writable complex128 psi (the array a step consumes) is written over, one
+    slab copied at a time since the block product reads both halves; any other
+    psi is left as it is and kicked into a new array.
     """
+    in_place = writable_complex(psi)
+
     def kick(out, psi, A0, A):
+        if in_place:
+            psi = psi.copy()
         theta = dt * np.sqrt(np.sum(A**2, axis=0))
         diag = np.exp(1j * dt * A0)
         f = diag * np.sinc(theta / np.pi)  # sin(dt m)/(dt m) with the m -> 0 limit 1
         f *= 1j * dt
         diag *= np.cos(theta)
         sp.block_rows(out, psi, diag, diag, sp.sigma_entries(A), f)
-    return slabwise(kick, np.empty(psi.shape, dtype=complex), psi, A0, A)
+    return slabwise(kick, psi if in_place else np.empty(psi.shape, dtype=complex), psi, A0, A)
 
 
 def wave_oscillator(lat: Lattice, fhat: np.ndarray, ghat: np.ndarray, srchat: np.ndarray, dt: float, eps: float):
@@ -175,8 +204,9 @@ def wave_step(lat: Lattice, A_hat: np.ndarray, W_hat: np.ndarray, J: np.ndarray,
 
 def _frozen(state: DMState, carried: Carried) -> DMState:
     """A new state of a run: its arrays made read-only, its carried values set."""
-    for a in (state.psi, state.A, state.eps_dtA):
-        a.flags.writeable = False
+    for a in (state.psi, state.A, state.__dict__["eps_dtA"]):
+        if a is not None:
+            a.flags.writeable = False
     object.__setattr__(state, "_carried", carried)
     return state
 
@@ -186,18 +216,24 @@ def dm_strang_step(state: DMState, cfg: StepConfig) -> DMState:
     kick; the closing A0 and the new spectra of A and eps*dt(A) are carried."""
     lat, eps, dt = state.lat, state.eps, cfg.dt
     c = state.carried
-    psihat_mid = free_flow_hat(lat, lat.fft(potential_kick(lat, state.psi, c.A0, state.A, dt / 2.0, eps)),
+    # the kicked spinor is transformed in its own array, the second free-flow
+    # output inverted and kicked in its own; eps*dt(A) stays a spectrum
+    psihat_mid = free_flow_hat(lat, lat.fft_in_place(potential_kick(lat, state.psi, c.A0, state.A, dt / 2.0, eps)),
                                dt / 2.0, eps)
     J = sp.current_density(lat.ifft(psihat_mid), eps)
     if cfg.dealias:
         J = dealias(lat, J)
     A_hat, W_hat = wave_step(lat, c.A_hat, c.W_hat, J, dt, eps)
-    psi_b = lat.ifft(free_flow_hat(lat, psihat_mid, dt / 2.0, eps))
-    del psihat_mid, J  # not kept alive through the closing kick, where the step peaks in memory
-    A_new, W_new = lat.irfft(A_hat), lat.irfft(W_hat)
+    # each full-grid temporary goes at its last use, so none is alive at the
+    # closing kick, where the step peaks in memory
+    del J
+    psi_b = free_flow_hat(lat, psihat_mid, dt / 2.0, eps)
+    del psihat_mid
+    psi_b = lat.ifft_in_place(psi_b)
+    A_new = lat.irfft(A_hat)
     A0_new = derived_A0(lat, psi_b, cfg.dealias)
     psi_new = potential_kick(lat, psi_b, A0_new, A_new, dt / 2.0, eps)
-    return _frozen(DMState(lat, state.t + dt, psi_new, A_new, W_new, eps), Carried(A0_new, A_hat, W_hat))
+    return _frozen(DMState(lat, state.t + dt, psi_new, A_new, None, eps), Carried(A0_new, A_hat, W_hat))
 
 
 DIAGNOSTIC_COLUMNS = ("t", "charge", "h1_psi", "h1dot_A", "eps_l2_dtA", "h1_pi_minus_psi")
@@ -297,9 +333,12 @@ def coulomb_gauge(init: DMState, cfg: StepConfig) -> DMState:
 
 def run_dm(init: DMState, T: float, cfg: StepConfig, sample_every: int, observe) -> DMState:
     """integrate() dm_strang_step from the Coulomb-gauged data to time T,
-    calling observe at each of sample_steps; returns the final state."""
-    return integrate(coulomb_gauge(init, cfg), lambda s: dm_strang_step(s, cfg), n_steps_for(T, cfg.dt),
-                     sample_every, observe)
+    calling observe at each of sample_steps; returns the final state.
+    Keeps no reference to init, nor to the start once integrate() steps past it."""
+    n_steps = n_steps_for(T, cfg.dt)
+    start = [coulomb_gauge(init, cfg)]
+    del init  # integrate gets the start moved out of its list, as the only reference
+    return integrate(start.pop(), lambda s: dm_strang_step(s, cfg), n_steps, sample_every, observe)
 
 
 # -- Picard reference integrator -----------------------------------------------

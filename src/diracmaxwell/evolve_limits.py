@@ -180,7 +180,9 @@ def dm_pauli_step(state: DMPauliState, cfg: StepConfig) -> DMPauliState:
 
 def run_pauli(init: DMState, T: float, cfg: StepConfig, sample_every: int, observe) -> DMPauliState:
     """run_dm with the Pauli spinor of init's upper component (the modulation
-    is the identity at t = 0) in lockstep, through dm_pauli_step."""
-    return integrate(
-        DMPauliState(coulomb_gauge(init, cfg), sp.upper(init.psi).copy()),
-        lambda s: dm_pauli_step(s, cfg), n_steps_for(T, cfg.dt), sample_every, observe)
+    is the identity at t = 0) in lockstep, through dm_pauli_step; like run_dm
+    it keeps no reference to init, nor to the start once integrate() steps past it."""
+    n_steps = n_steps_for(T, cfg.dt)
+    start = [DMPauliState(coulomb_gauge(init, cfg), sp.upper(init.psi).copy())]
+    del init
+    return integrate(start.pop(), lambda s: dm_pauli_step(s, cfg), n_steps, sample_every, observe)

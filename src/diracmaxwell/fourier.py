@@ -30,9 +30,10 @@ fixed once and for all:
 * The four 3-D transforms of ``Lattice`` run the 1-D passes of the batched
   ``np.fft`` call, every pass writing into one output allocated per call
   (``irfft`` takes the first two in place on a copy), so the result is
-  ``np.fft``'s, bit for bit and dtype included.  From 32**3 points per
-  component a multi-component float64/complex128 transform runs one chunk of
-  components per usable core, and ``by_slab`` hands the slabs of a pointwise
+  ``np.fft``'s, bit for bit and dtype included (``fft_in_place`` and
+  ``ifft_in_place`` write them over a writable complex128 input).  From 32**3
+  points per component a multi-component float64/complex128 transform runs one
+  chunk of components per usable core, and ``by_slab`` hands the slabs of a pointwise
   kernel (``slabwise``: block products, potential kick, current, charge, the
   wave and Leray products) or of a norm's sum (``slab_sum``, added in slab
   order) to the cores in turn: the calling thread and a pool of cores - 1
@@ -154,6 +155,15 @@ class Lattice:
         fhat = np.asarray(fhat)
         return self._run(_ifftn, fhat, np.empty(fhat.shape, np.result_type(fhat.dtype, 1j)))
 
+    def fft_in_place(self, f: np.ndarray) -> np.ndarray:
+        """fft(f), written over f where f is a writable complex128 array (the
+        array a step consumes), else into a new array."""
+        return self._run(_fftn, f, f) if writable_complex(f) else self.fft(f)
+
+    def ifft_in_place(self, fhat: np.ndarray) -> np.ndarray:
+        """ifft(fhat), written over fhat as fft_in_place writes over f."""
+        return self._run(_ifftn, fhat, fhat) if writable_complex(fhat) else self.ifft(fhat)
+
     def rfft(self, f: np.ndarray) -> np.ndarray:
         """Transform of a real field: the modes with last-axis index <= n/2."""
         f = np.asarray(f)
@@ -207,6 +217,11 @@ def _forget_workers():
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_workers)
+
+
+def writable_complex(a) -> bool:
+    """a is a writable complex128 ndarray, which a transform or kick may write over."""
+    return isinstance(a, np.ndarray) and a.dtype == np.complex128 and a.flags.writeable
 
 
 def _fftn(f, out):

@@ -51,21 +51,106 @@ def thm3_config(family="upper_projected", gauge="zero", extra_params=None):
     )
 
 
-@pytest.fixture(scope="module")
-def thm3_report():
+def thm3_study():
     return st.nonrel_convergence_study(thm3_config())
 
 
-@pytest.fixture(scope="module")
-def thm4_report():
+def thm4_study():
     return st.seminonrel_study(
         thm3_config(gauge="bandlimited_divfree", extra_params={"gauge_amplitude": 0.3})
     )
 
 
+def counterexample_study():
+    return st.nonrel_convergence_study(thm3_config(family="counterexample"))
+
+
+def weak_star_study():
+    return st.weak_pairing_study(
+        thm3_config(family="upper_lower", extra_params={"minus_amplitude": 0.3})
+    )
+
+
+def dyadic_sweeps():
+    return {
+        "i": st.dyadic_sweep("i", 32, TWO_PI, 0.25, [1.0, 2.0, 4.0], [4.0], trials=8, seed=0, T=1.0, dt=0.02),
+        "ii": st.dyadic_sweep("ii", 64, TWO_PI, 0.5, [1.0, 2.0, 4.0], [8.0], trials=8, seed=0, T=1.0, dt=0.04),
+        "iii": st.dyadic_sweep("iii", 32, TWO_PI, 0.25, [1.0, 2.0, 4.0], [2.0], trials=8, seed=0, T=1.0, dt=0.02),
+    }
+
+
+# -- acceptance-scale numbers --------------------------------------------------------
+# GOLDEN pins what the long n = 24 runs print, so that a change whose effect
+# grows over 1750 steps shows even while every rate stays in its band.  It was
+# written once by
+#     PYTHONPATH=src:tests python -c "import test_acceptance as t; t.write_golden()"
+# A 1-ulp change of the initial spinor moves these numbers by far less than
+# GOLDEN_RTOL (CHANGES.md gives the measured spread).
+
+GOLDEN = Path(__file__).parent / "data" / "acceptance_golden.json"
+GOLDEN_RTOL = 1e-10
+
+
+def report_numbers(rep):
+    """The errors and fitted rates of a RateReport (an undefined rate as None)."""
+    return {
+        "errors": {k: [float(x) for x in v] for k, v in rep.errors.items()},
+        "rates": {k: None if np.isnan(v) else float(v) for k, v in rep.rates.items()},
+    }
+
+
+PINNED = {  # GOLDEN key: (the run, the numbers it contributes)
+    "thm3": (thm3_study, report_numbers),
+    "thm4": (thm4_study, report_numbers),
+    "counterexample": (counterexample_study, report_numbers),
+    "weak_star": (weak_star_study, lambda out: {"defects": [float(d) for d in out["defects"]]}),
+    "dyadic": (dyadic_sweeps, lambda sweeps: {c: [float(r[-1]) for r in rows] for c, rows in sweeps.items()}),
+}
+
+
+def write_golden():
+    """Run every PINNED study (about 2 minutes) and write GOLDEN."""
+    numbers = {key: numbers_of(run()) for key, (run, numbers_of) in PINNED.items()}
+    GOLDEN.write_text(json.dumps(numbers, indent=1, sort_keys=True) + "\n")
+
+
+def assert_pinned(key, value):
+    """The numbers of one PINNED run equal GOLDEN's to GOLDEN_RTOL, key for key."""
+    def close(got, want, path):
+        if isinstance(want, dict):
+            assert sorted(got) == sorted(want), f"{path}: keys {sorted(got)} != {sorted(want)}"
+            for k in want:
+                close(got[k], want[k], f"{path}.{k}")
+        elif isinstance(want, list):
+            assert len(got) == len(want), f"{path}: {len(got)} entries != {len(want)}"
+            for i, (g, w) in enumerate(zip(got, want)):
+                close(g, w, f"{path}[{i}]")
+        else:
+            assert (got is None) == (want is None), f"{path}: {got} != {want}"
+            assert want is None or abs(got - want) <= GOLDEN_RTOL * abs(want), (
+                f"{path}: {got!r} != pinned {want!r} (rtol {GOLDEN_RTOL})")
+    close(PINNED[key][1](value), json.loads(GOLDEN.read_text())[key], key)
+
+
+@pytest.fixture(scope="module")
+def thm3_report():
+    rep = thm3_study()
+    assert_pinned("thm3", rep)
+    return rep
+
+
+@pytest.fixture(scope="module")
+def thm4_report():
+    rep = thm4_study()
+    assert_pinned("thm4", rep)
+    return rep
+
+
 @pytest.fixture(scope="module")
 def counterexample_report():
-    return st.nonrel_convergence_study(thm3_config(family="counterexample"))
+    rep = counterexample_study()
+    assert_pinned("counterexample", rep)
+    return rep
 
 
 def assert_check_rows(criterion, suites, wall_gate):
@@ -159,12 +244,11 @@ def test_criterion_08_thm4_rates(thm4_report):
 
 
 def test_criterion_09_weak_star_current():
-    out = st.weak_pairing_study(
-        thm3_config(family="upper_lower", extra_params={"minus_amplitude": 0.3})
-    )
+    out = weak_star_study()
     defects = out["defects"]
     ok = out["strictly_decreasing"]
     report("09 weak-star current", ok, "defects " + ", ".join(f"{d:.3e}" for d in defects))
+    assert_pinned("weak_star", out)
 
 
 def test_criterion_10_counterexample(counterexample_report):
@@ -203,11 +287,7 @@ def test_criterion_11_dyadic_probes():
     # slope < 0.8 per octave: a mu-power wrong by sqrt(mu) or more in the
     # claimed right-hand sides would push the fitted slope to >= 1.
     t0 = time.time()
-    sweeps = {
-        "i": st.dyadic_sweep("i", 32, TWO_PI, 0.25, [1.0, 2.0, 4.0], [4.0], trials=8, seed=0, T=1.0, dt=0.02),
-        "ii": st.dyadic_sweep("ii", 64, TWO_PI, 0.5, [1.0, 2.0, 4.0], [8.0], trials=8, seed=0, T=1.0, dt=0.04),
-        "iii": st.dyadic_sweep("iii", 32, TWO_PI, 0.25, [1.0, 2.0, 4.0], [2.0], trials=8, seed=0, T=1.0, dt=0.02),
-    }
+    sweeps = dyadic_sweeps()
     details = []
     ok = True
     for case, rows in sweeps.items():
@@ -219,6 +299,7 @@ def test_criterion_11_dyadic_probes():
     wall = time.time() - t0
     ok = ok and wall < 600.0
     report("11 dyadic probes", ok, "; ".join(details) + f", {wall:.0f}s")
+    assert_pinned("dyadic", sweeps)
 
 
 def test_criterion_12_picard_cross_validation():

@@ -3,6 +3,7 @@ import dataclasses
 import re
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +46,11 @@ def gauged_state(lat, eps, cfg, gauge_amp=0.0):
 
 @pytest.fixture
 def transform_counts(monkeypatch):
-    """Components moved by each Lattice transform method from here on."""
+    """Components moved by each Lattice transform method from here on; the
+    in-place complex pair counts as fft and ifft."""
     counts = collections.Counter()
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        def counting(self, f, _name=name, _transform=getattr(fc.Lattice, name)):
+    for name in ("fft", "ifft", "rfft", "irfft", "fft_in_place", "ifft_in_place"):
+        def counting(self, f, _name=name.removesuffix("_in_place"), _transform=getattr(fc.Lattice, name)):
             counts[_name] += int(np.prod(np.shape(f)[:-3]))
             return _transform(self, f)
         monkeypatch.setattr(fc.Lattice, name, counting)
@@ -123,18 +125,21 @@ class TestFreeDiracStep:
 
 
 class TestPotentialKick:
+    """Each kick writes over a writable copy of psi, as the step's closing kick
+    does, and is compared with psi."""
+
     def test_identity_for_zero_potentials(self, lat):
         rng = np.random.default_rng(2)
         psi = rng.standard_normal((4, lat.n, lat.n, lat.n)) + 0j
         zero3 = np.zeros((3, lat.n, lat.n, lat.n))
-        out = dm.potential_kick(lat, psi, np.zeros((lat.n,) * 3), zero3, 0.1, 0.5)
+        out = dm.potential_kick(lat, psi.copy(), np.zeros((lat.n,) * 3), zero3, 0.1, 0.5)
         assert np.abs(out - psi).max() < 1e-14
 
     def test_constant_electric_phase(self, lat):
         rng = np.random.default_rng(3)
         psi = rng.standard_normal((4, lat.n, lat.n, lat.n)) + 0j
         A0 = np.full((lat.n,) * 3, 0.9)
-        out = dm.potential_kick(lat, psi, A0, np.zeros((3, lat.n, lat.n, lat.n)), 0.1, 0.5)
+        out = dm.potential_kick(lat, psi.copy(), A0, np.zeros((3, lat.n, lat.n, lat.n)), 0.1, 0.5)
         assert np.abs(out - np.exp(1j * 0.9 * 0.1) * psi).max() < 1e-13
 
     def test_alpha3_eigenvector_phase(self, lat):
@@ -142,7 +147,7 @@ class TestPotentialKick:
         psi[0] = psi[2] = 1 / np.sqrt(2)
         A = np.zeros((3, lat.n, lat.n, lat.n))
         A[2] = 0.8
-        out = dm.potential_kick(lat, psi, np.zeros((lat.n,) * 3), A, 0.1, 0.5)
+        out = dm.potential_kick(lat, psi.copy(), np.zeros((lat.n,) * 3), A, 0.1, 0.5)
         assert np.abs(out - np.exp(1j * 0.8 * 0.1) * psi).max() < 1e-13
 
     def test_matches_unfused_formula(self, lat):
@@ -156,7 +161,7 @@ class TestPotentialKick:
         theta = dt * np.sqrt(np.sum(A**2, axis=0))
         phase = np.exp(1j * dt * A0)
         want = (phase * np.cos(theta)) * psi + (1j * dt * np.sinc(theta / np.pi) * phase) * sp.alpha_dot(A, psi)
-        got = dm.potential_kick(lat, psi, A0, A, dt, 0.5)
+        got = dm.potential_kick(lat, psi.copy(), A0, A, dt, 0.5)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_pointwise_unitary(self, lat):
@@ -167,7 +172,7 @@ class TestPotentialKick:
         X1, X2, _ = lat.grid()
         A0 = np.cos(X1) + np.zeros((lat.n,) * 3)
         A = gauge_profile(lat, 0.5)
-        out = dm.potential_kick(lat, psi, A0, A, 0.2, 0.5)
+        out = dm.potential_kick(lat, psi.copy(), A0, A, 0.2, 0.5)
         assert np.abs(sp.charge_density(out) - sp.charge_density(psi)).max() < 1e-12
 
 
@@ -366,6 +371,16 @@ class TestCarried:
         assert len(rows) == 5
         assert len(solves) == 4 + 1  # coulomb_gauge, then each step (closing A0); the samples solve none
 
+    def test_stepped_state_inverts_eps_dtA_when_read(self, lat):
+        cfg = dm.StepConfig(dt=2e-3)
+        start = gauged_state(lat, 0.25, cfg, gauge_amp=0.1)
+        s1 = dm.dm_strang_step(start, cfg)
+        W = s1.eps_dtA
+        assert np.array_equal(W, lat.irfft(s1.carried.W_hat)) and not W.flags.writeable
+        assert s1.eps_dtA is not W  # made at each read, kept by none
+        assert start.eps_dtA is start.eps_dtA  # coulomb_gauge's start keeps its array
+        assert dm.DMState(lat, s1.t, s1.psi, s1.A, W, s1.eps).eps_dtA is W  # so does a hand-built state
+
     def test_stepped_state_cannot_be_edited(self, lat):
         cfg = dm.StepConfig(dt=2e-3)
         s1 = dm.dm_strang_step(gauged_state(lat, 0.25, cfg, gauge_amp=0.1), cfg)
@@ -384,7 +399,10 @@ class TestTransformCounts:
         s1 = dm.dm_strang_step(gauged_state(lat, 0.25, cfg, gauge_amp=0.1), cfg)
         transform_counts.clear()
         dm.dm_strang_step(s1, cfg)
-        assert transform_counts == {"fft": 4, "ifft": 8, "rfft": 4, "irfft": 7}
+        # eps*dt(A) is not inverted: a stepped state inverts it when it is read
+        assert transform_counts == {"fft": 4, "ifft": 8, "rfft": 4, "irfft": 4}
+        assert not s1.eps_dtA.flags.writeable
+        assert transform_counts["irfft"] == 4 + 3
 
     def test_picard_iterate_zero(self, lat, transform_counts):
         # iterate -1 is zero: the level loop transforms none of it, the data are
@@ -420,24 +438,79 @@ class TestTransformCounts:
 
 class TestWorkingSet:
     # Peak traced allocation of one carried step above live data, in (4, n, n, n)
-    # complex arrays.  Before the block kernel (commit 66a055b) it read 6.230011:
-    # `PYTHONPATH=src python -m pytest -q -s tests/test_dm.py -k working_set` with
-    # this test, printing `peak`, against that commit's src/.
-    PARENT_PEAK = 6.2301
+    # complex arrays, by grid size.  Before the block kernel (commit 66a055b) n = 16
+    # read 6.230011.  Before the step transformed and kicked in place and left
+    # eps*dt(A) spectral, n = 16 read 5.3694 and n = 32 (split path) 4.4904; after,
+    # 4.9939 and 3.6296: `PYTHONPATH=src python -m pytest -q -s tests/test_dm.py
+    # -k working_set` with these tests, printing `peak`.
+    PARENT_PEAK = {16: 4.9940, 32: 3.6300}
 
-    def test_carried_step_working_set(self):
-        lat16 = fc.make_lattice(16, TWO_PI)
+    def peak(self, n):
+        lat = fc.make_lattice(n, TWO_PI)
         cfg = dm.StepConfig(dt=2e-3)
-        state = dm.coulomb_gauge(smooth_state(lat16, 0.25, gauge_amp=0.1), cfg)
+        state = dm.coulomb_gauge(smooth_state(lat, 0.25, gauge_amp=0.1), cfg)
         state = dm.dm_strang_step(dm.dm_strang_step(state, cfg), cfg)
         tracemalloc.start()
         try:
             live = tracemalloc.get_traced_memory()[0]
             dm.dm_strang_step(state, cfg)
-            peak = (tracemalloc.get_traced_memory()[1] - live) / (4 * lat16.n**3 * 16)
+            return (tracemalloc.get_traced_memory()[1] - live) / (4 * n**3 * 16)
         finally:
             tracemalloc.stop()
-        assert peak <= self.PARENT_PEAK, f"peak {peak:.3f} spinors above live data"
+
+    def test_carried_step_working_set(self):
+        peak = self.peak(16)
+        assert peak <= self.PARENT_PEAK[16], f"peak {peak:.4f} spinors above live data"
+
+    def test_split_step_working_set(self, monkeypatch):
+        monkeypatch.setattr(fc, "_CORES", 2)  # the transforms and slabs split on any host
+        peak = self.peak(32)
+        assert peak <= self.PARENT_PEAK[32], f"peak {peak:.4f} spinors above live data"
+
+
+class TestReleasedInitialData:
+    """A run entry given initial data that only the call holds has released
+    them, and its start is not kept either, by the first sample it observes."""
+
+    @staticmethod
+    def watched_init(lat):
+        """Initial data and weak references to the state and to its spinor."""
+        init = smooth_state(lat, 0.25, gauge_amp=0.1)
+        return init, [weakref.ref(init), weakref.ref(init.psi)]
+
+    @pytest.mark.parametrize("entry", [dm.run_dm, lim.run_pauli], ids=["run_dm", "run_pauli"])
+    def test_run_entry(self, lat, entry):
+        init, refs = self.watched_init(lat)
+        box = [init]
+        del init
+        alive, samples = [], []
+
+        def observe(s):  # init, its spinor and, from the second sample on, the start
+            alive.append([r() is not None for r in refs + samples[:1]])
+            samples.append(weakref.ref(s))
+        entry(box.pop(), 3 * 2e-3, dm.StepConfig(dt=2e-3), 1, observe)
+        assert alive == [[False, False]] + [[False, False, False]] * 3
+
+    def test_cmd_run_dm(self, lat, tmp_path, monkeypatch):
+        from diracmaxwell import cli
+        refs, alive = [], []
+        make = cli.df.initial_dm_state
+
+        def watched(*args):
+            init = make(*args)
+            refs.extend([weakref.ref(init), weakref.ref(init.psi)])
+            return init
+        diagnose = cli.checked_diagnostics
+
+        def observed(s, cfg):
+            alive.append([r() is not None for r in refs])
+            return diagnose(s, cfg)
+        monkeypatch.setattr(cli.df, "initial_dm_state", watched)
+        monkeypatch.setattr(cli, "checked_diagnostics", observed)
+        v = cli.read_config("run-dm", {"grid": {"n": 8, "period": TWO_PI}, "eps": 0.25, "T": 0.006, "dt": 0.002,
+                                       "data": {"family": "upper_projected", "params": {"amplitude": 0.5}}})
+        assert cli.cmd_run_dm(v, tmp_path / "out") == 0
+        assert alive == [[False, False]] * 4
 
 
 def diagnose_reference(state):

@@ -302,6 +302,44 @@ def derivative_3d(lat, f, j):
     return lat.ifft(1j * k * lat.fft(f))
 
 
+class TestInPlaceTransforms:
+    """fft_in_place and ifft_in_place run np.fft's passes over a writable
+    complex128 input: np.fft's bits with no full-grid allocation, split by
+    component over three cores (from n = 32) or on one.  Any other input is
+    left as it is and transformed into a new array."""
+
+    AXES = (-3, -2, -1)
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    @pytest.mark.parametrize("n", [24, 32, 64])
+    def test_equal_numpy_bit_for_bit(self, n, cores, monkeypatch):
+        monkeypatch.setattr(fc, "_CORES", cores)
+        lat = fc.make_lattice(n, TWO_PI)
+        f = random_complex(lat, 64, shape=(4, n, n, n))
+        for in_place, numpy_transform in ((lat.fft_in_place, np.fft.fftn), (lat.ifft_in_place, np.fft.ifftn)):
+            for g in (f.copy(), f.transpose(0, 1, 3, 2).copy(order="K")):  # contiguous and strided
+                want = numpy_transform(g, axes=self.AXES)
+                in_place(g[:2].copy())  # numpy's cached plans and the pool, made on first use
+                tracemalloc.start()
+                try:
+                    got = in_place(g)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert got is g and np.array_equal(got, want)
+                assert peak < 0.05 * g.nbytes, f"{peak / g.nbytes:.3f} of the input allocated"
+
+    def test_other_inputs_go_to_a_new_array(self, lat):
+        f = random_complex(lat, 65, shape=(4, lat.n, lat.n, lat.n))
+        read_only = f.copy()
+        read_only.flags.writeable = False
+        for g in (read_only, f.astype(np.complex64), f.real.copy(), f.tolist()):
+            before = np.array(g, copy=True)
+            for in_place, transform in ((lat.fft_in_place, lat.fft), (lat.ifft_in_place, lat.ifft)):
+                got = in_place(g)
+                assert got is not g and np.array_equal(got, transform(g)) and np.array_equal(np.asarray(g), before)
+
+
 class TestSerialTransforms:
     """Below 32**3 points per component, and for scalars, a transform runs
     np.fft's passes in one call on the calling thread, each pass writing into

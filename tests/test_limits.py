@@ -75,6 +75,56 @@ class TestSPStep:
         assert np.abs(final.v_plus - v).max() < 1e-12
 
 
+class TestSPCovariance:
+    """sp_step commutes with parity, a 90-degree rotation about x3 and time
+    reversal, which for the Schrodinger-Poisson pair is complex conjugation
+    with dt -> -dt: three steps from transformed data give the transformed
+    steps of the data, to roundoff.  Nothing in the pair acts on spin, so
+    the transformations move the grid only."""
+
+    n, dt = 10, 0.02
+
+    def move(self, name, s):
+        """The state s under parity or rotation, f(x) -> f(R^-1 x), or its complex conjugate."""
+        n = self.n
+        I, J, K = np.indices((n, n, n))
+        idx = {"parity": (-I % n, -J % n, -K % n), "rotation": (J, -I % n, K)}.get(name)
+        return lim.SPState(s.lat, s.t, *(np.conj(v) if idx is None else v[:, idx[0], idx[1], idx[2]]
+                                         for v in (s.v_plus, s.v_minus)))
+
+    def steps(self, s, dt):
+        for _ in range(3):
+            s = lim.sp_step(s, dt)
+        return s
+
+    def error(self, name):
+        lat = fc.make_lattice(self.n, TWO_PI)
+        rng = np.random.default_rng(6)
+        v = 0.3 * (rng.standard_normal((4, *(self.n,) * 3)) + 1j * rng.standard_normal((4, *(self.n,) * 3)))
+        data = lim.SPState(lat, 0.0, v[:2], v[2:])
+        if name == "time reversal":  # conj(steps(conj data, dt)) = steps(data, -dt)
+            got, want = self.move(name, self.steps(self.move(name, data), self.dt)), self.steps(data, -self.dt)
+        else:  # steps of the moved data = the moved steps
+            got, want = self.steps(self.move(name, data), self.dt), self.move(name, self.steps(data, self.dt))
+        return max(float(np.abs(g - w).max() / np.abs(w).max())
+                   for g, w in ((got.v_plus, want.v_plus), (got.v_minus, want.v_minus)))
+
+    NAMES = ["parity", "rotation", "time reversal"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_step_is_covariant(self, name):
+        assert self.error(name) < 1e-13
+
+    def test_odd_kinetic_term_breaks_every_symmetry(self, monkeypatch):
+        # a kinetic symbol with an added dt k_x, odd in k and along x1 only
+        def odd(lat, dt):
+            kin = np.exp(-1j * dt * (lat.k_sq / 2.0 + lat.kx))
+            return kin, np.conj(kin)
+        monkeypatch.setattr(lim, "kinetic_multipliers", odd)
+        for name in self.NAMES:
+            assert self.error(name) > 1e-6, name
+
+
 class TestSimulateSP:
     def test_run_sp_is_the_hand_stepped_run(self, lat):
         v = random_two_spinor(lat, 4)

@@ -182,7 +182,8 @@ class TestSlabKernels:
 
     @staticmethod
     def inputs(n, seed=0):
-        """psi, a complex d, a complex 3-vector w, a complex scale, A0 and A."""
+        """A read-only psi (the kick writes over a writable one), a complex d,
+        a complex 3-vector w, a complex scale, A0 and A."""
         rng = np.random.default_rng(seed)
 
         def field(*c):
@@ -190,7 +191,9 @@ class TestSlabKernels:
 
         def complex_field(*c):
             return field(*c) + 1j * field(*c)
-        return complex_field(4), complex_field(), complex_field(3), complex_field(), field(), field(3)
+        psi = complex_field(4)
+        psi.flags.writeable = False
+        return psi, complex_field(), complex_field(3), complex_field(), field(), field(3)
 
     @pytest.mark.parametrize("n", [24, 32, 48])
     def test_block_kernels_equal_the_full_grid_product(self, n, cores):
@@ -216,7 +219,10 @@ class TestSlabKernels:
         psi, _, _, _, A0, A = self.inputs(n)
         for p, a in ((psi, A), (psi.transpose(0, 3, 2, 1), A), (psi, np.zeros_like(A))):  # A = 0: the sinc limit
             for dt in (0.013, -0.013):
-                assert np.array_equal(dm.potential_kick(lat, p, A0, a, dt, 0.3), kick_by_formula(p, A0, a, dt))
+                want = kick_by_formula(p, A0, a, dt)
+                assert np.array_equal(dm.potential_kick(lat, p, A0, a, dt, 0.3), want)
+                q = p.copy(order="K")  # writable, in p's memory order: kicked over itself
+                assert dm.potential_kick(lat, q, A0, a, dt, 0.3) is q and np.array_equal(q, want)
             assert np.array_equal(sp.current_density(p, 0.3), current_by_formula(p, 0.3))
 
     def test_concurrent_callers_get_their_own_results(self, monkeypatch):
